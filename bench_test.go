@@ -28,7 +28,6 @@ import (
 	"pimcache/internal/probe"
 	"pimcache/internal/stats"
 	"pimcache/internal/synth"
-	"pimcache/internal/trace"
 )
 
 var evalData struct {
@@ -440,13 +439,9 @@ func BenchmarkReplayThroughput(b *testing.B) {
 // filters exploit: each snoop and lock poll shrinks from O(PEs) to
 // O(actual holders), so the filtered/unfiltered gap widens with PE
 // count. The sharded mode replays the same trace partitioned by cache
-// set across every available core (bench.ReplayConfigSharded), which
-// produces bit-identical statistics; the statsonly mode drops the data
-// plane (cache.Config.StatsOnly), and the packed mode adds the
-// pre-decoded flat word stream (trace.Pack + bench.ReplayPacked) on top
-// — the replay engine's single-core fast path. All modes produce
-// bit-identical statistics (the stats-only and packed equivalence
-// oracles pin this). docs/eval_snapshot.txt records the measured
+// set across every available core (bench.ReplayConfigSharded). Every
+// mode replays stats-only through the one cache.Apply loop and produces
+// bit-identical statistics. docs/eval_snapshot.txt records the measured
 // speedups.
 func BenchmarkReplayPEs(b *testing.B) {
 	for _, pes := range []int{1, 4, 8, 16} {
@@ -454,35 +449,23 @@ func BenchmarkReplayPEs(b *testing.B) {
 		sc.PEs = pes
 		sc.Events = 200_000
 		tr := synth.ORParallel(sc)
-		pk, err := trace.Pack(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
 		for _, mode := range []struct {
-			name      string
-			disable   bool
-			shards    int
-			statsOnly bool
-			packed    bool
+			name    string
+			disable bool
+			shards  int
 		}{
 			{name: "filtered"},
 			{name: "unfiltered", disable: true},
 			{name: "sharded", shards: runtime.GOMAXPROCS(0)},
-			{name: "statsonly", statsOnly: true},
-			{name: "packed", statsOnly: true, packed: true},
 		} {
 			cfg := bench.BaseCache(cache.OptionsAll())
 			cfg.DisableBusFilters = mode.disable
-			cfg.StatsOnly = mode.statsOnly
 			b.Run(fmt.Sprintf("pes=%d/%s", pes, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
-					switch {
-					case mode.packed:
-						_, _, err = bench.ReplayPacked(pk, cfg, bus.DefaultTiming())
-					case mode.shards > 1:
+					if mode.shards > 1 {
 						_, _, err = bench.ReplayConfigSharded(tr, cfg, bus.DefaultTiming(), mode.shards)
-					default:
+					} else {
 						_, _, err = bench.ReplayConfig(tr, cfg, bus.DefaultTiming())
 					}
 					if err != nil {

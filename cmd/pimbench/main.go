@@ -40,7 +40,6 @@ func main() {
 		verbose  = flag.Bool("v", false, "print progress")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores, 1 = serial)")
 		warm     = flag.Bool("warm", false, "share warmed checkpoints among replays with identical configs")
-		sOnly    = flag.Bool("statsonly", false, "run replays without a data plane (identical tables, less memory and time)")
 		manifest = flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
 		scenario = flag.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	)
@@ -75,7 +74,6 @@ func main() {
 	o.Quick = *quick
 	o.Jobs = *jobs
 	o.WarmedSweeps = *warm
-	o.StatsOnly = *sOnly
 	o.Phases = ph
 	o.Metrics = reg
 	if *benches != "" {
@@ -142,7 +140,7 @@ func main() {
 // throughput figure.
 func writeManifest(man *obs.Manifest, path string, d *bench.Data, o bench.Options, ph *obs.Phases, reg *obs.Registry, profiles map[string]string) {
 	ccfg := bench.BaseCache(cache.OptionsAll())
-	ccfg.StatsOnly = o.StatsOnly
+	ccfg.StatsOnly = true // the variant statistics come from stats-only replays
 	ccfg.DisableBusFilters = o.DisableBusFilters
 	man.Config = obs.NewRunConfig(o.PEs, ccfg, bus.DefaultTiming(), "all", "bench", 0)
 	var totalRefs uint64

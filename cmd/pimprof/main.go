@@ -46,7 +46,6 @@ func main() {
 		intervals = flag.Uint64("intervals", 0, "print interval metrics every N simulated cycles")
 		csvOut    = flag.String("csv", "", "write the interval metrics as CSV to this file (needs -intervals)")
 		hotspots  = flag.Int("hotspots", 0, "print the top-K most contended blocks")
-		statsOnly = flag.Bool("statsonly", false, "replay without a data plane (identical statistics and events, less memory and time)")
 		manifest  = flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
 		scenario  = flag.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 		heartbeat = flag.Duration("heartbeat", 0, "report replay progress on stderr at this interval (0 disables)")
@@ -72,7 +71,7 @@ func main() {
 	if err != nil {
 		fatal2(err)
 	}
-	ccfg.StatsOnly = *statsOnly
+	ccfg.StatsOnly = true // replay never reads a data value (DESIGN.md §11)
 	stopProfiles, err = cliutil.StartProfiles(*prof)
 	if err != nil {
 		fatal2(err)

@@ -244,8 +244,6 @@ func replay(args []string) {
 	protocolName := fs.String("protocol", "pim", cliutil.ProtocolFlagHelp())
 	width := fs.Int("buswidth", 1, "bus width in words")
 	shards := fs.Int("shards", 1, "partition the replay across N cores by cache set (identical statistics; materializes the trace)")
-	statsOnly := fs.Bool("statsonly", false, "replay without a data plane (identical statistics, less memory and time)")
-	packed := fs.Bool("packed", false, "pre-decode into a packed stream before replaying (identical statistics; materializes the trace)")
 	manifestPath := fs.String("manifest", "", "write a structured run manifest (JSON) to this file")
 	scenario := fs.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	heartbeat := fs.Duration("heartbeat", 0, "report streaming progress on stderr at this interval (e.g. 10s; 0 disables)")
@@ -262,12 +260,9 @@ func replay(args []string) {
 	if *shards < 0 {
 		fatal(fmt.Errorf("replay: -shards must be non-negative (got %d)", *shards))
 	}
-	if *packed && *shards > 1 {
-		fatal(fmt.Errorf("replay: -packed and -shards are mutually exclusive"))
-	}
 	checkpointing := *ckptEvery > 0 || *resume
-	if checkpointing && (*packed || *shards > 1) {
-		fatal(fmt.Errorf("replay: checkpoint/resume works on the streaming path only (drop -packed/-shards)"))
+	if checkpointing && *shards > 1 {
+		fatal(fmt.Errorf("replay: checkpoint/resume works on the streaming path only (drop -shards)"))
 	}
 	if checkpointing && *ckptPath == "" {
 		fatal(fmt.Errorf("replay: -checkpoint-every/-resume need -checkpoint <file>"))
@@ -282,7 +277,9 @@ func replay(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	ccfg.StatsOnly = *statsOnly
+	// Replay never reads a data value, so it always runs stats-only; the
+	// manifest records the machine it ran.
+	ccfg.StatsOnly = true
 	timing := bus.Timing{MemCycles: 8, WidthWords: *width}
 
 	// Observability: the manifest is assembled from the start (it
@@ -299,11 +296,8 @@ func replay(args []string) {
 	}
 
 	mode := "stream"
-	switch {
-	case *shards > 1:
+	if *shards > 1 {
 		mode = "sharded"
-	case *packed:
-		mode = "packed"
 	}
 
 	var bs bus.Stats
@@ -314,8 +308,8 @@ func replay(args []string) {
 	digest := sha256.New()
 	var workSeconds float64
 	if mode != "stream" {
-		// Sharding and packing need the whole stream in memory; the
-		// stream path below replays in constant memory instead.
+		// Sharding needs the whole stream in memory; the stream path
+		// below replays in constant memory instead.
 		var tr *trace.Trace
 		err := ph.Time("decode", func() error {
 			var err error
@@ -328,21 +322,10 @@ func replay(args []string) {
 		pes, layoutWords = tr.PEs, uint64(tr.Layout.TotalWords())
 		refs = tr.Len()
 		t0 := time.Now()
-		if mode == "sharded" {
-			err = ph.Time("replay/sharded", func() error {
-				bs, cs, err = bench.ReplayConfigSharded(tr, ccfg, timing, *shards)
-				return err
-			})
-		} else {
-			err = ph.Time("replay/packed", func() error {
-				p, err := trace.Pack(tr)
-				if err != nil {
-					return err
-				}
-				bs, cs, err = bench.ReplayPacked(p, ccfg, timing)
-				return err
-			})
-		}
+		err = ph.Time("replay/sharded", func() error {
+			bs, cs, err = bench.ReplayConfigSharded(tr, ccfg, timing, *shards)
+			return err
+		})
 		workSeconds = time.Since(t0).Seconds()
 		if err != nil {
 			fatal(err)

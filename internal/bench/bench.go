@@ -72,14 +72,6 @@ type Options struct {
 	// the flag on or off (the warmed-determinism oracle pins this); the
 	// flag only removes redundant prefix work.
 	WarmedSweeps bool
-	// StatsOnly runs every replay job with the data plane compiled out
-	// (cache.Config.StatsOnly): no cache data arrays, no memory words, no
-	// fetch-buffer copies. Statistics and probe streams are bit-identical
-	// to the data-carrying path (the stats-only equivalence oracle pins
-	// this); the flag only removes data movement. Live runs are
-	// unaffected — they record with a data-carrying configuration, since
-	// program execution consumes the values.
-	StatsOnly bool
 	// Phases, when non-nil, collects per-phase wall times (live runs,
 	// replays) for the run manifest. Nil disables timing at zero cost —
 	// every obs handle is nil-safe.
@@ -281,58 +273,32 @@ func ReplayConfig(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (bus.St
 // trace was recorded from under the same configuration (scheduler
 // events excepted: a replay has no scheduler).
 func ReplayConfigProbed(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats, error) {
-	mcfg := machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	if sink != nil {
-		m.SetProbe(sink)
-	}
-	ports := make([]mem.Accessor, tr.PEs)
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
-	if err := trace.Replay(tr, ports); err != nil {
-		return bus.Stats{}, cache.Stats{}, err
-	}
-	return m.BusStats(), m.CacheStats(), nil
-}
-
-// ReplayPacked replays a pre-decoded stream (trace.Pack) against a cache
-// configuration and bus timing. Combined with a stats-only configuration
-// this is the fastest replay path: the loop walks a flat word stream with
-// the area class pre-resolved and never touches a data plane.
-func ReplayPacked(p *trace.Packed, ccfg cache.Config, timing bus.Timing) (bus.Stats, cache.Stats, error) {
-	mcfg := machine.Config{PEs: p.PEs, Layout: p.Layout, Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	caches := make([]*cache.Cache, p.PEs)
-	for i := range caches {
-		caches[i] = m.Cache(i)
-	}
-	if err := p.Replay(caches); err != nil {
-		return bus.Stats{}, cache.Stats{}, err
-	}
-	return m.BusStats(), m.CacheStats(), nil
-}
-
-// ReplayReader replays a serialized stream directly from its Reader in
-// chunks, never materializing the reference slice — multi-gigabyte traces
-// replay in constant memory. It returns the statistics plus how many
-// references were replayed. A non-nil sink receives the memory-system
-// event stream exactly as ReplayConfigProbed delivers it.
-func ReplayReader(d *trace.Reader, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats, int, error) {
-	mcfg := machine.Config{PEs: d.PEs(), Layout: d.Layout(), Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	if sink != nil {
-		m.SetProbe(sink)
-	}
-	ports := make([]mem.Accessor, d.PEs())
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
-	n, err := trace.ReplayStream(d, ports)
+	m, cr, err := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, sink)
 	if err != nil {
-		return bus.Stats{}, cache.Stats{}, n, err
+		return bus.Stats{}, cache.Stats{}, err
 	}
-	return m.BusStats(), m.CacheStats(), n, nil
+	if err := cr.Replay(tr.Refs, 0); err != nil {
+		return bus.Stats{}, cache.Stats{}, err
+	}
+	return m.BusStats(), m.CacheStats(), nil
+}
+
+// newReplayMachine builds the machine every trace replay runs on, plus
+// the chunk replayer over its caches. The machine is always stats-only:
+// a replay never reads a data value (DESIGN.md §11), so it owns no data
+// plane whatever ccfg.StatsOnly says. A non-nil sink is attached.
+func newReplayMachine(pes int, layout mem.Layout, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (*machine.Machine, *trace.ChunkReplayer, error) {
+	ccfg.StatsOnly = true
+	m := machine.New(machine.Config{PEs: pes, Layout: layout, Cache: ccfg, Timing: timing})
+	if sink != nil {
+		m.SetProbe(sink)
+	}
+	ports := make([]mem.Accessor, pes)
+	for i := range ports {
+		ports[i] = m.Port(i)
+	}
+	cr, err := trace.NewChunkReplayer(pes, ports)
+	return m, cr, err
 }
 
 // SweepPoint is one configuration point of a Figure 1/2 sweep.
@@ -632,7 +598,6 @@ func mergeDefaults(o Options) Options {
 	d.Jobs = o.Jobs
 	d.DisableBusFilters = o.DisableBusFilters
 	d.WarmedSweeps = o.WarmedSweeps
-	d.StatsOnly = o.StatsOnly
 	d.Phases = o.Phases
 	d.Metrics = o.Metrics
 	d.Context = o.Context

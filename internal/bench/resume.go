@@ -8,7 +8,6 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/machine"
-	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 	"pimcache/internal/trace"
 )
@@ -44,13 +43,18 @@ type ReplayOutcome struct {
 	Checkpoints int
 }
 
-// ReplayReaderResumable is ReplayReader with cancellation, periodic
-// durable checkpoints and crash resume.
+// ReplayReaderResumable replays a serialized stream straight from its
+// Reader in chunks, never materializing the reference slice, so
+// multi-gigabyte traces replay in constant memory. It supports
+// cancellation, periodic durable checkpoints and crash resume; a
+// non-nil sink receives the memory-system event stream exactly as
+// ReplayConfigProbed delivers it.
 //
 // With resume nil it replays d from the top. With resume set (a
-// snapshot a previous, interrupted run checkpointed) it restores the
-// machine, seeks the reader to the recorded position — re-validating
-// every skipped chunk's checksum on the way — and replays the rest.
+// snapshot a previous, interrupted run checkpointed — by this stats-only
+// replay or by an older data-carrying one) it restores the machine,
+// seeks the reader to the recorded position — re-validating every
+// skipped chunk's checksum on the way — and replays the rest.
 // Either way the returned statistics are bit-identical to an
 // uninterrupted replay of the whole stream: the resume protocol's
 // core guarantee, pinned by TestResumeBitIdentical and the soak
@@ -72,16 +76,7 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 		write = func(s *machine.Snapshot) error { return s.WriteFile(ck.Path) }
 	}
 
-	mcfg := machine.Config{PEs: d.PEs(), Layout: d.Layout(), Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	if sink != nil {
-		m.SetProbe(sink)
-	}
-	ports := make([]mem.Accessor, d.PEs())
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
-	cr, err := trace.NewChunkReplayer(d.PEs(), ports)
+	m, cr, err := newReplayMachine(d.PEs(), d.Layout(), ccfg, timing, sink)
 	if err != nil {
 		return nil, err
 	}

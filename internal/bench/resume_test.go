@@ -43,8 +43,10 @@ func newStreamReader(t testing.TB, raw []byte) *trace.Reader {
 	return d
 }
 
-// resumeConfigs are the protocol × stats-only points the resume oracle
-// and chaos matrix cover.
+// resumeConfigs are the protocol × checkpoint-plane points the resume
+// oracle covers. StatsOnly selects the machine the checkpoint comes
+// from: true is the replay's own stats-only machine, false a
+// data-carrying one, as older builds wrote.
 func resumeConfigs() []cache.Config {
 	var cfgs []cache.Config
 	for _, proto := range []cache.Protocol{
@@ -68,9 +70,11 @@ func configLabel(ccfg cache.Config) string {
 // TestResumeBitIdentical is the tentpole oracle: a replay killed at a
 // checkpoint and resumed from the durable snapshot finishes with
 // bus and cache statistics bit-identical to the uninterrupted run —
-// across all three protocols, with and without the data plane.
+// across all three protocols, resuming from the replay's own stats-only
+// checkpoint or from a data-carrying machine's checkpoint taken at the
+// same position.
 func TestResumeBitIdentical(t *testing.T) {
-	_, raw := resumeWorkload(t, 30_000)
+	tr, raw := resumeWorkload(t, 30_000)
 	timing := bus.DefaultTiming()
 	for _, ccfg := range resumeConfigs() {
 		ccfg := ccfg
@@ -102,6 +106,9 @@ func TestResumeBitIdentical(t *testing.T) {
 			if snap.RefsReplayed <= 7000 || uint64(snap.RefsReplayed) >= ref.Refs {
 				t.Fatalf("checkpoint at ref %d, want inside (7000, %d)", snap.RefsReplayed, ref.Refs)
 			}
+			if !ccfg.StatsOnly {
+				snap = dataCheckpoint(t, tr, ccfg, timing, snap.RefsReplayed, filepath.Join(t.TempDir(), "data.ckpt"))
+			}
 			resumed, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw),
 				ccfg, timing, nil, CheckpointOptions{}, snap)
 			if err != nil {
@@ -119,6 +126,29 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dataCheckpoint replays tr's first k refs on a data-carrying machine and
+// round-trips its checkpoint through a file at path.
+func dataCheckpoint(t *testing.T, tr *trace.Trace, ccfg cache.Config, timing bus.Timing, k int, path string) *machine.Snapshot {
+	t.Helper()
+	m, ports := dataMachine(tr.PEs, tr.Layout, ccfg, timing)
+	if err := trace.ReplayRange(tr, ports, 0, k); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Checkpoint()
+	snap.RefsReplayed = k
+	if len(snap.Memory) == 0 {
+		t.Fatal("data-carrying checkpoint has no memory image")
+	}
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := machine.ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // TestResumeCancellation pins prompt, labeled cancellation: a context

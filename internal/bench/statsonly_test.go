@@ -2,17 +2,52 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 	"pimcache/internal/synth"
 	"pimcache/internal/trace"
 
 	"pimcache/internal/bench/programs"
 )
+
+// The stats-only oracle. Every production replay runs on a stats-only
+// machine; the oracle replays the same references on a data-carrying
+// machine the test builds itself, so any divergence in the data-plane
+// gates shows up as a statistics or event-stream difference.
+
+// dataMachine builds a data-carrying machine and its ports.
+func dataMachine(pes int, layout mem.Layout, ccfg cache.Config, timing bus.Timing) (*machine.Machine, []mem.Accessor) {
+	ccfg.StatsOnly = false
+	m := machine.New(machine.Config{PEs: pes, Layout: layout, Cache: ccfg, Timing: timing})
+	ports := make([]mem.Accessor, pes)
+	for i := range ports {
+		ports[i] = m.Port(i)
+	}
+	return m, ports
+}
+
+// dataReplay is the oracle replay of a whole trace, with an optional
+// probe sink.
+func dataReplay(t *testing.T, tr *trace.Trace, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats) {
+	t.Helper()
+	m, ports := dataMachine(tr.PEs, tr.Layout, ccfg, timing)
+	if sink != nil {
+		m.SetProbe(sink)
+	}
+	if err := trace.Replay(tr, ports); err != nil {
+		t.Fatalf("data-carrying replay: %v", err)
+	}
+	return m.BusStats(), m.CacheStats()
+}
 
 // eventLog is a probe sink that records the full event stream for
 // bit-level comparison.
@@ -74,9 +109,10 @@ func statsOnlyTraces(t *testing.T) map[string]*trace.Trace {
 }
 
 // TestStatsOnlyEquivalence is the tentpole oracle: replaying any stream
-// with the data plane removed must yield bit-identical bus statistics,
-// cache statistics, and probe event streams to the data-carrying replay,
-// for every protocol with the filters on and off.
+// through ReplayConfigProbed (stats-only, cache.Apply) must yield
+// bit-identical bus statistics, cache statistics, and probe event
+// streams to the data-carrying oracle, for every protocol with the
+// filters on and off.
 func TestStatsOnlyEquivalence(t *testing.T) {
 	for trName, tr := range statsOnlyTraces(t) {
 		tr := tr
@@ -88,15 +124,10 @@ func TestStatsOnlyEquivalence(t *testing.T) {
 				cfg.DisableBusFilters = p.disable
 
 				var dataLog eventLog
-				bsData, csData, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &dataLog)
-				if err != nil {
-					t.Fatalf("%s: data-carrying replay: %v", p.name, err)
-				}
+				bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), &dataLog)
 
-				so := cfg
-				so.StatsOnly = true
 				var soLog eventLog
-				bsSO, csSO, err := ReplayConfigProbed(tr, so, bus.DefaultTiming(), &soLog)
+				bsSO, csSO, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &soLog)
 				if err != nil {
 					t.Fatalf("%s: stats-only replay: %v", p.name, err)
 				}
@@ -113,51 +144,10 @@ func TestStatsOnlyEquivalence(t *testing.T) {
 	}
 }
 
-// TestStatsOnlyPackedEquivalence pins the pre-decoded fast path: packing
-// a trace and replaying the flat word stream (stats-only or not) must
-// match the data-carrying []Ref replay exactly.
-func TestStatsOnlyPackedEquivalence(t *testing.T) {
-	for trName, tr := range statsOnlyTraces(t) {
-		tr := tr
-		t.Run(trName, func(t *testing.T) {
-			t.Parallel()
-			p, err := trace.Pack(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Len() != tr.Len() {
-				t.Fatalf("packed %d refs, trace has %d", p.Len(), tr.Len())
-			}
-			cfg := BaseCache(cache.OptionsAll())
-			bsData, csData, err := ReplayConfig(tr, cfg, bus.DefaultTiming())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []struct {
-				name      string
-				statsOnly bool
-			}{{"data", false}, {"statsonly", true}} {
-				mcfg := cfg
-				mcfg.StatsOnly = mode.statsOnly
-				bs, cs, err := ReplayPacked(p, mcfg, bus.DefaultTiming())
-				if err != nil {
-					t.Fatalf("%s: %v", mode.name, err)
-				}
-				if bs != bsData {
-					t.Errorf("%s: bus stats diverge\nrefs:   %+v\npacked: %+v", mode.name, bsData, bs)
-				}
-				if cs != csData {
-					t.Errorf("%s: cache stats diverge\nrefs:   %+v\npacked: %+v", mode.name, csData, cs)
-				}
-			}
-		})
-	}
-}
-
 // TestStatsOnlyReaderEquivalence pins the streaming path: serializing a
-// trace and replaying it straight from the decoder — stats-only, with a
-// probe attached — must reproduce the materialized data-carrying replay's
-// statistics and event stream.
+// trace and replaying it straight from the decoder — with a probe
+// attached — must reproduce the data-carrying oracle's statistics and
+// event stream.
 func TestStatsOnlyReaderEquivalence(t *testing.T) {
 	sc := synth.DefaultConfig()
 	sc.PEs = 8
@@ -166,10 +156,7 @@ func TestStatsOnlyReaderEquivalence(t *testing.T) {
 	cfg := BaseCache(cache.OptionsAll())
 
 	var dataLog eventLog
-	bsData, csData, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &dataLog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), &dataLog)
 
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -179,71 +166,59 @@ func TestStatsOnlyReaderEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so := cfg
-	so.StatsOnly = true
 	var soLog eventLog
-	bs, cs, n, err := ReplayReader(d, so, bus.DefaultTiming(), &soLog)
+	out, err := ReplayReaderResumable(context.Background(), d, cfg, bus.DefaultTiming(), &soLog, CheckpointOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != tr.Len() {
-		t.Errorf("streamed %d refs, trace has %d", n, tr.Len())
+	if out.Refs != uint64(tr.Len()) {
+		t.Errorf("streamed %d refs, trace has %d", out.Refs, tr.Len())
 	}
-	if bs != bsData {
-		t.Errorf("bus stats diverge\nmaterialized: %+v\nstreamed:     %+v", bsData, bs)
+	if out.Bus != bsData {
+		t.Errorf("bus stats diverge\ndata:     %+v\nstreamed: %+v", bsData, out.Bus)
 	}
-	if cs != csData {
-		t.Errorf("cache stats diverge\nmaterialized: %+v\nstreamed:     %+v", csData, cs)
+	if out.Cache != csData {
+		t.Errorf("cache stats diverge\ndata:     %+v\nstreamed: %+v", csData, out.Cache)
 	}
 	sameEvents(t, "streamed", dataLog.events, soLog.events)
 }
 
-// TestStatsOnlySharded pins the sharded replay path in stats-only mode
-// against the unsharded data-carrying replay.
+// TestStatsOnlySharded pins the sharded replay path against the
+// unsharded data-carrying oracle.
 func TestStatsOnlySharded(t *testing.T) {
 	sc := synth.DefaultConfig()
 	sc.PEs = 8
 	sc.Events = 30_000
 	tr := synth.ORParallel(sc)
 	cfg := BaseCache(cache.OptionsAll())
-	bsData, csData, err := ReplayConfig(tr, cfg, bus.DefaultTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := cfg
-	so.StatsOnly = true
-	bs, cs, err := ReplayConfigSharded(tr, so, bus.DefaultTiming(), 4)
+	bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), nil)
+	bs, cs, err := ReplayConfigSharded(tr, cfg, bus.DefaultTiming(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bs != bsData {
-		t.Errorf("bus stats diverge\nunsharded data:    %+v\nsharded stats-only: %+v", bsData, bs)
+		t.Errorf("bus stats diverge\nunsharded data: %+v\nsharded:        %+v", bsData, bs)
 	}
 	if cs != csData {
-		t.Errorf("cache stats diverge\nunsharded data:    %+v\nsharded stats-only: %+v", csData, cs)
+		t.Errorf("cache stats diverge\nunsharded data: %+v\nsharded:        %+v", csData, cs)
 	}
 }
 
-// TestStatsOnlyWarmed pins the warmed-checkpoint path in stats-only mode:
-// a stats-only machine checkpointed mid-replay and resumed must land on
-// the data-carrying cold replay's exact statistics.
+// TestStatsOnlyWarmed pins the warmed-checkpoint path: a stats-only
+// machine checkpointed mid-replay and resumed must land on the
+// data-carrying oracle's exact statistics.
 func TestStatsOnlyWarmed(t *testing.T) {
 	sc := synth.DefaultConfig()
 	sc.PEs = 4
 	sc.Events = 20_000
 	tr := synth.ORParallel(sc)
 	cfg := BaseCache(cache.OptionsAll())
-	bsData, csData, err := ReplayConfig(tr, cfg, bus.DefaultTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := cfg
-	so.StatsOnly = true
+	bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), nil)
 	wc := NewWarmCache(tr.Len() / 2)
-	wc.Register(so, bus.DefaultTiming())
-	wc.Register(so, bus.DefaultTiming())
+	wc.Register(cfg, bus.DefaultTiming())
+	wc.Register(cfg, bus.DefaultTiming())
 	for i := 0; i < 2; i++ {
-		bs, cs, err := wc.Replay(tr, so, bus.DefaultTiming())
+		bs, cs, err := wc.Replay(tr, cfg, bus.DefaultTiming())
 		if err != nil {
 			t.Fatalf("warmed replay %d: %v", i, err)
 		}
@@ -257,9 +232,9 @@ func TestStatsOnlyWarmed(t *testing.T) {
 }
 
 // TestStatsOnlyCollectRenderAll runs a reduced but structurally complete
-// evaluation (live sweep, variants, sweeps, baselines) with replays in
-// stats-only warmed mode and requires byte-identical rendered tables:
-// the flag must change memory use, never a number.
+// evaluation (live sweep, variants, sweeps, baselines) with warmed
+// stats-only replays and holds every replayed number the rendered
+// tables draw on to the data-carrying oracle, replay job by replay job.
 func TestStatsOnlyCollectRenderAll(t *testing.T) {
 	old := quickScales["Puzzle"]
 	quickScales["Puzzle"] = 2
@@ -274,23 +249,57 @@ func TestStatsOnlyCollectRenderAll(t *testing.T) {
 		Associativities: []int{1, 4},
 		Benchmarks:      []string{"Puzzle"},
 		Jobs:            1,
+		WarmedSweeps:    true, // exercise stats-only checkpoints too
 	}
 	data, err := Collect(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.StatsOnly = true
-	o.WarmedSweeps = true // exercise stats-only checkpoints too
-	statsOnly, err := Collect(o)
+	if len(RenderAll(data)) == 0 {
+		t.Fatal("rendered evaluation is empty")
+	}
+	bd := data.Benches[0]
+	b, _ := programs.ByName("Puzzle")
+	_, tr, err := RunLive(b, bd.Scale, o.PEs, o.baseCache(cache.OptionsAll()), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := RenderAll(statsOnly), RenderAll(data)
-	if len(want) == 0 {
-		t.Fatal("rendered evaluation is empty")
+
+	// replayKeys lists Collect's replay jobs in serial order; walk the
+	// dataset in the same order.
+	keys := o.replayKeys()
+	next := func(label string) (bus.Stats, cache.Stats) {
+		if len(keys) == 0 {
+			t.Fatalf("%s: more results than replay keys", label)
+		}
+		k := keys[0]
+		keys = keys[1:]
+		return dataReplay(t, tr, k.cfg, k.timing, nil)
 	}
-	if got != want {
-		t.Errorf("stats-only evaluation differs from data-carrying\n--- data ---\n%s\n--- stats-only ---\n%s", want, got)
+	for _, v := range OptVariants {
+		bs, cs := next(v.Name)
+		if bd.OptBus[v.Name] != bs || bd.OptCache[v.Name] != cs {
+			t.Errorf("Table 4 %s: stats differ from the data-carrying replay", v.Name)
+		}
+	}
+	for _, sweep := range [][]SweepPoint{bd.BlockSweep, bd.CapSweep, bd.WaySweep} {
+		for _, p := range sweep {
+			bs, cs := next("sweep")
+			if p.BusCycles != bs.TotalCycles || p.MissRatio != cs.MissRatio() {
+				t.Errorf("sweep point %d: %d cycles / miss %v, data-carrying %d / %v",
+					p.Param, p.BusCycles, p.MissRatio, bs.TotalCycles, cs.MissRatio())
+			}
+		}
+	}
+	for _, got := range append([]ProtocolStats{
+		{"two-word bus", bd.Width2}, {"illinois", bd.Illinois}, {"write-through", bd.WriteThrough},
+	}, bd.AltBus...) {
+		if bs, _ := next(got.Name); got.Bus != bs {
+			t.Errorf("%s: bus stats differ from the data-carrying replay", got.Name)
+		}
+	}
+	if len(keys) != 0 {
+		t.Errorf("%d replay keys left unchecked", len(keys))
 	}
 }
 
@@ -307,5 +316,70 @@ func TestStatsOnlyLiveRefused(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stats-only") {
 		t.Errorf("error does not name the cause: %v", err)
+	}
+}
+
+// TestRefAreaClassified pins the area class every producer stores in
+// trace.Ref — the value the Apply loop trusts instead of classifying
+// each reference again: the Recorder, Read, Reader.Next, Reader.SkipTo,
+// the synth generators, and the sharded replayer's partitions.
+func TestRefAreaClassified(t *testing.T) {
+	check := func(label string, layout mem.Layout, refs []trace.Ref) {
+		t.Helper()
+		if len(refs) == 0 {
+			t.Fatalf("%s: no references", label)
+		}
+		b := layout.Bounds()
+		for i, r := range refs {
+			if want := b.AreaOf(r.Addr); r.Area != want {
+				t.Fatalf("%s: ref %d at %#x has area %v, want %v", label, i, r.Addr, r.Area, want)
+			}
+		}
+	}
+	for name, tr := range statsOnlyTraces(t) { // "puzzle" is recorded live
+		check(name, tr.Layout, tr.Refs)
+	}
+
+	sc := synth.DefaultConfig()
+	sc.Events = 20_000
+	tr := synth.ORParallel(sc)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+
+	read, err := trace.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Read", read.Layout, read.Refs)
+
+	for _, skip := range []uint64{0, 5000} {
+		d, err := trace.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SkipTo(skip); err != nil {
+			t.Fatal(err)
+		}
+		var got []trace.Ref
+		chunk := make([]trace.Ref, 1000)
+		for {
+			n, err := d.Next(chunk)
+			got = append(got, chunk[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("Next after SkipTo(%d)", skip), d.Layout(), got)
+	}
+
+	ccfg := BaseCache(cache.OptionsAll())
+	for i, part := range partitionBySet(tr, ccfg, 4) {
+		check(fmt.Sprintf("shard %d", i), part.Layout, part.Refs)
 	}
 }

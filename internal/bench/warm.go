@@ -6,7 +6,6 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/machine"
-	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/trace"
 )
@@ -105,8 +104,11 @@ func (wc *WarmCache) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timin
 	e.computing = true
 	wc.mu.Unlock()
 
-	m, ports := newReplayMachine(tr, ccfg, timing)
-	if err := trace.ReplayRange(tr, ports, 0, wc.warmRefs); err != nil {
+	m, cr, err := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, nil)
+	if err != nil {
+		return bus.Stats{}, cache.Stats{}, err
+	}
+	if err := cr.Replay(tr.Refs[:wc.warmRefs], 0); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
 	snap := m.Checkpoint()
@@ -117,7 +119,7 @@ func (wc *WarmCache) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timin
 		e.snap = snap
 	}
 	wc.mu.Unlock()
-	if err := trace.ReplayRange(tr, ports, wc.warmRefs, tr.Len()); err != nil {
+	if err := cr.Replay(tr.Refs[wc.warmRefs:], wc.warmRefs); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
 	return m.BusStats(), m.CacheStats(), nil
@@ -125,54 +127,37 @@ func (wc *WarmCache) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timin
 
 // replayFromSnapshot resumes a replay from a warmed checkpoint.
 func replayFromSnapshot(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, snap *machine.Snapshot) (bus.Stats, cache.Stats, error) {
-	m, ports := newReplayMachine(tr, ccfg, timing)
+	m, cr, err := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, nil)
+	if err != nil {
+		return bus.Stats{}, cache.Stats{}, err
+	}
 	if err := m.Restore(snap); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
-	if err := trace.ReplayRange(tr, ports, snap.RefsReplayed, tr.Len()); err != nil {
+	if err := cr.Replay(tr.Refs[snap.RefsReplayed:], snap.RefsReplayed); err != nil {
 		return bus.Stats{}, cache.Stats{}, err
 	}
 	return m.BusStats(), m.CacheStats(), nil
 }
 
-// newReplayMachine builds the machine a replay of tr runs on, plus its
-// ports.
-func newReplayMachine(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (*machine.Machine, []mem.Accessor) {
-	mcfg := machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	ports := make([]mem.Accessor, tr.PEs)
-	for i := range ports {
-		ports[i] = m.Port(i)
-	}
-	return m, ports
-}
-
 // replayer routes a benchmark's replay jobs either cold (ReplayConfig) or
-// through a shared WarmCache when Options.WarmedSweeps is set, and stamps
-// Options.StatsOnly onto every job's configuration.
+// through a shared WarmCache when Options.WarmedSweeps is set.
 type replayer struct {
-	warm      *WarmCache
-	statsOnly bool
-	metrics   *obs.Registry
+	warm    *WarmCache
+	metrics *obs.Registry
 }
 
 // newReplayer builds the per-benchmark replayer: with warmed sweeps on it
 // registers every replay configuration the sweep will request, so the
 // warm cache knows which configurations recur and deserve a checkpoint.
-// Registration applies the same StatsOnly stamp Replay does — warm keys
-// are exact configuration matches, so the two must agree.
 func (o Options) newReplayer(traceLen int) *replayer {
-	r := &replayer{statsOnly: o.StatsOnly, metrics: o.Metrics}
+	r := &replayer{metrics: o.Metrics}
 	if !o.WarmedSweeps {
 		return r
 	}
 	wc := NewWarmCache(traceLen / 2)
 	for _, k := range o.replayKeys() {
-		cfg := k.cfg
-		if r.statsOnly {
-			cfg.StatsOnly = true
-		}
-		wc.Register(cfg, k.timing)
+		wc.Register(k.cfg, k.timing)
 	}
 	r.warm = wc
 	return r
@@ -182,9 +167,6 @@ func (o Options) newReplayer(traceLen int) *replayer {
 func (r *replayer) Replay(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (bus.Stats, cache.Stats, error) {
 	r.metrics.Counter("bench.replay.jobs").Inc()
 	r.metrics.Counter("bench.replay.refs").Add(uint64(tr.Len()))
-	if r.statsOnly {
-		ccfg.StatsOnly = true
-	}
 	if r.warm != nil {
 		return r.warm.Replay(tr, ccfg, timing)
 	}

@@ -460,21 +460,26 @@ func (c *Cache) countRef(a word.Addr, op Op) mem.Area {
 	return area
 }
 
-// countRefIn is countRef with the area already classified — the packed
-// pre-decoded replay path computes each ref's area once per trace and
+// countRefIn is countRef with the area already classified — trace
+// replay carries each ref's area from where the ref was produced and
 // skips the per-reference AreaOf branch chain.
 func (c *Cache) countRefIn(a word.Addr, area mem.Area, op Op) {
 	c.stats.Refs[area][op]++
 	if c.probe != nil {
-		// The reference advances the probe clock by one cycle (the cache
-		// access itself), so the clock keeps moving through hit-only
-		// phases; disabled runs never tick.
-		c.bus.Tick()
-		c.probe.Emit(probe.Event{
-			Kind: probe.KindRef, Cycle: c.bus.ProbeClock(), PE: int16(c.pe),
-			Addr: a, A: uint8(op),
-		})
+		c.emitRef(a, op)
 	}
+}
+
+// emitRef reports a reference to the probe. The reference advances the
+// probe clock by one cycle (the cache access itself), so the clock keeps
+// moving through hit-only phases; disabled runs never tick. It is kept
+// out of countRefIn so that the per-reference counter inlines.
+func (c *Cache) emitRef(a word.Addr, op Op) {
+	c.bus.Tick()
+	c.probe.Emit(probe.Event{
+		Kind: probe.KindRef, Cycle: c.bus.ProbeClock(), PE: int16(c.pe),
+		Addr: a, A: uint8(op),
+	})
 }
 
 // Read implements the R operation.
@@ -799,8 +804,10 @@ func (c *Cache) Unlock(a word.Addr) {
 }
 
 // Apply performs op at a with the address's area class already computed
-// (callers must pass exactly what c's areaOf would return — the packed
-// pre-decoded replay computes it once per trace). It behaves identically
+// (callers must pass exactly what c's areaOf would return — trace
+// replay passes trace.Ref.Area, classified once per reference by its
+// producer). It is the one per-reference dispatch of every trace replay
+// (trace.ChunkReplayer). It behaves identically
 // to the corresponding Accessor method with the written value 0 and the
 // read value discarded, which is precisely what trace replay does. ok is
 // false only when an LR blocked on a remote lock.

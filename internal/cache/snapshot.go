@@ -65,12 +65,13 @@ func (c *Cache) Snapshot() *Snapshot {
 }
 
 // Restore overwrites the cache's mutable state from a snapshot taken on a
-// cache with the same configuration. The bus presence filter is NOT
+// cache with the same configuration. A stats-only cache drops the
+// snapshot's data plane, if it has one. The bus presence filter is NOT
 // updated here — the filter is bus state, and a machine-level restore
 // reinstates it through bus.(*Bus).Restore; restoring a lone cache
 // outside a machine checkpoint would desynchronize the filter.
 func (c *Cache) Restore(s *Snapshot) error {
-	if len(s.States) != len(c.states) || len(s.Data) != len(c.data) {
+	if len(s.States) != len(c.states) || !c.noData && len(s.Data) != len(c.data) {
 		return fmt.Errorf("cache: snapshot geometry %d frames/%d words does not match cache %d/%d",
 			len(s.States), len(s.Data), len(c.states), len(c.data))
 	}

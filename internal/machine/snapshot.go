@@ -63,8 +63,19 @@ func (m *Machine) Checkpoint() *Snapshot {
 // Restore overwrites the machine's simulated state from a snapshot taken
 // on a machine with an identical configuration. Probe sinks and attached
 // processors are wiring, not simulated state, and are left as they are.
+//
+// The one tolerated difference is the data plane: a data-carrying
+// snapshot restores into a stats-only machine by dropping its data
+// image (no statistic depends on a value), so checkpoints written by a
+// data-carrying replay stay resumable. The reverse is refused — a
+// stats-only snapshot has no values to give a data-carrying machine.
 func (m *Machine) Restore(s *Snapshot) error {
-	if s.Config != m.cfg {
+	cfg := s.Config
+	if cfg.Cache.StatsOnly && !m.cfg.Cache.StatsOnly {
+		return fmt.Errorf("machine: snapshot is stats-only (no data image) and cannot restore into a data-carrying machine")
+	}
+	cfg.Cache.StatsOnly = m.cfg.Cache.StatsOnly
+	if cfg != m.cfg {
 		return fmt.Errorf("machine: snapshot config %+v does not match machine %+v", s.Config, m.cfg)
 	}
 	if len(s.Caches) != len(m.caches) {

@@ -139,9 +139,42 @@ func TestStatsOnlyCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// A stats-only checkpoint must not restore into a data-carrying
-	// machine (the config differs, and the memory image is absent).
+	// machine: the memory image is absent.
 	m3 := New(dataCfg)
-	if err := m3.Restore(decoded); err == nil {
-		t.Error("stats-only checkpoint restored into a data-carrying machine")
+	if err := m3.Restore(decoded); err == nil || !strings.Contains(err.Error(), "stats-only") {
+		t.Errorf("stats-only checkpoint into a data-carrying machine: %v, want a labeled refusal", err)
+	}
+
+	// The other direction is the mode change replay went through: a
+	// data-carrying checkpoint restores into a stats-only machine by
+	// dropping its data image, and finishes on the same statistics.
+	m4 := New(dataCfg)
+	ports4 := make([]mem.Accessor, dataCfg.PEs)
+	for i := range ports4 {
+		ports4[i] = m4.Port(i)
+	}
+	if err := trace.ReplayRange(tr, ports4, 0, half); err != nil {
+		t.Fatal(err)
+	}
+	dataSnap := m4.Checkpoint()
+	m5 := New(soCfg)
+	if err := m5.Restore(dataSnap); err != nil {
+		t.Fatalf("data-carrying checkpoint into a stats-only machine: %v", err)
+	}
+	ports5 := make([]mem.Accessor, soCfg.PEs)
+	for i := range ports5 {
+		ports5[i] = m5.Port(i)
+	}
+	if err := trace.ReplayRange(tr, ports5, half, tr.Len()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m5.BusStats().TotalCycles; got != wantCycles {
+		t.Errorf("resumed from data checkpoint: %d bus cycles, uninterrupted: %d", got, wantCycles)
+	}
+	// Any other config difference is still refused.
+	other := soCfg
+	other.Cache.SizeWords *= 2
+	if err := New(other).Restore(dataSnap); err == nil {
+		t.Error("data-carrying checkpoint restored into a differently sized machine")
 	}
 }

@@ -194,8 +194,11 @@ func (m *Memory) Snapshot() []word.Word {
 }
 
 // Restore overwrites the word store from a snapshot of a memory with the
-// same layout.
+// same layout. A stats-only memory has no word store and drops the image.
 func (m *Memory) Restore(words []word.Word) error {
+	if m.StatsOnly() {
+		return nil
+	}
 	if len(words) != len(m.words) {
 		return fmt.Errorf("mem: snapshot has %d words, memory has %d", len(words), len(m.words))
 	}

@@ -52,8 +52,8 @@ type Manifest struct {
 
 // RunConfig is the canonical simulated-machine configuration of a run.
 // Everything here is deterministic and participates in the manifest
-// key; Mode and Shards describe the replay engine path (stream,
-// packed, sharded, live, bench, table), which changes throughput but
+// key; Mode and Shards describe the engine path (stream, resume,
+// sharded, probed, live, bench, table), which changes throughput but
 // never statistics.
 type RunConfig struct {
 	PEs           int    `json:"pes,omitempty"`

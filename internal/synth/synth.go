@@ -69,7 +69,9 @@ type builder struct {
 
 func newBuilder(c Config) *builder {
 	b := &builder{
-		tr:     trace.Trace{PEs: c.PEs, Layout: c.Layout},
+		// Each generator stops within one step of Events; the largest
+		// step is a message-ring round of 5 refs per PE.
+		tr:     trace.Trace{PEs: c.PEs, Layout: c.Layout, Refs: make([]trace.Ref, 0, c.Events+5*c.PEs)},
 		bounds: c.Layout.Bounds(),
 	}
 	heapBase := b.bounds.HeapBase
@@ -84,7 +86,7 @@ func newBuilder(c Config) *builder {
 }
 
 func (b *builder) emit(pe int, op cache.Op, a word.Addr) {
-	b.tr.Refs = append(b.tr.Refs, trace.Ref{PE: uint8(pe), Op: op, Addr: a})
+	b.tr.Refs = append(b.tr.Refs, trace.Ref{PE: uint8(pe), Op: op, Area: b.bounds.AreaOf(a), Addr: a})
 }
 
 // alloc reserves n heap words for pe, wrapping to the segment base when
@@ -158,6 +160,13 @@ func SeqProlog(c Config) *trace.Trace {
 			}
 		case r < 85: // push an environment frame (LIFO)
 			size := 3 + rng.Intn(4)
+			if envTop+word.Addr(size) > b.bounds.End {
+				// Stack overflow: the frame would run past the end of
+				// the layout, so unwind every frame (a restart) instead
+				// of emitting addresses no machine has.
+				frames = frames[:0]
+				envTop = b.bounds.GoalBase
+			}
 			for i := 0; i < size; i++ {
 				b.emit(0, cache.OpW, envTop+word.Addr(i))
 			}

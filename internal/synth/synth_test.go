@@ -2,6 +2,8 @@ package synth
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -151,5 +153,55 @@ func TestSerializationOfSyntheticTrace(t *testing.T) {
 	}
 	if got.Len() != tr.Len() {
 		t.Fatalf("round trip lost refs: %d vs %d", got.Len(), tr.Len())
+	}
+}
+
+// TestSeqPrologStaysInLayout pins the environment-stack bound: however
+// long the stream, every address lies inside the layout, so the trace
+// decodes and replays. (The stack used to run past the end of the
+// layout after about 2.5M events.)
+func TestSeqPrologStaysInLayout(t *testing.T) {
+	c := smallConfig(1)
+	c.Layout.SuspWords, c.Layout.CommWords = 64, 64
+	c.Layout.GoalWords = 1 << 10 // a short stack overflows within the run
+	c.Events = 50_000
+	tr := SeqProlog(c)
+	end := c.Layout.Bounds().End
+	for i, r := range tr.Refs {
+		if r.Addr >= end {
+			t.Fatalf("ref %d: address %#x at or past the layout end %#x", i, r.Addr, end)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Read(&buf); err != nil {
+		t.Fatalf("decoding the stream: %v", err)
+	}
+	replay(t, tr, c, testCache(cache.OptionsAll()))
+}
+
+// TestSeqPrologStreamsUnchanged pins streams that always fit their
+// layout byte for byte: the stack bound only acts on a push that would
+// leave the layout. The 2M-event stream reaches into the suspension
+// area, past the goal area the stack starts in.
+func TestSeqPrologStreamsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		events int
+		sha256 string
+	}{
+		{200_000, "5357a09f858e285d8a97a18e2704e2b23385c370bdb2c51c4c4bea862cdc966c"},
+		{2_000_000, "05323a4ff0801455cf4966e379af5bd26c5512f7dbb5329948bc716d2b434ae3"},
+	} {
+		c := DefaultConfig()
+		c.Events = tc.events
+		var buf bytes.Buffer
+		if err := SeqProlog(c).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sha256 {
+			t.Errorf("%d events: stream digest %s, want %s", tc.events, got, tc.sha256)
+		}
 	}
 }

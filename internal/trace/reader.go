@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
@@ -17,24 +18,26 @@ import (
 // It reads both on-disk versions (PIMTRACE2 flat, PIMTRACE3 checksummed
 // chunks) and validates everything it decodes: the header's PE count
 // and layout (and, for v3, its CRC), every chunk's frame and CRC32C,
-// and every reference's PE and op byte. A corrupt or torn stream
-// yields a clean error labeled with the byte offset of the damage —
-// never an out-of-range index inside the replay loop, and never a
-// silently short stream: io.EOF from Next means every declared
+// and every reference's PE, op and address (which must lie inside the
+// header's layout), whose area class it fills in. A corrupt or torn
+// stream yields a clean error labeled with the byte offset of the
+// damage — never an out-of-range index inside the replay loop, and
+// never a silently short stream: io.EOF from Next means every declared
 // reference was delivered intact.
 type Reader struct {
 	r       io.Reader
 	version int
 	pes     int
 	layout  mem.Layout
-	n       uint64 // declared ref count
-	read    uint64 // refs delivered so far
-	off     int64  // bytes consumed from r
-	chunks  uint64 // decode batches completed (v3: CRC-verified frames)
-	buf     []byte // raw chunk bytes (frame + payload for v3)
-	pend    []Ref  // v3: decoded refs not yet delivered
-	pendBuf []Ref  // backing array for pend, refsPerChunk capacity
-	skipBuf []Ref  // lazily allocated by SkipTo
+	bounds  mem.Bounds // layout's area map: classifies and range-checks refs
+	n       uint64     // declared ref count
+	read    uint64     // refs delivered so far
+	off     int64      // bytes consumed from r
+	chunks  uint64     // decode batches completed (v3: CRC-verified frames)
+	buf     []byte     // raw chunk bytes (frame + payload for v3)
+	pend    []Ref      // v3: decoded refs not yet delivered
+	pendBuf []Ref      // backing array for pend, refsPerChunk capacity
+	skipBuf []Ref      // lazily allocated by SkipTo
 
 	progress func(n int) // optional decode-progress hook (see SetProgress)
 }
@@ -78,16 +81,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if pes < 1 || pes > bus.MaxPEs {
 		return nil, fmt.Errorf("trace: header PE count %d outside [1, %d]", pes, bus.MaxPEs)
 	}
-	var total uint64
-	for off := 4; off <= 20; off += 4 {
-		total += uint64(binary.LittleEndian.Uint32(hdr[off:]))
-	}
-	if total > 1<<32 {
-		// Addresses are 32 bits on disk; a layout wider than the address
-		// space is corrupt (and would demand an absurd memory allocation
-		// at replay time).
-		return nil, fmt.Errorf("trace: header layout spans %d words, exceeding the 32-bit address space", total)
-	}
 	d.pes = pes
 	d.layout = mem.Layout{
 		InstWords: int(binary.LittleEndian.Uint32(hdr[4:])),
@@ -95,6 +88,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 		GoalWords: int(binary.LittleEndian.Uint32(hdr[12:])),
 		SuspWords: int(binary.LittleEndian.Uint32(hdr[16:])),
 		CommWords: int(binary.LittleEndian.Uint32(hdr[20:])),
+	}
+	d.bounds = d.layout.Bounds()
+	end := uint64(d.bounds.InstBase)
+	for off := 4; off <= 20; off += 4 {
+		end += uint64(binary.LittleEndian.Uint32(hdr[off:]))
+	}
+	if end > math.MaxUint32 {
+		// Addresses are 32 bits on disk; a layout wider than the address
+		// space is corrupt (and would demand an absurd memory allocation
+		// at replay time).
+		return nil, fmt.Errorf("trace: header layout ends at word %d, beyond the 32-bit address space", end)
 	}
 	d.n = binary.LittleEndian.Uint64(hdr[24:])
 	d.buf = make([]byte, frameBytes+refBytes*refsPerChunk)
@@ -267,26 +271,35 @@ func (d *Reader) nextV3(dst []Ref) (int, error) {
 }
 
 // decodeRefs decodes raw (a whole number of 6-byte refs) into dst,
-// validating each reference's PE and op. byteOff is raw's position in
-// the stream, for error labels.
+// validating each reference's PE, op and address and classifying its
+// area under the header's layout. byteOff is raw's position in the
+// stream, for error labels.
 func (d *Reader) decodeRefs(raw []byte, dst []Ref, byteOff int64) error {
-	for j := 0; j < len(dst); j++ {
+	// Locals, so the loop does not reload them after every store to dst.
+	pes, bounds := d.pes, d.bounds
+	for j := range dst {
 		b := raw[j*refBytes : j*refBytes+refBytes]
-		if int(b[0]) >= d.pes {
-			return fmt.Errorf("trace: ref %d (byte offset %d): PE %d out of range (trace has %d PEs)",
-				d.read+uint64(j), byteOff+int64(j*refBytes), b[0], d.pes)
+		a := word.Addr(binary.LittleEndian.Uint32(b[2:6]))
+		if int(b[0]) >= pes || cache.Op(b[1]) >= cache.NumOps || a >= bounds.End {
+			return d.refError(b, d.read+uint64(j), byteOff+int64(j*refBytes))
 		}
-		if cache.Op(b[1]) >= cache.NumOps {
-			return fmt.Errorf("trace: ref %d (byte offset %d): unknown op %d",
-				d.read+uint64(j), byteOff+int64(j*refBytes), b[1])
-		}
-		dst[j] = Ref{
-			PE:   b[0],
-			Op:   cache.Op(b[1]),
-			Addr: word.Addr(binary.LittleEndian.Uint32(b[2:6])),
-		}
+		dst[j] = Ref{PE: b[0], Op: cache.Op(b[1]), Area: bounds.AreaOf(a), Addr: a}
 	}
 	return nil
+}
+
+// refError labels the first invalid field of the raw reference b, the
+// stream's ref-th reference at byte offset off.
+func (d *Reader) refError(b []byte, ref uint64, off int64) error {
+	a := word.Addr(binary.LittleEndian.Uint32(b[2:6]))
+	switch {
+	case int(b[0]) >= d.pes:
+		return fmt.Errorf("trace: ref %d (byte offset %d): PE %d out of range (trace has %d PEs)", ref, off, b[0], d.pes)
+	case cache.Op(b[1]) >= cache.NumOps:
+		return fmt.Errorf("trace: ref %d (byte offset %d): unknown op %d", ref, off, b[1])
+	}
+	return fmt.Errorf("trace: ref %d (byte offset %d): address %#x outside the header layout (ends at %#x)",
+		ref, off, a, d.bounds.End)
 }
 
 // SkipTo advances the reader so the next delivered reference is the
@@ -320,39 +333,10 @@ func (d *Reader) SkipTo(target uint64) error {
 	return nil
 }
 
-// ChunkReplayer drives decoded reference chunks through a fixed set of
-// ports, devirtualizing once (not per chunk) when every port is a
-// concrete *cache.Cache. It is the building block shared by
-// ReplayStream and the checkpoint-resume loop in internal/bench.
-type ChunkReplayer struct {
-	ports  []mem.Accessor
-	caches []*cache.Cache
-	fast   bool
-}
-
-// NewChunkReplayer prepares a replayer for a stream with the given PE
-// count over ports (at least pes of them).
-func NewChunkReplayer(pes int, ports []mem.Accessor) (*ChunkReplayer, error) {
-	if len(ports) < pes {
-		return nil, fmt.Errorf("trace: need %d ports, have %d", pes, len(ports))
-	}
-	caches, fast := cachePorts(pes, ports)
-	return &ChunkReplayer{ports: ports, caches: caches, fast: fast}, nil
-}
-
-// Replay replays one decoded chunk; base is the absolute trace index
-// of refs[0], used in error labels.
-func (cr *ChunkReplayer) Replay(refs []Ref, base int) error {
-	if cr.fast {
-		return replayRefs(refs, cr.caches, base)
-	}
-	return replayGenericRefs(refs, cr.ports, base)
-}
-
 // ReplayStream replays every remaining reference of d through ports in
 // chunks, never materializing the full stream. It returns the number of
-// references replayed. Ports must match the stream's PE count, as in
-// Replay; the layout the ports were built with must equal d.Layout().
+// references replayed. Ports must be the caches of a machine built with
+// the stream's PE count and layout (d.PEs(), d.Layout()), as in Replay.
 func ReplayStream(d *Reader, ports []mem.Accessor) (int, error) {
 	cr, err := NewChunkReplayer(d.pes, ports)
 	if err != nil {
@@ -388,7 +372,8 @@ type VerifyInfo struct {
 
 // Verify stream-validates a serialized trace end to end — header
 // (and its v3 CRC), chunk framing, chunk checksums, and every
-// reference's PE and op — without building a machine or replaying.
+// reference's PE, op and address — without building a machine or
+// replaying.
 // The first damage fails with the same byte-offset-labeled error a
 // replay would produce.
 func Verify(r io.Reader) (*VerifyInfo, error) {

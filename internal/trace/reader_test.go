@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func readErr(t *testing.T, label string, raw []byte, want string) {
 
 // smallTrace is a valid 4-PE stream for corruption tests.
 func smallTrace() *Trace {
-	tr := &Trace{PEs: 4, Layout: mem.Layout{InstWords: 16, HeapWords: 64, GoalWords: 16, SuspWords: 8, CommWords: 8}}
+	tr := &Trace{PEs: 4, Layout: mem.Layout{InstWords: 16, HeapWords: 256, GoalWords: 16, SuspWords: 8, CommWords: 8}}
 	for i := 0; i < 100; i++ {
 		tr.Refs = append(tr.Refs, Ref{
 			PE:   uint8(i % 4),
@@ -77,7 +78,7 @@ func smallTrace() *Trace {
 			Addr: word.Addr(i * 3),
 		})
 	}
-	return tr
+	return withAreas(tr)
 }
 
 // TestReaderRejectsCorruptHeader covers the header validations: a PE
@@ -117,6 +118,42 @@ func TestReaderRejectsCorruptRefs(t *testing.T) {
 	badOp := append([]byte(nil), base...)
 	badOp[ref0+1] = 0xEE
 	readErr(t, "bad ref op", badOp, "unknown op")
+}
+
+// TestReaderRejectsOutOfLayoutAddress pins the address check: a
+// reference at or past the end of the header's layout names no memory
+// word, so every decoder entry point (Read, Next, SkipTo, Verify) must
+// refuse it with an error naming the reference and its byte offset —
+// before a replay can index past the machine's tables.
+func TestReaderRejectsOutOfLayoutAddress(t *testing.T) {
+	tr := smallTrace()
+	end := tr.Layout.Bounds().End
+	tr.Refs[41].Addr = end - 1 // last word: legal
+	withAreas(tr)
+	if _, err := Read(bytes.NewReader(encodeTrace(t, tr))); err != nil {
+		t.Fatalf("address end-1 rejected: %v", err)
+	}
+
+	tr.Refs[42].Addr = end
+	const want = "ref 42 (byte offset "
+	for _, raw := range [][]byte{encodeTrace(t, tr), encodeTraceV2(t, tr)} {
+		readErr(t, "address at layout end", raw, want)
+		if _, err := Verify(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "outside the header layout") {
+			t.Errorf("Verify: %v, want an outside-the-layout error", err)
+		}
+		d, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SkipTo(50); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SkipTo over the bad address: %v", err)
+		}
+	}
+	v2 := encodeTraceV2(t, tr)
+	_, err := Read(bytes.NewReader(v2))
+	if wantOff := fmt.Sprintf("byte offset %d)", len(magicV2)+headerBytes+42*refBytes); err == nil || !strings.Contains(err.Error(), wantOff) {
+		t.Errorf("v2 error %v does not name %q", err, wantOff)
+	}
 }
 
 // TestReadHugeDeclaredCount pins the preallocation guard: a header
@@ -415,25 +452,5 @@ func TestReplayStreamMatchesReplay(t *testing.T) {
 	}
 	if c1, c2 := m1.CacheStats(), m2.CacheStats(); c1 != c2 {
 		t.Errorf("cache stats diverge\nmaterialized: %+v\nstreamed:     %+v", c1, c2)
-	}
-}
-
-// TestPackValidation pins Pack's pre-replay validation: out-of-range PEs
-// and unknown ops must be rejected, since the packed replay loop indexes
-// and dispatches without rechecking.
-func TestPackValidation(t *testing.T) {
-	tr := smallTrace()
-	if _, err := Pack(tr); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-	badPE := smallTrace()
-	badPE.Refs[7].PE = 4
-	if _, err := Pack(badPE); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("bad PE accepted: %v", err)
-	}
-	badOp := smallTrace()
-	badOp.Refs[3].Op = cache.NumOps
-	if _, err := Pack(badOp); err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Errorf("bad op accepted: %v", err)
 	}
 }

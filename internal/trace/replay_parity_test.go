@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -9,55 +11,88 @@ import (
 	"pimcache/internal/mem"
 )
 
-// opaquePort hides a cache port behind an embedding so cachePorts cannot
-// devirtualize it, forcing ReplayRange onto the generic mem.Accessor
-// path.
+// replayGenericRefs drives refs through the mem.Accessor interface, one
+// method per op, as the live runtime does. It ignores Ref.Area: each
+// accessor method classifies its own address.
+func replayGenericRefs(refs []Ref, ports []mem.Accessor) error {
+	for i, ref := range refs {
+		port := ports[ref.PE]
+		switch ref.Op {
+		case cache.OpR:
+			port.Read(ref.Addr)
+		case cache.OpW:
+			port.Write(ref.Addr, 0)
+		case cache.OpLR:
+			if _, ok := port.LockRead(ref.Addr); !ok {
+				return fmt.Errorf("ref %d: LR %#x blocked during replay", i, ref.Addr)
+			}
+		case cache.OpUW:
+			port.UnlockWrite(ref.Addr, 0)
+		case cache.OpU:
+			port.Unlock(ref.Addr)
+		case cache.OpDW:
+			port.DirectWrite(ref.Addr, 0)
+		case cache.OpER:
+			port.ExclusiveRead(ref.Addr)
+		case cache.OpRP:
+			port.ReadPurge(ref.Addr)
+		case cache.OpRI:
+			port.ReadInvalidate(ref.Addr)
+		default:
+			return fmt.Errorf("ref %d: unknown op %d", i, ref.Op)
+		}
+	}
+	return nil
+}
+
+// opaquePort hides a cache port behind an embedding.
 type opaquePort struct{ mem.Accessor }
 
-// TestReplayGenericParity pins the devirtualized fast path against the
-// generic accessor path: the switch bodies in replayRefs and
-// replayGenericRefs must dispatch every operation identically, so a
-// replay of the same trace through raw caches and through wrapped ports
-// lands on bit-identical statistics.
+// TestReplayGenericParity pins the one replay loop — cache.Apply with
+// the recorded area class — against the per-op accessor interface on a
+// data-carrying machine: replays of the same trace, with and without
+// the data plane, land on bit-identical statistics.
 func TestReplayGenericParity(t *testing.T) {
 	_, tr := traceCluster(t, testProgram, 2, cache.OptionsAll())
 	if tr.Len() == 0 {
 		t.Fatal("empty trace")
 	}
 
-	// Confirm the wrapped run actually takes the generic path.
-	if _, ok := cachePorts(2, []mem.Accessor{opaquePort{nil}, opaquePort{nil}}); ok {
-		t.Fatal("opaque ports devirtualized; parity test is vacuous")
-	}
-
-	replay := func(wrap bool) (bus.Stats, cache.Stats) {
+	replay := func(generic, statsOnly bool) (bus.Stats, cache.Stats) {
 		mcfg := machine.Config{
 			PEs: tr.PEs, Layout: tr.Layout,
 			Cache: cache.Config{SizeWords: 1 << 10, BlockWords: 4, Ways: 4,
-				LockEntries: 4, Options: cache.OptionsAll(), VerifyDW: true},
+				LockEntries: 4, Options: cache.OptionsAll(), VerifyDW: true, StatsOnly: statsOnly},
 			Timing: bus.DefaultTiming(),
 		}
 		m := machine.New(mcfg)
 		ports := make([]mem.Accessor, tr.PEs)
 		for i := range ports {
-			if wrap {
-				ports[i] = opaquePort{m.Port(i)}
-			} else {
-				ports[i] = m.Port(i)
-			}
+			ports[i] = m.Port(i)
 		}
-		if err := Replay(tr, ports); err != nil {
-			t.Fatalf("wrap=%v: %v", wrap, err)
+		replay := Replay
+		if generic {
+			replay = func(tr *Trace, ports []mem.Accessor) error { return replayGenericRefs(tr.Refs, ports) }
+		}
+		if err := replay(tr, ports); err != nil {
+			t.Fatalf("generic=%v statsOnly=%v: %v", generic, statsOnly, err)
 		}
 		return m.BusStats(), m.CacheStats()
 	}
 
-	fastBus, fastCache := replay(false)
-	genBus, genCache := replay(true)
-	if fastBus != genBus {
-		t.Errorf("bus stats diverge\nfast:    %+v\ngeneric: %+v", fastBus, genBus)
+	genBus, genCache := replay(true, false)
+	for _, statsOnly := range []bool{false, true} {
+		bs, cs := replay(false, statsOnly)
+		if bs != genBus {
+			t.Errorf("statsOnly=%v: bus stats diverge\napply:   %+v\ngeneric: %+v", statsOnly, bs, genBus)
+		}
+		if cs != genCache {
+			t.Errorf("statsOnly=%v: cache stats diverge\napply:   %+v\ngeneric: %+v", statsOnly, cs, genCache)
+		}
 	}
-	if fastCache != genCache {
-		t.Errorf("cache stats diverge\nfast:    %+v\ngeneric: %+v", fastCache, genCache)
+
+	// Replay drives caches only; any other port is refused up front.
+	if _, err := NewChunkReplayer(1, []mem.Accessor{opaquePort{}}); err == nil || !strings.Contains(err.Error(), "caches only") {
+		t.Errorf("non-cache port: %v, want a refusal", err)
 	}
 }

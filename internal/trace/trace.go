@@ -22,10 +22,15 @@ import (
 	"pimcache/internal/mem"
 )
 
-// Ref is one recorded memory reference.
+// Ref is one recorded memory reference. Area is the address's storage
+// area under the trace's layout. It depends only on Addr and the layout,
+// so every producer (Recorder, the decoder, synth) classifies it once and
+// each of the many replays of a sweep reuses it; it occupies the struct's
+// padding byte and is not stored on disk.
 type Ref struct {
 	PE   uint8
 	Op   cache.Op
+	Area mem.Area
 	Addr word.Addr
 }
 
@@ -45,7 +50,8 @@ func (t *Trace) Len() int { return len(t.Refs) }
 // Recorder collects references from all PEs of one machine in global
 // order. Wrap each PE's port with Port before running the workload.
 type Recorder struct {
-	trace Trace
+	trace  Trace
+	bounds mem.Bounds
 }
 
 // NewRecorder makes a recorder for a machine with pes processors and the
@@ -60,7 +66,7 @@ func NewRecorder(pes int, layout mem.Layout) *Recorder {
 // repeatedly regrow and copy a multi-hundred-megabyte backing array. A
 // hint of zero (or a low hint) is safe — the store still grows on demand.
 func NewRecorderHint(pes int, layout mem.Layout, refsHint int) *Recorder {
-	r := &Recorder{trace: Trace{PEs: pes, Layout: layout}}
+	r := &Recorder{trace: Trace{PEs: pes, Layout: layout}, bounds: layout.Bounds()}
 	if refsHint > 0 {
 		r.trace.Refs = make([]Ref, 0, refsHint)
 	}
@@ -84,7 +90,7 @@ type recordingPort struct {
 }
 
 func (p *recordingPort) add(op cache.Op, a word.Addr) {
-	p.rec.trace.Refs = append(p.rec.trace.Refs, Ref{PE: p.pe, Op: op, Addr: a})
+	p.rec.trace.Refs = append(p.rec.trace.Refs, Ref{PE: p.pe, Op: op, Area: p.rec.bounds.AreaOf(a), Addr: a})
 }
 
 func (p *recordingPort) Read(a word.Addr) word.Word {
@@ -139,15 +145,10 @@ func (p *recordingPort) ReadInvalidate(a word.Addr) word.Word {
 // UW/U, and conflicting LRs were serialized by the live run, so replaying
 // in order never blocks.
 
-// Replay drives a trace through the ports of a machine-like set of
-// accessors (one per PE). It returns an error if a lock operation blocks,
-// which would indicate the trace is not a legal serialized stream.
-//
-// Replay is the harness's hot path: a full evaluation replays each
-// benchmark's stream dozens of times (configuration sweeps), so when
-// every port is a concrete *cache.Cache — the case for all machine-backed
-// replays — the loop dispatches on the concrete type, avoiding an
-// interface-method call per reference.
+// Replay drives a trace through the caches of a machine (one port per
+// PE, each a *cache.Cache). It returns an error if a lock operation
+// blocks, which would indicate the trace is not a legal serialized
+// stream.
 func Replay(t *Trace, ports []mem.Accessor) error {
 	return ReplayRange(t, ports, 0, len(t.Refs))
 }
@@ -158,96 +159,50 @@ func Replay(t *Trace, ports []mem.Accessor) error {
 // ports, k, t.Len()); the sharded replayer feeds each worker its own
 // partition. Reported ref indices in errors are absolute trace positions.
 func ReplayRange(t *Trace, ports []mem.Accessor, lo, hi int) error {
-	if len(ports) < t.PEs {
-		return fmt.Errorf("trace: need %d ports, have %d", t.PEs, len(ports))
-	}
 	if lo < 0 || hi > len(t.Refs) || lo > hi {
 		return fmt.Errorf("trace: range [%d, %d) outside trace of %d refs", lo, hi, len(t.Refs))
 	}
-	if caches, ok := cachePorts(t.PEs, ports); ok {
-		return replayRefs(t.Refs[lo:hi], caches, lo)
+	cr, err := NewChunkReplayer(t.PEs, ports)
+	if err != nil {
+		return err
 	}
-	return replayGenericRefs(t.Refs[lo:hi], ports, lo)
+	return cr.Replay(t.Refs[lo:hi], lo)
 }
 
-// cachePorts devirtualizes the port slice when every port is a concrete
-// *cache.Cache (the case for all machine-backed replays).
-func cachePorts(pes int, ports []mem.Accessor) ([]*cache.Cache, bool) {
+// ChunkReplayer drives reference chunks through a fixed set of caches.
+// Its Replay loop is the simulator's one per-reference dispatch: every
+// replay path — in-memory, streamed, resumed, warmed, sharded and
+// probed — sends each reference through cache.Apply with the area class
+// its producer computed.
+type ChunkReplayer struct {
+	caches []*cache.Cache
+}
+
+// NewChunkReplayer prepares a replayer for a stream with the given PE
+// count over ports (at least pes of them). Every port must be a
+// *cache.Cache, as machine.Port returns.
+func NewChunkReplayer(pes int, ports []mem.Accessor) (*ChunkReplayer, error) {
+	if len(ports) < pes {
+		return nil, fmt.Errorf("trace: need %d ports, have %d", pes, len(ports))
+	}
 	caches := make([]*cache.Cache, pes)
-	for i := 0; i < pes; i++ {
+	for i := range caches {
 		c, ok := ports[i].(*cache.Cache)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("trace: port %d is a %T; replay drives caches only", i, ports[i])
 		}
 		caches[i] = c
 	}
-	return caches, true
+	return &ChunkReplayer{caches: caches}, nil
 }
 
-// replayRefs is the devirtualized fast path. base is the absolute trace
-// position of refs[0], used only in error messages.
-func replayRefs(refs []Ref, caches []*cache.Cache, base int) error {
+// Replay replays one chunk; base is the absolute trace index of
+// refs[0], used in error labels.
+func (cr *ChunkReplayer) Replay(refs []Ref, base int) error {
 	for i := range refs {
-		ref := &refs[i]
-		port := caches[ref.PE]
-		switch ref.Op {
-		case cache.OpR:
-			port.Read(ref.Addr)
-		case cache.OpW:
-			port.Write(ref.Addr, 0)
-		case cache.OpLR:
-			if _, ok := port.LockRead(ref.Addr); !ok {
-				return fmt.Errorf("trace: ref %d: LR %#x blocked during replay", base+i, ref.Addr)
-			}
-		case cache.OpUW:
-			port.UnlockWrite(ref.Addr, 0)
-		case cache.OpU:
-			port.Unlock(ref.Addr)
-		case cache.OpDW:
-			port.DirectWrite(ref.Addr, 0)
-		case cache.OpER:
-			port.ExclusiveRead(ref.Addr)
-		case cache.OpRP:
-			port.ReadPurge(ref.Addr)
-		case cache.OpRI:
-			port.ReadInvalidate(ref.Addr)
-		default:
-			return fmt.Errorf("trace: ref %d: unknown op %d", base+i, ref.Op)
-		}
-	}
-	return nil
-}
-
-// replayGenericRefs is the interface-dispatch path for non-cache
-// accessors (e.g. mem.DirectAccessor in tests). It must stay
-// behaviourally identical to replayRefs — the parity test in
-// replay_parity_test.go pins the two switch bodies together.
-func replayGenericRefs(refs []Ref, ports []mem.Accessor, base int) error {
-	for i, ref := range refs {
-		port := ports[ref.PE]
-		switch ref.Op {
-		case cache.OpR:
-			port.Read(ref.Addr)
-		case cache.OpW:
-			port.Write(ref.Addr, 0)
-		case cache.OpLR:
-			if _, ok := port.LockRead(ref.Addr); !ok {
-				return fmt.Errorf("trace: ref %d: LR %#x blocked during replay", base+i, ref.Addr)
-			}
-		case cache.OpUW:
-			port.UnlockWrite(ref.Addr, 0)
-		case cache.OpU:
-			port.Unlock(ref.Addr)
-		case cache.OpDW:
-			port.DirectWrite(ref.Addr, 0)
-		case cache.OpER:
-			port.ExclusiveRead(ref.Addr)
-		case cache.OpRP:
-			port.ReadPurge(ref.Addr)
-		case cache.OpRI:
-			port.ReadInvalidate(ref.Addr)
-		default:
-			return fmt.Errorf("trace: ref %d: unknown op %d", base+i, ref.Op)
+		r := &refs[i]
+		if !cr.caches[r.PE].Apply(r.Op, r.Addr, r.Area) {
+			return fmt.Errorf("trace: ref %d: LR %#x blocked during replay", base+i, r.Addr)
 		}
 	}
 	return nil

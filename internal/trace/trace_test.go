@@ -45,8 +45,19 @@ func TestRecordingPortForwardsAndRecords(t *testing.T) {
 	}
 }
 
+// withAreas fills in every reference's area class from the trace's
+// layout, as the real producers (Recorder, Reader, synth) do. Hand-built
+// test traces go through it so decoded streams compare equal to them.
+func withAreas(tr *Trace) *Trace {
+	b := tr.Layout.Bounds()
+	for i := range tr.Refs {
+		tr.Refs[i].Area = b.AreaOf(tr.Refs[i].Addr)
+	}
+	return tr
+}
+
 func TestSerializationRoundTrip(t *testing.T) {
-	tr := &Trace{PEs: 4, Layout: mem.Layout{InstWords: 1, HeapWords: 2, GoalWords: 3, SuspWords: 4, CommWords: 5}}
+	tr := &Trace{PEs: 4, Layout: mem.Layout{InstWords: 100, HeapWords: 20000, GoalWords: 3000, SuspWords: 4000, CommWords: 10000}}
 	for i := 0; i < 1000; i++ {
 		tr.Refs = append(tr.Refs, Ref{
 			PE:   uint8(i % 4),
@@ -54,6 +65,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 			Addr: word.Addr(i * 37),
 		})
 	}
+	withAreas(tr)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatalf("Write: %v", err)
@@ -80,17 +92,18 @@ func TestReadRejectsBadMagic(t *testing.T) {
 
 // largeSyntheticTrace builds a deterministic stream big enough to span
 // many decode chunks, with addresses exercising all four on-disk bytes.
+// The layout spans 2^31 words, so every 31-bit address lies inside it.
 func largeSyntheticTrace(refs int) *Trace {
-	tr := &Trace{PEs: 16, Layout: mem.Layout{InstWords: 1, HeapWords: 2, GoalWords: 3, SuspWords: 4, CommWords: 5}}
+	tr := &Trace{PEs: 16, Layout: mem.Layout{InstWords: 1, HeapWords: 2, GoalWords: 3, SuspWords: 4, CommWords: 1 << 31}}
 	tr.Refs = make([]Ref, refs)
 	for i := range tr.Refs {
 		tr.Refs[i] = Ref{
 			PE:   uint8(i % 16),
 			Op:   cache.Op(i % int(cache.NumOps)),
-			Addr: word.Addr(uint32(i) * 2654435761), // Fibonacci hashing: hits every byte
+			Addr: word.Addr(uint32(i)*2654435761) >> 1, // Fibonacci hashing: hits every byte
 		}
 	}
-	return tr
+	return withAreas(tr)
 }
 
 // TestLargeSerializationRoundTrip round-trips a stream that spans many

@@ -168,8 +168,8 @@ func statsSection(t *testing.T, m *obs.Manifest) []byte {
 }
 
 // TestPerPEStatsAcrossReplayModes pins per-PE equivalence, stronger
-// than the aggregate oracles: every replay engine (streaming, packed,
-// stats-only) leaves each individual PE cache with identical
+// than the aggregate oracles: streaming and in-memory replay, with and
+// without the data plane, leave each individual PE cache with identical
 // statistics, via machine.PerPECacheStats.
 func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 	tr, data, _ := manifestTrace(t)
@@ -207,21 +207,11 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 		t.Fatal("PerPECacheStats does not sum to CacheStats")
 	}
 
-	// Packed replay.
-	mPacked, _ := newMachine(base)
-	p, err := trace.Pack(tr)
-	if err != nil {
+	// In-memory replay, with and without the data plane.
+	mMem, memPorts := newMachine(base)
+	if err := trace.Replay(tr, memPorts); err != nil {
 		t.Fatal(err)
 	}
-	caches := make([]*cache.Cache, tr.PEs)
-	for i := range caches {
-		caches[i] = mPacked.Cache(i)
-	}
-	if err := p.Replay(caches); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stats-only replay (no data plane).
 	soCfg := base
 	soCfg.StatsOnly = true
 	mSO, soPorts := newMachine(soCfg)
@@ -229,7 +219,7 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, m := range map[string]*machine.Machine{"packed": mPacked, "statsonly": mSO} {
+	for name, m := range map[string]*machine.Machine{"in-memory": mMem, "statsonly": mSO} {
 		got := m.PerPECacheStats()
 		for pe := range want {
 			if got[pe] != want[pe] {
