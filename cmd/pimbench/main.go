@@ -10,10 +10,13 @@
 //	pimbench -figure 2           # one figure
 //	pimbench -extra buswidth     # one in-text experiment
 //	pimbench -bench Tri          # restrict to one benchmark
-//	pimbench -jobs 1             # serial (legacy) evaluation
+//	pimbench -jobs 1             # one benchmark (one trace) at a time
 //
-// Live runs and trace replays fan out over -jobs worker goroutines; the
-// produced tables are byte-identical for every job count.
+// Each benchmark is recorded once and replayed once per distinct cache
+// configuration and bus timing: the Table 4 "All" column and the
+// sweeps' base points share one replay. Live runs and trace replays fan
+// out over -jobs worker goroutines; the produced tables are
+// byte-identical for every job count.
 package main
 
 import (
@@ -39,7 +42,6 @@ func main() {
 		benches  = flag.String("bench", "", "comma-separated benchmark subset (Tri,Semi,Puzzle,Pascal)")
 		verbose  = flag.Bool("v", false, "print progress")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores, 1 = serial)")
-		warm     = flag.Bool("warm", false, "share warmed checkpoints among replays with identical configs")
 		manifest = flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
 		scenario = flag.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	)
@@ -73,7 +75,6 @@ func main() {
 	o.Context = ctx
 	o.Quick = *quick
 	o.Jobs = *jobs
-	o.WarmedSweeps = *warm
 	o.Phases = ph
 	o.Metrics = reg
 	if *benches != "" {

@@ -56,22 +56,16 @@ type Options struct {
 	// serialized and line-atomic even when jobs run concurrently.
 	Progress io.Writer
 	// Jobs bounds how many simulations (live runs and trace replays)
-	// execute concurrently: 0 means runtime.NumCPU(), 1 selects the
-	// serial legacy path. Every value produces identical results — jobs
-	// share only read-only traces, and results are assembled by job
-	// identity, never by completion order.
+	// execute concurrently: 0 means runtime.NumCPU(), 1 runs one
+	// benchmark at a time. Every value produces identical results — jobs
+	// share only read-only traces, and results are assembled from the
+	// replay table, never by completion order.
 	Jobs int
 	// DisableBusFilters runs every simulation with the bus presence
 	// filters off (full broadcast polling). Results are identical either
 	// way — the flag exists for the filter-equivalence oracle and as the
 	// benchmark baseline.
 	DisableBusFilters bool
-	// WarmedSweeps lets replay jobs with identical (configuration,
-	// timing) share a warmed machine checkpoint instead of each replaying
-	// the common prefix — see WarmCache. Tables are byte-identical with
-	// the flag on or off (the warmed-determinism oracle pins this); the
-	// flag only removes redundant prefix work.
-	WarmedSweeps bool
 	// Phases, when non-nil, collects per-phase wall times (live runs,
 	// replays) for the run manifest. Nil disables timing at zero cost —
 	// every obs handle is nil-safe.
@@ -398,8 +392,10 @@ type Data struct {
 }
 
 // Collect runs the whole evaluation. Each benchmark's trace is recorded
-// once (at Options.PEs) and replayed across configurations; a trace is
-// released as soon as its last replay finishes, to bound memory.
+// once (at Options.PEs) and replayed under every row of its replay table
+// (see replayTable); rows with equal configurations share one replay. A
+// trace is released as soon as its last replay finishes, to bound
+// memory.
 //
 // With Jobs != 1 the run is executed by the parallel evaluation engine
 // (see parallel.go): live runs and replays fan out over a bounded worker
@@ -431,162 +427,70 @@ func selectedBenchmarks(o Options) []programs.Benchmark {
 	return sel
 }
 
-// collectSerial is the legacy single-core path (Jobs=1): one benchmark at
-// a time, one configuration at a time, in a fixed order.
+// newBenchData is benchmark b's dataset before any run lands in it.
+func newBenchData(b programs.Benchmark, scale int) *BenchData {
+	return &BenchData{
+		Name:      b.Name,
+		Scale:     scale,
+		Lines:     b.Lines(),
+		LiveByPEs: map[int]*RunData{},
+		OptBus:    map[string]bus.Stats{},
+		OptCache:  map[string]cache.Stats{},
+	}
+}
+
+// collectSerial is the Jobs=1 engine: one benchmark at a time — its live
+// sweep, then its distinct replays in table order. A one-worker pool
+// would pipeline benchmarks and record the next trace while the current
+// one still replays; this loop never holds more than one trace.
 func collectSerial(o Options) (*Data, error) {
 	pw := newProgressLog(o.Progress)
 	ctx := o.ctx()
 	data := &Data{Options: o}
 	for _, b := range selectedBenchmarks(o) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		progress := func(format string, args ...interface{}) {
-			pw.Printf(b.Name, format, args...)
-		}
-		scale := o.ScaleFor(b)
-		bd := &BenchData{
-			Name:      b.Name,
-			Scale:     scale,
-			Lines:     b.Lines(),
-			LiveByPEs: map[int]*RunData{},
-			OptBus:    map[string]bus.Stats{},
-			OptCache:  map[string]cache.Stats{},
-		}
-		// Live PE sweep with all optimizations (Figure 3, Table 1).
+		bd := newBenchData(b, o.ScaleFor(b))
 		var tr *trace.Trace
-		liveSpan := o.Phases.Start("live/" + b.Name)
 		for _, pes := range o.PESweep {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			progress("live run on %d PEs (scale %d)", pes, scale)
-			record := pes == o.PEs
-			rd, t, err := RunLive(b, scale, pes, o.baseCache(cache.OptionsAll()), record)
+			rd, t, err := o.liveRun(pw, b, bd.Scale, pes, pes == o.PEs)
 			if err != nil {
 				return nil, err
 			}
-			o.Metrics.Counter("bench.live.runs").Inc()
 			bd.LiveByPEs[pes] = rd
-			if record {
+			if t != nil {
 				tr = t
 				bd.Refs = rd.Cache
 			}
 		}
-		liveSpan.End()
 		if tr == nil {
 			return nil, fmt.Errorf("%s: PESweep %v does not include PEs=%d", b.Name, o.PESweep, o.PEs)
 		}
-		replaySpan := o.Phases.Start("replay/" + b.Name)
-		rep := o.newReplayer(tr.Len())
-		// Table 4 variants.
-		for _, v := range OptVariants {
-			if err := ctx.Err(); err != nil {
+		jobs, runs := o.replayTable()
+		for _, r := range runs {
+			if err := o.replay(pw, b.Name, tr, r); err != nil {
 				return nil, err
-			}
-			progress("replay %s (%d refs)", v.Name, tr.Len())
-			bs, cs, err := rep.Replay(tr, o.baseCache(v.Opts), bus.DefaultTiming())
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b.Name, v.Name, err)
-			}
-			bd.OptBus[v.Name] = bs
-			bd.OptCache[v.Name] = cs
-		}
-		if !o.SkipSweeps {
-			// Figure 1: block sizes.
-			for _, bw := range o.BlockSizes {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				progress("replay block=%d", bw)
-				cfg := o.baseCache(cache.OptionsAll())
-				cfg.BlockWords = bw
-				bs, cs, err := rep.Replay(tr, cfg, bus.DefaultTiming())
-				if err != nil {
-					return nil, fmt.Errorf("%s/block%d: %w", b.Name, bw, err)
-				}
-				bd.BlockSweep = append(bd.BlockSweep, SweepPoint{
-					Param: bw, MissRatio: cs.MissRatio(), BusCycles: bs.TotalCycles,
-					DirectoryBits: cfg.DirectoryBits(),
-				})
-			}
-			// Figure 2: capacities.
-			for _, size := range o.Capacities {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				progress("replay capacity=%d", size)
-				cfg := o.baseCache(cache.OptionsAll())
-				cfg.SizeWords = size
-				bs, cs, err := rep.Replay(tr, cfg, bus.DefaultTiming())
-				if err != nil {
-					return nil, fmt.Errorf("%s/size%d: %w", b.Name, size, err)
-				}
-				bd.CapSweep = append(bd.CapSweep, SweepPoint{
-					Param: size, MissRatio: cs.MissRatio(), BusCycles: bs.TotalCycles,
-					DirectoryBits: cfg.DirectoryBits(),
-				})
-			}
-			// Associativity ablation (Section 4.3).
-			for _, ways := range o.Associativities {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				progress("replay ways=%d", ways)
-				cfg := o.baseCache(cache.OptionsAll())
-				cfg.Ways = ways
-				bs, cs, err := rep.Replay(tr, cfg, bus.DefaultTiming())
-				if err != nil {
-					return nil, fmt.Errorf("%s/ways%d: %w", b.Name, ways, err)
-				}
-				bd.WaySweep = append(bd.WaySweep, SweepPoint{
-					Param: ways, MissRatio: cs.MissRatio(), BusCycles: bs.TotalCycles,
-				})
-			}
-			// Two-word bus (Section 4.4).
-			progress("replay two-word bus")
-			w2, _, err := rep.Replay(tr, o.baseCache(cache.OptionsAll()),
-				bus.Timing{MemCycles: 8, WidthWords: 2})
-			if err != nil {
-				return nil, err
-			}
-			bd.Width2 = w2
-			// Illinois baseline (Section 3.1).
-			progress("replay Illinois")
-			ill := o.baseCache(cache.OptionsNone())
-			ill.Protocol = cache.ProtocolIllinois
-			ibs, _, err := rep.Replay(tr, ill, bus.DefaultTiming())
-			if err != nil {
-				return nil, err
-			}
-			bd.Illinois = ibs
-			// Write-through baseline (Section 3 premise).
-			progress("replay write-through")
-			wt := o.baseCache(cache.OptionsNone())
-			wt.Protocol = cache.ProtocolWriteThrough
-			wbs, _, err := rep.Replay(tr, wt, bus.DefaultTiming())
-			if err != nil {
-				return nil, err
-			}
-			bd.WriteThrough = wbs
-			// Extra registered protocols (moesi, dragon, adaptive, ...)
-			// replay unoptimized like the baselines above.
-			bd.AltBus = make([]ProtocolStats, len(altProtocols()))
-			for i, ap := range altProtocols() {
-				progress("replay %s", ap)
-				acfg := o.baseCache(cache.OptionsNone())
-				acfg.Protocol = ap
-				abs, _, err := rep.Replay(tr, acfg, bus.DefaultTiming())
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", b.Name, ap, err)
-				}
-				bd.AltBus[i] = ProtocolStats{Name: ap.String(), Bus: abs}
 			}
 		}
-		replaySpan.End()
+		storeReplays(bd, jobs)
 		data.Benches = append(data.Benches, bd)
 	}
 	return data, nil
+}
+
+// liveRun is one point of the live PE sweep (all optimizations, Figure 3
+// and Table 1); with record set it also returns the reference stream.
+func (o Options) liveRun(pw *progressLog, b programs.Benchmark, scale, pes int, record bool) (*RunData, *trace.Trace, error) {
+	pw.Printf(b.Name, "live run on %d PEs (scale %d)", pes, scale)
+	sp := o.Phases.Start("live/" + b.Name)
+	rd, tr, err := RunLive(b, scale, pes, o.baseCache(cache.OptionsAll()), record)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	o.Metrics.Counter("bench.live.runs").Inc()
+	return rd, tr, nil
 }
 
 func mergeDefaults(o Options) Options {
@@ -597,7 +501,6 @@ func mergeDefaults(o Options) Options {
 	d.Progress = o.Progress
 	d.Jobs = o.Jobs
 	d.DisableBusFilters = o.DisableBusFilters
-	d.WarmedSweeps = o.WarmedSweeps
 	d.Phases = o.Phases
 	d.Metrics = o.Metrics
 	d.Context = o.Context

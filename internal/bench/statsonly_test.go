@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,37 +205,12 @@ func TestStatsOnlySharded(t *testing.T) {
 	}
 }
 
-// TestStatsOnlyWarmed pins the warmed-checkpoint path: a stats-only
-// machine checkpointed mid-replay and resumed must land on the
-// data-carrying oracle's exact statistics.
-func TestStatsOnlyWarmed(t *testing.T) {
-	sc := synth.DefaultConfig()
-	sc.PEs = 4
-	sc.Events = 20_000
-	tr := synth.ORParallel(sc)
-	cfg := BaseCache(cache.OptionsAll())
-	bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), nil)
-	wc := NewWarmCache(tr.Len() / 2)
-	wc.Register(cfg, bus.DefaultTiming())
-	wc.Register(cfg, bus.DefaultTiming())
-	for i := 0; i < 2; i++ {
-		bs, cs, err := wc.Replay(tr, cfg, bus.DefaultTiming())
-		if err != nil {
-			t.Fatalf("warmed replay %d: %v", i, err)
-		}
-		if bs != bsData {
-			t.Errorf("replay %d: bus stats diverge\ncold data: %+v\nwarmed:    %+v", i, bsData, bs)
-		}
-		if cs != csData {
-			t.Errorf("replay %d: cache stats diverge\ncold data: %+v\nwarmed:    %+v", i, csData, cs)
-		}
-	}
-}
-
 // TestStatsOnlyCollectRenderAll runs a reduced but structurally complete
-// evaluation (live sweep, variants, sweeps, baselines) with warmed
-// stats-only replays and holds every replayed number the rendered
-// tables draw on to the data-carrying oracle, replay job by replay job.
+// evaluation (live sweep, variants, sweeps, baselines) whose sweeps
+// repeat the base configuration, and holds every replayed number the
+// rendered tables draw on to the data-carrying oracle: it walks the
+// replay table and gives every row — the ones Collect served from
+// another row's replay included — its own data-carrying replay.
 func TestStatsOnlyCollectRenderAll(t *testing.T) {
 	old := quickScales["Puzzle"]
 	quickScales["Puzzle"] = 2
@@ -249,7 +225,6 @@ func TestStatsOnlyCollectRenderAll(t *testing.T) {
 		Associativities: []int{1, 4},
 		Benchmarks:      []string{"Puzzle"},
 		Jobs:            1,
-		WarmedSweeps:    true, // exercise stats-only checkpoints too
 	}
 	data, err := Collect(o)
 	if err != nil {
@@ -265,41 +240,18 @@ func TestStatsOnlyCollectRenderAll(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// replayKeys lists Collect's replay jobs in serial order; walk the
-	// dataset in the same order.
-	keys := o.replayKeys()
-	next := func(label string) (bus.Stats, cache.Stats) {
-		if len(keys) == 0 {
-			t.Fatalf("%s: more results than replay keys", label)
-		}
-		k := keys[0]
-		keys = keys[1:]
-		return dataReplay(t, tr, k.cfg, k.timing, nil)
+	want := newBenchData(b, bd.Scale)
+	want.LiveByPEs, want.Refs = bd.LiveByPEs, bd.Refs
+	jobs, runs := o.replayTable()
+	if len(runs) == len(jobs) {
+		t.Fatal("the table repeats no configuration; the test would not cover reuse")
 	}
-	for _, v := range OptVariants {
-		bs, cs := next(v.Name)
-		if bd.OptBus[v.Name] != bs || bd.OptCache[v.Name] != cs {
-			t.Errorf("Table 4 %s: stats differ from the data-carrying replay", v.Name)
-		}
+	for _, j := range jobs {
+		bs, cs := dataReplay(t, tr, j.cfg, j.timing, nil)
+		j.store(want, bs, cs)
 	}
-	for _, sweep := range [][]SweepPoint{bd.BlockSweep, bd.CapSweep, bd.WaySweep} {
-		for _, p := range sweep {
-			bs, cs := next("sweep")
-			if p.BusCycles != bs.TotalCycles || p.MissRatio != cs.MissRatio() {
-				t.Errorf("sweep point %d: %d cycles / miss %v, data-carrying %d / %v",
-					p.Param, p.BusCycles, p.MissRatio, bs.TotalCycles, cs.MissRatio())
-			}
-		}
-	}
-	for _, got := range append([]ProtocolStats{
-		{"two-word bus", bd.Width2}, {"illinois", bd.Illinois}, {"write-through", bd.WriteThrough},
-	}, bd.AltBus...) {
-		if bs, _ := next(got.Name); got.Bus != bs {
-			t.Errorf("%s: bus stats differ from the data-carrying replay", got.Name)
-		}
-	}
-	if len(keys) != 0 {
-		t.Errorf("%d replay keys left unchecked", len(keys))
+	if !reflect.DeepEqual(bd, want) {
+		t.Errorf("replayed dataset differs from the data-carrying replays\ngot:  %+v\nwant: %+v", bd, want)
 	}
 }
 

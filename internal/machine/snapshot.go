@@ -21,8 +21,8 @@ import (
 // cache's planes, lock directory and statistics. Restoring a snapshot
 // into a machine of the same configuration and then continuing a trace
 // replay produces bit-identical statistics and probe event streams to the
-// uninterrupted run — the property TestCheckpointResume pins and the
-// warmed-sweep harness in internal/bench relies on.
+// uninterrupted run — the property TestCheckpointResume pins and
+// resumable replay (bench.ReplayReaderResumable) relies on.
 //
 // Processor state (the KL1 reduction engines attached via Attach) is NOT
 // captured: checkpoints exist for trace replay, where the reference
@@ -97,29 +97,20 @@ func (m *Machine) Restore(s *Snapshot) error {
 	return nil
 }
 
-// The on-disk checkpoint format is versioned by its magic string:
-//
-//	PIMCKPT1: magic, then a bare gob payload. No integrity check — a
-//	          torn or bit-flipped checkpoint surfaces as whatever gob
-//	          makes of the damage.
-//	PIMCKPT2: magic, u64 payload length, u32 CRC32C of the payload,
-//	          then the gob payload. Torn files and flipped bits fail
-//	          with a clean labeled error before gob sees a byte, which
-//	          is what makes crash-time checkpoints trustworthy to
-//	          resume from.
-//
-// Encode produces version 2; DecodeSnapshot accepts both.
-const (
-	snapshotMagicV1 = "PIMCKPT1\n"
-	snapshotMagicV2 = "PIMCKPT2\n"
-)
+// The on-disk checkpoint format (PIMCKPT2) is a magic string, a u64
+// payload length, a u32 CRC32C of the payload, then the gob payload.
+// Torn files and flipped bits fail with a clean labeled error before
+// gob sees a byte, which is what makes crash-time checkpoints
+// trustworthy to resume from. It is the only format Encode produces and
+// DecodeSnapshot accepts.
+const snapshotMagicV2 = "PIMCKPT2\n"
 
 // SnapshotMagic is the magic prefix of checkpoints Encode writes,
 // exported so artifact sniffers (pimtrace verify) can recognize the
 // file type without importing format internals.
 const SnapshotMagic = snapshotMagicV2
 
-// snapshotFrameBytes is the v2 frame after the magic: u64 payload
+// snapshotFrameBytes is the frame after the magic: u64 payload
 // length, u32 payload CRC32C.
 const snapshotFrameBytes = 12
 
@@ -133,9 +124,8 @@ var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Encode serializes the snapshot with encoding/gob behind a magic,
 // payload length and CRC32C. Checkpoints are host-internal artifacts
-// (sweep caches, resume files), so a self-describing stdlib payload
-// beats a hand-rolled one; the frame adds the integrity check gob
-// lacks.
+// (resume files), so a self-describing stdlib payload beats a
+// hand-rolled one; the frame adds the integrity check gob lacks.
 func (s *Snapshot) Encode(w io.Writer) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
@@ -154,48 +144,43 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return err
 }
 
-// DecodeSnapshot reads a snapshot written by Encode (either format
-// version). A v2 stream whose payload is torn or corrupt fails with a
-// labeled error before any of it is interpreted.
+// DecodeSnapshot reads a snapshot written by Encode. A stream whose
+// payload is torn or corrupt fails with a labeled error before any of it
+// is interpreted.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	got := make([]byte, len(snapshotMagicV2))
 	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("machine: reading checkpoint magic: %w", err)
 	}
-	switch string(got) {
-	case snapshotMagicV1:
-		// Legacy: gob straight off the stream, no integrity check.
-	case snapshotMagicV2:
-		var frame [snapshotFrameBytes]byte
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return nil, fmt.Errorf("machine: checkpoint torn inside frame header: %w", err)
-		}
-		plen := binary.LittleEndian.Uint64(frame[0:])
-		wantCRC := binary.LittleEndian.Uint32(frame[8:])
-		if plen == 0 || plen > maxSnapshotBytes {
-			return nil, fmt.Errorf("machine: corrupt checkpoint frame: payload length %d", plen)
-		}
-		// Read through a limited buffer so a corrupt length cannot demand
-		// a giant upfront allocation: the buffer grows only as real bytes
-		// arrive.
-		var payload bytes.Buffer
-		n, err := io.Copy(&payload, io.LimitReader(r, int64(plen)))
-		if err != nil {
-			return nil, fmt.Errorf("machine: reading checkpoint payload: %w", err)
-		}
-		if uint64(n) != plen {
-			return nil, fmt.Errorf("machine: checkpoint torn at byte offset %d: %d of %d payload bytes",
-				int64(len(snapshotMagicV2)+snapshotFrameBytes)+n, n, plen)
-		}
-		if got := crc32.Checksum(payload.Bytes(), snapshotCRCTable); got != wantCRC {
-			return nil, fmt.Errorf("machine: checkpoint checksum mismatch (computed %#x, stored %#x)", got, wantCRC)
-		}
-		r = &payload
-	default:
+	if string(got) != snapshotMagicV2 {
 		return nil, fmt.Errorf("machine: bad checkpoint magic %q", got)
 	}
+	var frame [snapshotFrameBytes]byte
+	if _, err := io.ReadFull(r, frame[:]); err != nil {
+		return nil, fmt.Errorf("machine: checkpoint torn inside frame header: %w", err)
+	}
+	plen := binary.LittleEndian.Uint64(frame[0:])
+	wantCRC := binary.LittleEndian.Uint32(frame[8:])
+	if plen == 0 || plen > maxSnapshotBytes {
+		return nil, fmt.Errorf("machine: corrupt checkpoint frame: payload length %d", plen)
+	}
+	// Read through a limited buffer so a corrupt length cannot demand a
+	// giant upfront allocation: the buffer grows only as real bytes
+	// arrive.
+	var payload bytes.Buffer
+	n, err := io.Copy(&payload, io.LimitReader(r, int64(plen)))
+	if err != nil {
+		return nil, fmt.Errorf("machine: reading checkpoint payload: %w", err)
+	}
+	if uint64(n) != plen {
+		return nil, fmt.Errorf("machine: checkpoint torn at byte offset %d: %d of %d payload bytes",
+			int64(len(snapshotMagicV2)+snapshotFrameBytes)+n, n, plen)
+	}
+	if got := crc32.Checksum(payload.Bytes(), snapshotCRCTable); got != wantCRC {
+		return nil, fmt.Errorf("machine: checkpoint checksum mismatch (computed %#x, stored %#x)", got, wantCRC)
+	}
 	s := new(Snapshot)
-	if err := gob.NewDecoder(r).Decode(s); err != nil {
+	if err := gob.NewDecoder(&payload).Decode(s); err != nil {
 		return nil, fmt.Errorf("machine: decoding checkpoint: %w", err)
 	}
 	return s, nil

@@ -52,21 +52,10 @@ func restoreOK(t *testing.T, snap *machine.Snapshot, raw []byte) {
 	}
 }
 
-// TestSnapshotV1StillReadable pins backward compatibility: a legacy
-// PIMCKPT1 stream (magic + bare gob) still decodes.
-func TestSnapshotV1StillReadable(t *testing.T) {
-	snap := formatSnapshot(t)
-	var buf bytes.Buffer
-	buf.WriteString("PIMCKPT1\n")
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	restoreOK(t, snap, buf.Bytes())
-}
-
 // TestSnapshotV2DetectsCorruption pins the integrity frame: any
 // flipped payload bit, torn tail or mangled length fails with a
-// labeled error instead of reaching gob.
+// labeled error instead of reaching gob — and so does a stream in the
+// retired, unchecksummed PIMCKPT1 format.
 func TestSnapshotV2DetectsCorruption(t *testing.T) {
 	snap := formatSnapshot(t)
 	var buf bytes.Buffer
@@ -107,6 +96,16 @@ func TestSnapshotV2DetectsCorruption(t *testing.T) {
 	if _, err := machine.DecodeSnapshot(bytes.NewReader(hugeLen)); err == nil ||
 		!strings.Contains(err.Error(), "payload length") {
 		t.Errorf("huge length: %v, want length error", err)
+	}
+
+	var v1 bytes.Buffer
+	v1.WriteString("PIMCKPT1\n")
+	if err := gob.NewEncoder(&v1).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := machine.DecodeSnapshot(&v1); err == nil ||
+		!strings.Contains(err.Error(), "bad checkpoint magic") {
+		t.Errorf("v1 checkpoint: %v, want bad-magic error", err)
 	}
 }
 

@@ -11,7 +11,10 @@
 // destination's directory (same filesystem, so the rename is atomic),
 // fsynced so the data is durable before it becomes visible, then
 // renamed over the destination. On any error the temporary file is
-// removed and the destination is untouched.
+// removed and the destination is untouched. The rename would replace
+// whatever the destination is, so a target that exists and is not a
+// regular file (a device such as /dev/null, a FIFO, a directory) is
+// refused before anything is written.
 package safeio
 
 import (
@@ -25,8 +28,12 @@ import (
 // write receives a buffered-enough *os.File; it must not assume the
 // file's name is path (it is a temporary sibling until the final
 // rename). If write (or any durability step) fails, path is left
-// exactly as it was.
+// exactly as it was. A path that exists but is not a regular file is
+// refused with an error naming it and its mode, and nothing is created.
 func WriteFile(path string, write func(io.Writer) error) (err error) {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		return fmt.Errorf("safeio: %s is not a regular file (mode %v); refusing to replace it", path, fi.Mode())
+	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -60,5 +61,41 @@ func TestWriteFileMissingDir(t *testing.T) {
 	err := WriteFileBytes(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x"))
 	if err == nil {
 		t.Fatal("want error for missing directory")
+	}
+}
+
+// TestWriteFileRefusesNonRegularTarget pins the guard against replacing
+// a device, FIFO or directory with a regular file: the write fails with
+// an error naming the path and its mode, the target keeps its type, and
+// no temporary sibling is left behind.
+func TestWriteFileRefusesNonRegularTarget(t *testing.T) {
+	dir := t.TempDir()
+	fifo := filepath.Join(dir, "pipe")
+	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+		t.Fatalf("mkfifo: %v", err)
+	}
+	err := WriteFileBytes(fifo, []byte("x"))
+	if err == nil || !strings.Contains(err.Error(), fifo) || !strings.Contains(err.Error(), "not a regular file") {
+		t.Fatalf("error %v, want a refusal naming %s", err, fifo)
+	}
+	fi, err := os.Lstat(fifo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode()&os.ModeNamedPipe == 0 {
+		t.Errorf("target mode is %v after the refused write, want a FIFO", fi.Mode())
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("leaked temp file %s", e.Name())
+		}
+	}
+
+	if err := WriteFileBytes(dir, []byte("x")); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Errorf("writing over a directory: %v, want a refusal", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -25,16 +26,25 @@ func encodeTrace(t *testing.T, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-// encodeTraceV2 serializes tr in the legacy flat format, whose fixed
-// byte layout the offset-poking corruption tests rely on.
-func encodeTraceV2(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.WriteVersion(&buf, 2); err != nil {
-		t.Fatal(err)
+// pokeV3 applies poke to a copy of the encoded stream raw, then
+// recomputes the header CRC and every chunk's CRC, so the damage gets
+// past the checksums to the validations behind them: PE count, layout,
+// declared count, op, address and truncation. poke may shorten the
+// stream, but must keep each chunk's frame length true to its payload.
+func pokeV3(raw []byte, poke func(b []byte) []byte) []byte {
+	b := poke(append([]byte(nil), raw...))
+	binary.LittleEndian.PutUint32(b[magicLen+headerBytes:], crc32.Checksum(b[magicLen:magicLen+headerBytes], castagnoli))
+	for off := magicLen + headerBytes + 4; off+frameBytes <= len(b); {
+		end := off + frameBytes + int(binary.LittleEndian.Uint32(b[off:]))
+		binary.LittleEndian.PutUint32(b[off+4:], crc32.Checksum(b[off+frameBytes:end], castagnoli))
+		off = end
 	}
-	return buf.Bytes()
+	return b
 }
+
+// chunk0 is the byte offset of the first chunk frame; chunk 0's
+// payload, and so the first reference, starts frameBytes later.
+const chunk0 = magicLen + headerBytes + 4
 
 // readErr runs both decoders (materializing Read and streaming Reader)
 // over raw and requires each to fail with a message containing want.
@@ -83,40 +93,39 @@ func smallTrace() *Trace {
 
 // TestReaderRejectsCorruptHeader covers the header validations: a PE
 // count of zero or above the bus limit, and a layout wider than the
-// 32-bit address space. The pokes target the unchecksummed v2 layout;
-// the same pokes on v3 are caught earlier by the header CRC (see
-// TestV3HeaderChecksum).
+// 32-bit address space. The pokes recompute the header CRC, which
+// would otherwise catch them first (see TestV3HeaderChecksum).
 func TestReaderRejectsCorruptHeader(t *testing.T) {
-	base := encodeTraceV2(t, smallTrace())
-	hdr := len(magicV2)
-
-	zeroPE := append([]byte(nil), base...)
-	binary.LittleEndian.PutUint32(zeroPE[hdr:], 0)
-	readErr(t, "pe=0", zeroPE, "PE count")
-
-	bigPE := append([]byte(nil), base...)
-	binary.LittleEndian.PutUint32(bigPE[hdr:], 200)
-	readErr(t, "pe=200", bigPE, "PE count")
-
-	hugeLayout := append([]byte(nil), base...)
-	for off := 4; off <= 20; off += 4 {
-		binary.LittleEndian.PutUint32(hugeLayout[hdr+off:], 0xFFFFFFFF)
+	base := encodeTrace(t, smallTrace())
+	setPEs := func(n uint32) func(b []byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[magicLen:], n)
+			return b
+		}
 	}
+	readErr(t, "pe=0", pokeV3(base, setPEs(0)), "PE count")
+	readErr(t, "pe=200", pokeV3(base, setPEs(200)), "PE count")
+
+	hugeLayout := pokeV3(base, func(b []byte) []byte {
+		for off := 4; off <= 20; off += 4 {
+			binary.LittleEndian.PutUint32(b[magicLen+off:], 0xFFFFFFFF)
+		}
+		return b
+	})
 	readErr(t, "huge layout", hugeLayout, "address space")
 }
 
 // TestReaderRejectsCorruptRefs covers the per-reference validations: a
-// PE byte at or above the header's count, and an unknown op byte.
+// PE byte at or above the header's count, and an unknown op byte. The
+// pokes recompute the chunk CRC, which would otherwise catch them first.
 func TestReaderRejectsCorruptRefs(t *testing.T) {
-	base := encodeTraceV2(t, smallTrace())
-	ref0 := len(magicV2) + headerBytes // first reference: [PE, op, addr x4]
+	base := encodeTrace(t, smallTrace())
+	const ref0 = chunk0 + frameBytes // first reference: [PE, op, addr x4]
 
-	badPE := append([]byte(nil), base...)
-	badPE[ref0] = 9 // header says 4 PEs
+	badPE := pokeV3(base, func(b []byte) []byte { b[ref0] = 9; return b }) // header says 4 PEs
 	readErr(t, "bad ref PE", badPE, "out of range")
 
-	badOp := append([]byte(nil), base...)
-	badOp[ref0+1] = 0xEE
+	badOp := pokeV3(base, func(b []byte) []byte { b[ref0+1] = 0xEE; return b })
 	readErr(t, "bad ref op", badOp, "unknown op")
 }
 
@@ -135,24 +144,18 @@ func TestReaderRejectsOutOfLayoutAddress(t *testing.T) {
 	}
 
 	tr.Refs[42].Addr = end
-	const want = "ref 42 (byte offset "
-	for _, raw := range [][]byte{encodeTrace(t, tr), encodeTraceV2(t, tr)} {
-		readErr(t, "address at layout end", raw, want)
-		if _, err := Verify(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "outside the header layout") {
-			t.Errorf("Verify: %v, want an outside-the-layout error", err)
-		}
-		d, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.SkipTo(50); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("SkipTo over the bad address: %v", err)
-		}
+	raw := encodeTrace(t, tr)
+	want := fmt.Sprintf("ref 42 (byte offset %d)", chunk0+frameBytes+42*refBytes)
+	readErr(t, "address at layout end", raw, want)
+	if _, err := Verify(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "outside the header layout") {
+		t.Errorf("Verify: %v, want an outside-the-layout error", err)
 	}
-	v2 := encodeTraceV2(t, tr)
-	_, err := Read(bytes.NewReader(v2))
-	if wantOff := fmt.Sprintf("byte offset %d)", len(magicV2)+headerBytes+42*refBytes); err == nil || !strings.Contains(err.Error(), wantOff) {
-		t.Errorf("v2 error %v does not name %q", err, wantOff)
+	d, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SkipTo(50); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("SkipTo over the bad address: %v", err)
 	}
 }
 
@@ -161,23 +164,34 @@ func TestReaderRejectsOutOfLayoutAddress(t *testing.T) {
 // truncation error without first attempting a multi-terabyte
 // allocation.
 func TestReadHugeDeclaredCount(t *testing.T) {
-	base := encodeTraceV2(t, smallTrace())
-	raw := append([]byte(nil), base...)
-	binary.LittleEndian.PutUint64(raw[len(magicV2)+24:], 1<<40)
+	raw := pokeV3(encodeTrace(t, smallTrace()), func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[magicLen+24:], 1<<40)
+		return b
+	})
 	readErr(t, "huge count", raw, "truncated")
 }
 
 // TestReaderTruncatedMidStream checks both decoders report the cut
-// position instead of returning a short stream, in both formats.
+// position instead of returning a short stream. The last two cases cut
+// the (only) chunk and rewrite its frame and CRC to match, so only the
+// reader's own accounting can notice: a cut at a reference boundary
+// leaves the stream short of its declared count, and a cut inside a
+// reference leaves a payload that is not a whole number of references.
 func TestReaderTruncatedMidStream(t *testing.T) {
-	rawV2 := encodeTraceV2(t, smallTrace())
-	readErr(t, "v2 truncated", rawV2[:len(rawV2)-5], "torn final reference")
-	readErr(t, "v2 truncated at ref boundary", rawV2[:len(rawV2)-2*refBytes], "truncated at byte offset")
+	raw := encodeTrace(t, smallTrace())
+	readErr(t, "torn payload", raw[:len(raw)-5], "torn chunk")
+	readErr(t, "missing chunk", raw[:chunk0], "next chunk missing")
+	readErr(t, "torn frame", raw[:chunk0+3], "torn chunk frame")
 
-	rawV3 := encodeTrace(t, smallTrace())
-	readErr(t, "v3 torn payload", rawV3[:len(rawV3)-5], "torn chunk")
-	readErr(t, "v3 missing chunk", rawV3[:len(magicV3)+headerBytes+4], "next chunk missing")
-	readErr(t, "v3 torn frame", rawV3[:len(magicV3)+headerBytes+4+3], "torn chunk frame")
+	cut := func(n int) func(b []byte) []byte {
+		return func(b []byte) []byte {
+			plen := binary.LittleEndian.Uint32(b[chunk0:])
+			binary.LittleEndian.PutUint32(b[chunk0:], plen-uint32(n))
+			return b[:len(b)-n]
+		}
+	}
+	readErr(t, "reframed at ref boundary", pokeV3(raw, cut(2*refBytes)), "98 of 100 refs delivered")
+	readErr(t, "reframed mid-reference", pokeV3(raw, cut(5)), "payload length")
 }
 
 // TestV3HeaderChecksum pins the v3 header CRC: any header mutation is
@@ -186,18 +200,18 @@ func TestV3HeaderChecksum(t *testing.T) {
 	raw := encodeTrace(t, smallTrace())
 	for _, off := range []int{0, 4, 24, 31} {
 		bad := append([]byte(nil), raw...)
-		bad[len(magicV3)+off] ^= 0x01
+		bad[magicLen+off] ^= 0x01
 		readErr(t, "header bit flip", bad, "header checksum mismatch")
 	}
 }
 
 // TestV3ChunkChecksum is the fault class that motivates v3: a single
-// flipped bit anywhere in a chunk payload — even in an address byte a
-// v2 decoder would swallow silently — must fail with a checksum error
-// naming the byte offset.
+// flipped bit anywhere in a chunk payload — even in an address byte
+// that still decodes to a legal reference — must fail with a checksum
+// error naming the byte offset.
 func TestV3ChunkChecksum(t *testing.T) {
 	raw := encodeTrace(t, largeSyntheticTrace(refsPerChunk+200))
-	body := len(magicV3) + headerBytes + 4
+	body := chunk0
 	for _, off := range []int{
 		body + frameBytes + 2,            // address byte, first ref, first chunk
 		body + frameBytes + refBytes*100, // PE byte mid-chunk
@@ -219,7 +233,7 @@ func TestV3ChunkChecksum(t *testing.T) {
 // chunk cap, or larger than the refs remaining in the stream.
 func TestV3RejectsOversizedChunk(t *testing.T) {
 	raw := encodeTrace(t, smallTrace())
-	frame := len(magicV3) + headerBytes + 4
+	frame := chunk0
 	for _, plen := range []uint32{0, 7, refBytes*refsPerChunk + refBytes, refBytes * 101} {
 		bad := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(bad[frame:], plen)
@@ -227,69 +241,59 @@ func TestV3RejectsOversizedChunk(t *testing.T) {
 	}
 }
 
-// TestBothVersionsRoundTrip pins that every written version reads back
-// identically and reports its version.
+// TestBothVersionsRoundTrip pins the format boundary: a PIMTRACE3
+// stream reads back identically, and the same stream under the retired
+// PIMTRACE2 magic is refused with the labeled bad-magic error by every
+// decoder entry point instead of being decoded.
 func TestBothVersionsRoundTrip(t *testing.T) {
 	tr := largeSyntheticTrace(refsPerChunk*2 + 33)
-	for _, version := range []int{2, 3} {
-		var buf bytes.Buffer
-		if err := tr.WriteVersion(&buf, version); err != nil {
-			t.Fatalf("v%d Write: %v", version, err)
+	raw := encodeTrace(t, tr)
+	got, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if got.PEs != tr.PEs || got.Len() != tr.Len() || got.Layout != tr.Layout {
+		t.Fatalf("header mismatch: %d/%d %+v", got.PEs, got.Len(), got.Layout)
+	}
+	for i := range tr.Refs {
+		if got.Refs[i] != tr.Refs[i] {
+			t.Fatalf("ref %d: %+v != %+v", i, got.Refs[i], tr.Refs[i])
 		}
-		d, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d NewReader: %v", version, err)
-		}
-		if d.Version() != version {
-			t.Errorf("Version() = %d, want %d", d.Version(), version)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("v%d Read: %v", version, err)
-		}
-		if got.PEs != tr.PEs || got.Len() != tr.Len() || got.Layout != tr.Layout {
-			t.Fatalf("v%d header mismatch: %d/%d %+v", version, got.PEs, got.Len(), got.Layout)
-		}
-		for i := range tr.Refs {
-			if got.Refs[i] != tr.Refs[i] {
-				t.Fatalf("v%d ref %d: %+v != %+v", version, i, got.Refs[i], tr.Refs[i])
-			}
-		}
+	}
+
+	v2 := append([]byte("PIMTRACE2\n"), raw[magicLen:]...)
+	readErr(t, "v2 magic", v2, "bad magic")
+	if _, err := Verify(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("Verify of a v2 stream: %v, want a bad-magic error", err)
 	}
 }
 
 // TestReaderSmallDst checks Next with a destination smaller than a
-// chunk: the v3 pending buffer must deliver every ref exactly once.
+// chunk: the pending buffer must deliver every ref exactly once.
 func TestReaderSmallDst(t *testing.T) {
 	tr := largeSyntheticTrace(refsPerChunk + 77)
-	for _, version := range []int{2, 3} {
-		var buf bytes.Buffer
-		if err := tr.WriteVersion(&buf, version); err != nil {
-			t.Fatal(err)
+	d, err := NewReader(bytes.NewReader(encodeTrace(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Ref
+	dst := make([]Ref, 100) // not a divisor of refsPerChunk
+	for {
+		n, err := d.Next(dst)
+		got = append(got, dst[:n]...)
+		if err == io.EOF {
+			break
 		}
-		d, err := NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Next: %v", err)
 		}
-		var got []Ref
-		dst := make([]Ref, 100) // not a divisor of refsPerChunk
-		for {
-			n, err := d.Next(dst)
-			got = append(got, dst[:n]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("v%d Next: %v", version, err)
-			}
-		}
-		if len(got) != tr.Len() {
-			t.Fatalf("v%d delivered %d refs, want %d", version, len(got), tr.Len())
-		}
-		for i := range got {
-			if got[i] != tr.Refs[i] {
-				t.Fatalf("v%d ref %d: %+v != %+v", version, i, got[i], tr.Refs[i])
-			}
+	}
+	if len(got) != tr.Len() {
+		t.Fatalf("delivered %d refs, want %d", len(got), tr.Len())
+	}
+	for i := range got {
+		if got[i] != tr.Refs[i] {
+			t.Fatalf("ref %d: %+v != %+v", i, got[i], tr.Refs[i])
 		}
 	}
 }
@@ -351,7 +355,7 @@ func TestSkipTo(t *testing.T) {
 func TestSkipToDetectsCorruption(t *testing.T) {
 	raw := encodeTrace(t, largeSyntheticTrace(refsPerChunk*2))
 	bad := append([]byte(nil), raw...)
-	bad[len(magicV3)+headerBytes+4+frameBytes+10] ^= 0x04 // inside chunk 0
+	bad[chunk0+frameBytes+10] ^= 0x04 // inside chunk 0
 	d, err := NewReader(bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
@@ -385,15 +389,6 @@ func TestVerify(t *testing.T) {
 	if _, err := Verify(bytes.NewReader(torn)); err == nil || !strings.Contains(err.Error(), "torn chunk") {
 		t.Errorf("Verify torn stream: %v", err)
 	}
-
-	v2 := encodeTraceV2(t, tr)
-	info, err = Verify(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("Verify v2 stream: %v", err)
-	}
-	if info.Version != 2 || info.Refs != uint64(tr.Len()) {
-		t.Errorf("v2 VerifyInfo %+v", info)
-	}
 }
 
 // TestReaderHeader checks the streaming decoder surfaces the header
@@ -409,9 +404,10 @@ func TestReaderHeader(t *testing.T) {
 	}
 }
 
-// TestReplayStreamMatchesReplay pins the chunked streaming replay
-// against the materialized replay on a real recorded workload.
-func TestReplayStreamMatchesReplay(t *testing.T) {
+// TestStreamedReplayMatchesReplay pins chunked streaming replay — Reader
+// chunks fed to a ChunkReplayer, as resumable replay does — against the
+// materialized replay on a real recorded workload.
+func TestStreamedReplayMatchesReplay(t *testing.T) {
 	_, tr := traceCluster(t, testProgram, 2, cache.OptionsAll())
 	raw := encodeTrace(t, tr)
 
@@ -440,9 +436,24 @@ func TestReplayStreamMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, ports2 := newMachine()
-	n, err := ReplayStream(d, ports2)
+	cr, err := NewChunkReplayer(d.PEs(), ports2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	buf := make([]Ref, 1000) // chunks split across Next calls
+	n := 0
+	for {
+		k, err := d.Next(buf)
+		if rerr := cr.Replay(buf[:k], n); rerr != nil {
+			t.Fatal(rerr)
+		}
+		n += k
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n != tr.Len() {
 		t.Errorf("streamed %d refs, trace has %d", n, tr.Len())

@@ -32,35 +32,35 @@ func manifestTrace(t testing.TB) (*trace.Trace, []byte, string) {
 	return tr, buf.Bytes(), obs.HexDigest(sum[:])
 }
 
-// replayToManifest replays the serialized trace in streaming mode under
-// ccfg and assembles a manifest exactly the way pimtrace replay does.
+// replayToManifest decodes the serialized trace, replays it under ccfg
+// and assembles a manifest exactly the way pimtrace replay does.
 func replayToManifest(t *testing.T, data []byte, digest string, ccfg cache.Config, mode string) *obs.Manifest {
 	t.Helper()
-	d, err := trace.NewReader(bytes.NewReader(data))
+	tr, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	timing := bus.DefaultTiming()
-	m := machine.New(machine.Config{PEs: d.PEs(), Layout: d.Layout(), Cache: ccfg, Timing: timing})
-	ports := make([]mem.Accessor, d.PEs())
+	m := machine.New(machine.Config{PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: timing})
+	ports := make([]mem.Accessor, tr.PEs)
 	for i := range ports {
 		ports[i] = m.Port(i)
 	}
-	refs, err := trace.ReplayStream(d, ports)
-	if err != nil {
+	if err := trace.Replay(tr, ports); err != nil {
 		t.Fatal(err)
 	}
+	refs := uint64(tr.Len())
 
 	man := obs.NewManifest("pimtrace")
 	man.Scenario = "matrix"
-	man.Config = obs.NewRunConfig(d.PEs(), ccfg, timing, "all", mode, 0)
+	man.Config = obs.NewRunConfig(tr.PEs, ccfg, timing, "all", mode, 0)
 	man.Trace = &obs.TraceInfo{
-		SHA256: digest, Refs: uint64(refs), PEs: d.PEs(),
-		LayoutWords: uint64(d.Layout().TotalWords()),
+		SHA256: digest, Refs: refs, PEs: tr.PEs,
+		LayoutWords: uint64(tr.Layout.TotalWords()),
 	}
-	man.Stats = obs.NewRunStats(uint64(refs), m.CacheStats(), m.BusStats())
+	man.Stats = obs.NewRunStats(refs, m.CacheStats(), m.BusStats())
 	man.Timing.TraceFile = "matrix.trc"
-	man.FinishTiming(obs.NewPhases(), obs.NewRegistry(), uint64(refs), 0.1)
+	man.FinishTiming(obs.NewPhases(), obs.NewRegistry(), refs, 0.1)
 	return man
 }
 
@@ -168,9 +168,10 @@ func statsSection(t *testing.T, m *obs.Manifest) []byte {
 }
 
 // TestPerPEStatsAcrossReplayModes pins per-PE equivalence, stronger
-// than the aggregate oracles: streaming and in-memory replay, with and
-// without the data plane, leave each individual PE cache with identical
-// statistics, via machine.PerPECacheStats.
+// than the aggregate oracles: replaying the decoded stream and the
+// in-memory trace, with and without the data plane, leaves each
+// individual PE cache with identical statistics, via
+// machine.PerPECacheStats.
 func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 	tr, data, _ := manifestTrace(t)
 	timing := bus.DefaultTiming()
@@ -186,16 +187,16 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 		return m, ports
 	}
 
-	// Reference: streaming replay with the data plane.
-	mStream, ports := newMachine(base)
-	d, err := trace.NewReader(bytes.NewReader(data))
+	// Reference: the decoded stream replayed with the data plane.
+	mDecoded, ports := newMachine(base)
+	decoded, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.ReplayStream(d, ports); err != nil {
+	if err := trace.Replay(decoded, ports); err != nil {
 		t.Fatal(err)
 	}
-	want := mStream.PerPECacheStats()
+	want := mDecoded.PerPECacheStats()
 	if len(want) != tr.PEs {
 		t.Fatalf("PerPECacheStats returned %d entries, want %d", len(want), tr.PEs)
 	}
@@ -203,7 +204,7 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 	for i := range want {
 		aggregate.Add(&want[i])
 	}
-	if aggregate != mStream.CacheStats() {
+	if aggregate != mDecoded.CacheStats() {
 		t.Fatal("PerPECacheStats does not sum to CacheStats")
 	}
 
@@ -223,11 +224,11 @@ func TestPerPEStatsAcrossReplayModes(t *testing.T) {
 		got := m.PerPECacheStats()
 		for pe := range want {
 			if got[pe] != want[pe] {
-				t.Errorf("%s: PE %d stats differ from streaming replay", name, pe)
+				t.Errorf("%s: PE %d stats differ from the decoded replay", name, pe)
 			}
 		}
-		if m.BusStats() != mStream.BusStats() {
-			t.Errorf("%s: bus stats differ from streaming replay", name)
+		if m.BusStats() != mDecoded.BusStats() {
+			t.Errorf("%s: bus stats differ from the decoded replay", name)
 		}
 	}
 }
