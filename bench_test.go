@@ -12,7 +12,6 @@ package pimcache
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -423,7 +422,7 @@ func BenchmarkReplayThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.ReplayConfig(tr, bench.BaseCache(cache.OptionsAll()), bus.DefaultTiming()); err != nil {
+		if _, _, err := bench.ReplayConfig(tr, bench.BaseCache(cache.OptionsAll()), bus.DefaultTiming(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -438,11 +437,9 @@ func BenchmarkReplayThroughput(b *testing.B) {
 // mix of mostly-private blocks and rare locks is exactly what the
 // filters exploit: each snoop and lock poll shrinks from O(PEs) to
 // O(actual holders), so the filtered/unfiltered gap widens with PE
-// count. The sharded mode replays the same trace partitioned by cache
-// set across every available core (bench.ReplayConfigSharded). Every
-// mode replays stats-only through the one cache.Apply loop and produces
-// bit-identical statistics. docs/eval_snapshot.txt records the measured
-// speedups.
+// count. Both modes replay stats-only through the one cache.Apply loop
+// and produce bit-identical statistics. docs/eval_snapshot.txt records
+// the measured speedups.
 func BenchmarkReplayPEs(b *testing.B) {
 	for _, pes := range []int{1, 4, 8, 16} {
 		sc := synth.DefaultConfig()
@@ -452,23 +449,15 @@ func BenchmarkReplayPEs(b *testing.B) {
 		for _, mode := range []struct {
 			name    string
 			disable bool
-			shards  int
 		}{
 			{name: "filtered"},
 			{name: "unfiltered", disable: true},
-			{name: "sharded", shards: runtime.GOMAXPROCS(0)},
 		} {
 			cfg := bench.BaseCache(cache.OptionsAll())
 			cfg.DisableBusFilters = mode.disable
 			b.Run(fmt.Sprintf("pes=%d/%s", pes, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					var err error
-					if mode.shards > 1 {
-						_, _, err = bench.ReplayConfigSharded(tr, cfg, bus.DefaultTiming(), mode.shards)
-					} else {
-						_, _, err = bench.ReplayConfig(tr, cfg, bus.DefaultTiming())
-					}
-					if err != nil {
+					if _, _, err := bench.ReplayConfig(tr, cfg, bus.DefaultTiming(), nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -501,7 +490,7 @@ func BenchmarkReplayProbe(b *testing.B) {
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), mode.sink()); err != nil {
+				if _, _, err := bench.ReplayConfig(tr, cfg, bus.DefaultTiming(), mode.sink()); err != nil {
 					b.Fatal(err)
 				}
 			}

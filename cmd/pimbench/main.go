@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,7 +39,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use reduced benchmark scales")
 		table    = flag.Int("table", 0, "regenerate only table N (1-5)")
 		figure   = flag.Int("figure", 0, "regenerate only figure N (1-3)")
-		extra    = flag.String("extra", "", "in-text experiment: buswidth, assoc, optdetail, protocols, illinois")
+		extra    = flag.String("extra", "", "in-text experiment: "+strings.Join(extras, ", "))
 		benches  = flag.String("bench", "", "comma-separated benchmark subset (Tri,Semi,Puzzle,Pascal)")
 		verbose  = flag.Bool("v", false, "print progress")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores, 1 = serial)")
@@ -48,7 +49,10 @@ func main() {
 	prof := cliutil.ProfileFlags(flag.CommandLine)
 	run := cliutil.TimeoutFlags(flag.CommandLine)
 	flag.Parse()
-	if err := cliutil.ValidateJobs(*jobs); err != nil {
+	if err := cliutil.FirstError(
+		cliutil.ValidateJobs(*jobs),
+		validateSelection(*table, *figure, *extra),
+	); err != nil {
 		fmt.Fprintln(os.Stderr, "pimbench:", err)
 		os.Exit(2)
 	}
@@ -78,7 +82,9 @@ func main() {
 	o.Phases = ph
 	o.Metrics = reg
 	if *benches != "" {
-		o.Benchmarks = strings.Split(*benches, ",")
+		for _, name := range strings.Split(*benches, ",") {
+			o.Benchmarks = append(o.Benchmarks, strings.TrimSpace(name))
+		}
 	}
 	if *verbose {
 		o.Progress = os.Stderr
@@ -135,6 +141,25 @@ func main() {
 	}
 }
 
+// extras are the -extra experiment names, in output order.
+var extras = []string{"buswidth", "assoc", "optdetail", "protocols", "illinois"}
+
+// validateSelection checks -table, -figure and -extra, so an
+// out-of-range selection fails before anything is collected instead of
+// printing nothing.
+func validateSelection(table, figure int, extra string) error {
+	if table < 0 || table > 5 {
+		return fmt.Errorf("-table must be 1-5 (got %d)", table)
+	}
+	if figure < 0 || figure > 3 {
+		return fmt.Errorf("-figure must be 1-3 (got %d)", figure)
+	}
+	if extra != "" && !slices.Contains(extras, extra) {
+		return fmt.Errorf("unknown -extra %q (want %s)", extra, strings.Join(extras, ", "))
+	}
+	return nil
+}
+
 // writeManifest records the evaluation run: configuration, per-
 // benchmark deterministic statistics (every Table-4 variant), and the
 // timing block. Replayed references across all jobs drive the
@@ -143,7 +168,7 @@ func writeManifest(man *obs.Manifest, path string, d *bench.Data, o bench.Option
 	ccfg := bench.BaseCache(cache.OptionsAll())
 	ccfg.StatsOnly = true // the variant statistics come from stats-only replays
 	ccfg.DisableBusFilters = o.DisableBusFilters
-	man.Config = obs.NewRunConfig(o.PEs, ccfg, bus.DefaultTiming(), "all", "bench", 0)
+	man.Config = obs.NewRunConfig(o.PEs, ccfg, bus.DefaultTiming(), "all", "bench")
 	var totalRefs uint64
 	for _, bd := range d.Benches {
 		sec := obs.BenchSection{

@@ -41,7 +41,6 @@ import (
 	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/par"
-	"pimcache/internal/probe"
 	"pimcache/internal/stats"
 )
 
@@ -57,12 +56,10 @@ func main() {
 		protocol  = flag.String("protocol", "pim", cliutil.ProtocolFlagHelp())
 		width     = flag.Int("buswidth", 1, "bus width in words")
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores)")
-		events    = flag.String("events", "", "write a Perfetto trace-event JSON timeline to this file")
-		intervals = flag.Uint64("intervals", 0, "print interval metrics every N simulated cycles")
-		hotspots  = flag.Int("hotspots", 0, "print the top-K most contended blocks")
 		manifest  = flag.String("manifest", "", "write a structured run manifest (JSON) to this file (single -bench entry)")
 		scenario  = flag.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	)
+	tel := cliutil.TelemetryFlags(flag.CommandLine)
 	run := cliutil.TimeoutFlags(flag.CommandLine)
 	flag.Parse()
 	ctx, stopSignals := run.Context()
@@ -77,6 +74,8 @@ func main() {
 		cliutil.ValidatePEs(*pes),
 		cliutil.ValidateJobs(*jobs),
 		cliutil.ValidateBlock(*block),
+		cliutil.ValidateBusWidth(*width),
+		tel.Validate(),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "pimsim:", err)
 		os.Exit(2)
@@ -103,14 +102,12 @@ func main() {
 	}
 
 	timing := bus.Timing{MemCycles: 8, WidthWords: *width}
-	probing := *events != "" || *intervals > 0 || *hotspots > 0
-	if probing {
+	if tel.On() {
 		if len(benches) > 1 {
 			fmt.Fprintln(os.Stderr, "pimsim: -events/-intervals/-hotspots need a single -bench entry (one machine, one timeline)")
 			os.Exit(2)
 		}
-		rd, err := runProbed(benches[0], *scale, *pes, ccfg, timing,
-			*events, *intervals, *hotspots, ph)
+		rd, err := runProbed(benches[0], *scale, *pes, ccfg, timing, *tel, ph)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pimsim:", err)
 			os.Exit(1)
@@ -164,7 +161,7 @@ func writeManifest(man *obs.Manifest, path string, rd *bench.RunData, ccfg cache
 	if path == "" || rd == nil {
 		return
 	}
-	man.Config = obs.NewRunConfig(rd.PEs, ccfg, timing, optsName, "live", 0)
+	man.Config = obs.NewRunConfig(rd.PEs, ccfg, timing, optsName, "live")
 	out := sha256.Sum256([]byte(rd.Result.Output))
 	man.Workload = &obs.Workload{
 		Bench:        rd.Bench,
@@ -185,60 +182,23 @@ func writeManifest(man *obs.Manifest, path string, rd *bench.RunData, ccfg cache
 // runProbed executes one benchmark with the probe layer attached,
 // prints the usual report plus the requested telemetry tables, and
 // writes the Perfetto export.
-func runProbed(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, events string, intervals uint64, hotspots int, ph *obs.Phases) (*bench.RunData, error) {
+func runProbed(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, spec cliutil.TelemetrySpec, ph *obs.Phases) (*bench.RunData, error) {
 	runScale := scale
 	if runScale == 0 {
 		runScale = b.DefaultScale
 	}
-
-	var sinks []probe.Sink
-	var pf *probe.Perfetto
-	var eventsFile *os.File
-	if events != "" {
-		f, err := os.Create(events)
-		if err != nil {
-			return nil, err
-		}
-		eventsFile = f
-		pf = probe.NewPerfetto(f, pes)
-		sinks = append(sinks, pf)
+	probes, err := spec.Start(pes, ccfg.BlockWords, bench.Layout().Bounds().AreaOf)
+	if err != nil {
+		return nil, err
 	}
-	var iv *probe.Intervals
-	if intervals > 0 {
-		iv = probe.NewIntervals(intervals)
-		sinks = append(sinks, iv)
-	}
-	var hs *probe.HotSpots
-	if hotspots > 0 {
-		hs = probe.NewHotSpots(ccfg.BlockWords, bench.Layout().Bounds().AreaOf)
-		sinks = append(sinks, hs)
-	}
-
 	sp := ph.Start("live/" + b.Name)
-	rd, _, err := bench.RunLiveProbed(b, runScale, pes, ccfg, timing, false, probe.Multi(sinks...))
+	rd, _, err := bench.RunLiveProbed(b, runScale, pes, ccfg, timing, false, probes.Sink)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	printReport(os.Stdout, b, rd, ccfg)
-	if iv != nil {
-		fmt.Println(iv.Table())
-	}
-	if hs != nil {
-		for _, t := range hs.Table(hotspots) {
-			fmt.Println(t)
-		}
-	}
-	if pf != nil {
-		if err := pf.Close(); err != nil {
-			return nil, fmt.Errorf("writing %s: %w", events, err)
-		}
-		if err := eventsFile.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Printf("wrote %s — open it at https://ui.perfetto.dev\n", events)
-	}
-	return rd, nil
+	return rd, probes.Report(os.Stdout)
 }
 
 func printReport(w io.Writer, b programs.Benchmark, rd *bench.RunData, ccfg cache.Config) {

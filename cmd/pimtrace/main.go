@@ -7,7 +7,21 @@
 //	pimtrace synth -kind orparallel -o or.trc     # synthetic workload
 //	pimtrace info tri.trc                         # header + op histogram
 //	pimtrace replay -cache 8192 -block 8 tri.trc  # replay vs a config
+//	pimtrace replay -events tri.json tri.trc      # ... plus a Perfetto timeline
+//	pimtrace replay -intervals 1000 -csv iv.csv -hotspots 10 tri.trc
 //	pimtrace verify tri.trc resume.ckpt run.json  # checksum-validate artifacts
+//
+// replay streams the trace through the validating decoder in constant
+// memory. The telemetry flags attach the probe layer (package probe):
+// -events writes a Perfetto trace-event JSON timeline (open it at
+// ui.perfetto.dev), -intervals prints per-window bus utilization, miss
+// ratio and lock-wait metrics (-csv also writes them for plotting), and
+// -hotspots ranks the top-K most contended blocks. The memory-system
+// event stream of a replay is identical to that of the live run the
+// trace was recorded from (scheduler events excepted), so any cache
+// configuration can be profiled against a workload recorded once.
+//
+// A malformed command line exits with status 2, a failed run with 1.
 package main
 
 import (
@@ -15,7 +29,6 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"strings"
@@ -64,6 +77,13 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// usageErr reports a malformed command line and exits with status 2,
+// the flag package's own convention.
+func usageErr(err error) {
+	fmt.Fprintln(os.Stderr, "pimtrace:", err)
+	os.Exit(2)
+}
+
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	benchName := fs.String("bench", "Tri", "benchmark to record")
@@ -72,11 +92,14 @@ func record(args []string) {
 	out := fs.String("o", "", "output file (required)")
 	fs.Parse(args)
 	if *out == "" {
-		fatal(fmt.Errorf("record: -o required"))
+		usageErr(fmt.Errorf("record: -o required"))
+	}
+	if err := cliutil.ValidatePEs(*pes); err != nil {
+		usageErr(fmt.Errorf("record: %w", err))
 	}
 	b, ok := programs.ByName(*benchName)
 	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q", *benchName))
+		usageErr(fmt.Errorf("record: unknown benchmark %q", *benchName))
 	}
 	if *scale == 0 {
 		*scale = b.DefaultScale
@@ -99,7 +122,10 @@ func synthesize(args []string) {
 	out := fs.String("o", "", "output file (required)")
 	fs.Parse(args)
 	if *out == "" {
-		fatal(fmt.Errorf("synth: -o required"))
+		usageErr(fmt.Errorf("synth: -o required"))
+	}
+	if err := cliutil.ValidatePEs(*pes); err != nil {
+		usageErr(fmt.Errorf("synth: %w", err))
 	}
 	c := synth.DefaultConfig()
 	c.PEs, c.Events, c.Seed = *pes, *events, *seed
@@ -112,7 +138,7 @@ func synthesize(args []string) {
 	case "ring":
 		tr = synth.MessageRing(c)
 	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
+		usageErr(fmt.Errorf("synth: unknown -kind %q (want seqprolog, orparallel, or ring)", *kind))
 	}
 	writeTrace(tr, *out)
 	fmt.Printf("generated %d %s references to %s\n", tr.Len(), *kind, *out)
@@ -123,7 +149,7 @@ func synthesize(args []string) {
 // multi-gigabyte trace is summarized in constant memory.
 func info(args []string) {
 	if len(args) != 1 {
-		fatal(fmt.Errorf("info: one trace file expected"))
+		usageErr(fmt.Errorf("info: one trace file expected"))
 	}
 	f, err := os.Open(args[0])
 	if err != nil {
@@ -168,9 +194,9 @@ func info(args []string) {
 	fmt.Println(t2)
 }
 
-// verify stream-validates artifacts without replaying: traces (both
-// format versions — framing, checksums, every reference), checkpoints
-// (frame, checksum, decodability) and run manifests (JSON + schema).
+// verify stream-validates artifacts without replaying: traces (framing,
+// checksums, every reference), checkpoints (frame, checksum,
+// decodability) and run manifests (JSON + schema).
 // The file type is sniffed from its magic. Exit status 1 with the
 // first bad offset on any damage; success prints one summary line per
 // file.
@@ -179,7 +205,7 @@ func verify(args []string) {
 	quiet := fs.Bool("q", false, "suppress per-file summaries (errors still print)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		fatal(fmt.Errorf("verify: at least one artifact file expected"))
+		usageErr(fmt.Errorf("verify: at least one artifact file expected"))
 	}
 	failed := false
 	for _, path := range fs.Args() {
@@ -243,11 +269,12 @@ func replay(args []string) {
 	optsName := fs.String("opts", "all", "none, heap, goal, comm, all")
 	protocolName := fs.String("protocol", "pim", cliutil.ProtocolFlagHelp())
 	width := fs.Int("buswidth", 1, "bus width in words")
-	shards := fs.Int("shards", 1, "partition the replay across N cores by cache set (identical statistics; materializes the trace)")
+	tel := cliutil.TelemetryFlags(fs)
+	fs.StringVar(&tel.CSV, "csv", "", "write the interval metrics as CSV to this file (needs -intervals)")
 	manifestPath := fs.String("manifest", "", "write a structured run manifest (JSON) to this file")
 	scenario := fs.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	heartbeat := fs.Duration("heartbeat", 0, "report streaming progress on stderr at this interval (e.g. 10s; 0 disables)")
-	ckptEvery := fs.Uint64("checkpoint-every", 0, "write a durable checkpoint every N replayed references (streaming replay only; 0 disables)")
+	ckptEvery := fs.Uint64("checkpoint-every", 0, "write a durable checkpoint every N replayed references (0 disables)")
 	ckptPath := fs.String("checkpoint", "", "checkpoint file for -checkpoint-every and -resume")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint file if it exists (fresh start otherwise)")
 	chaosExitAfter := fs.Int("chaos-exit-after", 0, "exit with status 3 after N checkpoint writes (crash-injection hook for the resume tests; 0 disables)")
@@ -255,27 +282,29 @@ func replay(args []string) {
 	prof := cliutil.ProfileFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("replay: one trace file expected"))
-	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("replay: -shards must be non-negative (got %d)", *shards))
+		usageErr(fmt.Errorf("replay: one trace file expected"))
 	}
 	checkpointing := *ckptEvery > 0 || *resume
-	if checkpointing && *shards > 1 {
-		fatal(fmt.Errorf("replay: checkpoint/resume works on the streaming path only (drop -shards)"))
+	if err := cliutil.FirstError(cliutil.ValidateBusWidth(*width), tel.Validate()); err != nil {
+		usageErr(fmt.Errorf("replay: %w", err))
+	}
+	if checkpointing && tel.On() {
+		// A probe stream restarted mid-trace would miss every event
+		// before the resume point.
+		usageErr(fmt.Errorf("replay: -events/-intervals/-hotspots cover a whole replay; drop -checkpoint-every/-resume"))
 	}
 	if checkpointing && *ckptPath == "" {
-		fatal(fmt.Errorf("replay: -checkpoint-every/-resume need -checkpoint <file>"))
+		usageErr(fmt.Errorf("replay: -checkpoint-every/-resume need -checkpoint <file>"))
 	}
 	if *chaosExitAfter > 0 && *ckptEvery == 0 {
-		fatal(fmt.Errorf("replay: -chaos-exit-after needs -checkpoint-every"))
+		usageErr(fmt.Errorf("replay: -chaos-exit-after needs -checkpoint-every"))
 	}
 	ctx, stopSignals := run.Context()
 	defer stopSignals()
 	cliutil.AbortOnDone(ctx, 30*time.Second, os.Stderr)
 	ccfg, err := cliutil.BuildCacheConfig(*size, *block, *ways, *optsName, *protocolName)
 	if err != nil {
-		fatal(err)
+		usageErr(fmt.Errorf("replay: %w", err))
 	}
 	// Replay never reads a data value, so it always runs stats-only; the
 	// manifest records the machine it ran.
@@ -296,115 +325,92 @@ func replay(args []string) {
 	}
 
 	mode := "stream"
-	if *shards > 1 {
-		mode = "sharded"
+	if tel.On() {
+		mode = "probed"
 	}
+	phase := "replay/" + mode
 
-	var bs bus.Stats
-	var cs cache.Stats
-	var refs int
-	var pes int
-	var layoutWords uint64
+	// The trace streams through the validating decoder during the replay
+	// itself — the reference slice is never materialized, so multi-
+	// gigabyte traces replay in constant memory.
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	cr := &obs.CountingReader{R: f}
 	digest := sha256.New()
-	var workSeconds float64
-	if mode != "stream" {
-		// Sharding needs the whole stream in memory; the stream path
-		// below replays in constant memory instead.
-		var tr *trace.Trace
-		err := ph.Time("decode", func() error {
-			var err error
-			tr, err = readTraceHashed(fs.Arg(0), digestIf(wantManifest, digest))
-			return err
-		})
-		if err != nil {
-			fatal(err)
-		}
-		pes, layoutWords = tr.PEs, uint64(tr.Layout.TotalWords())
-		refs = tr.Len()
-		t0 := time.Now()
-		err = ph.Time("replay/sharded", func() error {
-			bs, cs, err = bench.ReplayConfigSharded(tr, ccfg, timing, *shards)
-			return err
-		})
-		workSeconds = time.Since(t0).Seconds()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		cr := &obs.CountingReader{R: f}
-		var src io.Reader = cr
-		if wantManifest {
-			// The resume seek decodes (and so tees) every skipped byte,
-			// so a resumed run's trace digest equals the uninterrupted
-			// run's — their manifests stay comparable.
-			src = io.TeeReader(cr, digest)
-		}
-		d, err := trace.NewReader(bufio.NewReaderSize(src, 1<<20))
-		if err != nil {
-			fatal(err)
-		}
-		pes, layoutWords = d.PEs(), uint64(d.Layout().TotalWords())
-
-		// Resume: restore the checkpointed machine and seek, when the
-		// checkpoint file exists; a missing file is a fresh start so one
-		// command line works for both the first attempt and every retry.
-		var snap *machine.Snapshot
-		if *resume {
-			switch s, err := machine.ReadSnapshotFile(*ckptPath); {
-			case err == nil:
-				snap = s
-				mode = "resume"
-				fmt.Fprintf(os.Stderr, "pimtrace: resuming from %s at ref %d\n", *ckptPath, s.RefsReplayed)
-			case os.IsNotExist(err):
-				fmt.Fprintf(os.Stderr, "pimtrace: no checkpoint at %s, starting fresh\n", *ckptPath)
-			default:
-				fatal(err)
-			}
-		}
-
-		hb := obs.NewHeartbeat(os.Stderr, "replay", *heartbeat, d.Len()).Start()
-		wd := run.Watchdog("replay "+fs.Arg(0), ph)
-		defer wd.Stop()
-		chunks := reg.Counter("trace.chunks")
-		d.SetProgress(func(n int) {
-			chunks.Inc()
-			hb.Add(uint64(n))
-			hb.SetBytes(cr.Bytes())
-			wd.Pet()
-		})
-		ckptWrites := reg.Counter("replay.checkpoints")
-		ck := bench.CheckpointOptions{Every: *ckptEvery, Path: *ckptPath}
-		if *ckptEvery > 0 {
-			ck.OnCheckpoint = func(at uint64) error {
-				ckptWrites.Inc()
-				wd.Pet()
-				if *chaosExitAfter > 0 && ckptWrites.Value() >= uint64(*chaosExitAfter) {
-					hb.Stop()
-					fmt.Fprintf(os.Stderr, "pimtrace: chaos exit after %d checkpoints (at ref %d)\n",
-						*chaosExitAfter, at)
-					os.Exit(3)
-				}
-				return nil
-			}
-		}
-		t0 := time.Now()
-		var out *bench.ReplayOutcome
-		err = ph.Time("replay/stream", func() error {
-			out, err = bench.ReplayReaderResumable(ctx, d, ccfg, timing, nil, ck, snap)
-			return err
-		})
-		workSeconds = time.Since(t0).Seconds()
-		hb.Stop()
-		if err != nil {
-			fatal(err)
-		}
-		bs, cs, refs = out.Bus, out.Cache, int(out.Refs)
+	var src io.Reader = cr
+	if wantManifest {
+		// The resume seek decodes (and so tees) every skipped byte,
+		// so a resumed run's trace digest equals the uninterrupted
+		// run's — their manifests stay comparable.
+		src = io.TeeReader(cr, digest)
 	}
+	d, err := trace.NewReader(bufio.NewReaderSize(src, 1<<20))
+	if err != nil {
+		fatal(err)
+	}
+	pes, layoutWords := d.PEs(), uint64(d.Layout().TotalWords())
+	probes, err := tel.Start(pes, ccfg.BlockWords, d.Layout().Bounds().AreaOf)
+	if err != nil {
+		fatal(err)
+	}
+
+	// Resume: restore the checkpointed machine and seek, when the
+	// checkpoint file exists; a missing file is a fresh start so one
+	// command line works for both the first attempt and every retry.
+	var snap *machine.Snapshot
+	if *resume {
+		switch s, err := machine.ReadSnapshotFile(*ckptPath); {
+		case err == nil:
+			snap = s
+			mode = "resume"
+			fmt.Fprintf(os.Stderr, "pimtrace: resuming from %s at ref %d\n", *ckptPath, s.RefsReplayed)
+		case os.IsNotExist(err):
+			fmt.Fprintf(os.Stderr, "pimtrace: no checkpoint at %s, starting fresh\n", *ckptPath)
+		default:
+			fatal(err)
+		}
+	}
+
+	hb := obs.NewHeartbeat(os.Stderr, "replay", *heartbeat, d.Len()).Start()
+	wd := run.Watchdog("replay "+fs.Arg(0), ph)
+	defer wd.Stop()
+	chunks := reg.Counter("trace.chunks")
+	d.SetProgress(func(n int) {
+		chunks.Inc()
+		hb.Add(uint64(n))
+		hb.SetBytes(cr.Bytes())
+		wd.Pet()
+	})
+	ckptWrites := reg.Counter("replay.checkpoints")
+	ck := bench.CheckpointOptions{Every: *ckptEvery, Path: *ckptPath}
+	if *ckptEvery > 0 {
+		ck.OnCheckpoint = func(at uint64) error {
+			ckptWrites.Inc()
+			wd.Pet()
+			if *chaosExitAfter > 0 && ckptWrites.Value() >= uint64(*chaosExitAfter) {
+				hb.Stop()
+				fmt.Fprintf(os.Stderr, "pimtrace: chaos exit after %d checkpoints (at ref %d)\n",
+					*chaosExitAfter, at)
+				os.Exit(3)
+			}
+			return nil
+		}
+	}
+	t0 := time.Now()
+	var out *bench.ReplayOutcome
+	err = ph.Time(phase, func() error {
+		out, err = bench.ReplayReaderResumable(ctx, d, ccfg, timing, probes.Sink, ck, snap)
+		return err
+	})
+	workSeconds := time.Since(t0).Seconds()
+	hb.Stop()
+	if err != nil {
+		fatal(err)
+	}
+	bs, cs, refs := out.Bus, out.Cache, out.Refs
 	if err := stopProfiles(); err != nil {
 		fatal(err)
 	}
@@ -415,31 +421,25 @@ func replay(args []string) {
 			fmt.Printf("  %-20s %8d ops %10d cycles\n", p, bs.CountByPattern[p], bs.CyclesByPattern[p])
 		}
 	}
+	if err := probes.Report(os.Stdout); err != nil {
+		fatal(err)
+	}
 	if wantManifest {
-		man.Config = obs.NewRunConfig(pes, ccfg, timing, *optsName, mode, *shards)
+		man.Config = obs.NewRunConfig(pes, ccfg, timing, *optsName, mode)
 		man.Trace = &obs.TraceInfo{
 			SHA256:      obs.HexDigest(digest.Sum(nil)),
-			Refs:        uint64(refs),
+			Refs:        refs,
 			PEs:         pes,
 			LayoutWords: layoutWords,
 		}
-		man.Stats = obs.NewRunStats(uint64(refs), cs, bs)
+		man.Stats = obs.NewRunStats(refs, cs, bs)
 		man.Timing.TraceFile = fs.Arg(0)
 		man.Timing.Profiles = prof.Paths()
-		man.FinishTiming(ph, reg, uint64(refs), workSeconds)
+		man.FinishTiming(ph, reg, refs, workSeconds)
 		if err := man.WriteFile(*manifestPath); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// digestIf returns h when cond is set, nil otherwise (hashing the
-// trace is pure overhead when no manifest will record it).
-func digestIf(cond bool, h hash.Hash) hash.Hash {
-	if cond {
-		return h
-	}
-	return nil
 }
 
 func writeTrace(tr *trace.Trace, path string) {
@@ -448,20 +448,4 @@ func writeTrace(tr *trace.Trace, path string) {
 	if err := safeio.WriteFile(path, tr.Write); err != nil {
 		fatal(err)
 	}
-}
-
-// readTraceHashed materializes a trace, feeding the raw bytes through
-// h (when non-nil) so the caller gets the file's content digest for
-// free.
-func readTraceHashed(path string, h hash.Hash) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var src io.Reader = f
-	if h != nil {
-		src = io.TeeReader(f, h)
-	}
-	return trace.Read(src)
 }

@@ -1,0 +1,166 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pimcache/internal/obs"
+)
+
+// The tests drive the real command: with pimtraceAsCommand set in its
+// environment, the test binary runs main instead of the tests, so each
+// test re-executes it with a pimtrace command line and checks the exit
+// status, the output and the files written.
+const pimtraceAsCommand = "PIMTRACE_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(pimtraceAsCommand) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// pimtrace runs the command in dir and returns its stdout, stderr and
+// exit status.
+func pimtrace(t *testing.T, dir string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), pimtraceAsCommand+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("pimtrace %v: %v", args, err)
+		}
+		code = exit.ExitCode()
+	}
+	return out.String(), errOut.String(), code
+}
+
+// synthTrace writes a small OR-parallel trace into dir.
+func synthTrace(t *testing.T, dir string) string {
+	t.Helper()
+	if _, stderr, code := pimtrace(t, dir, "synth", "-pes", "4", "-events", "20000", "-o", "t.trc"); code != 0 {
+		t.Fatalf("synth exited %d: %s", code, stderr)
+	}
+	return "t.trc"
+}
+
+// TestMalformedFlagsExit2 pins that every flag value the simulator core
+// cannot take ends in a labeled usage error (exit 2, naming the flag)
+// instead of a panic or an unreadable trace.
+func TestMalformedFlagsExit2(t *testing.T) {
+	dir := t.TempDir()
+	tr := synthTrace(t, dir)
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-pes", []string{"synth", "-pes", "0", "-o", "bad.trc"}},
+		{"-pes", []string{"synth", "-pes", "65", "-o", "bad.trc"}},
+		{"-pes", []string{"record", "-pes", "0", "-o", "bad.trc"}},
+		{"-pes", []string{"record", "-pes", "65", "-o", "bad.trc"}},
+		{"-buswidth", []string{"replay", "-buswidth", "0", tr}},
+		{"-buswidth", []string{"replay", "-buswidth", "-1", tr}},
+		{"-hotspots", []string{"replay", "-hotspots", "-1", tr}},
+		{"-csv", []string{"replay", "-csv", "iv.csv", tr}},
+	} {
+		_, stderr, code := pimtrace(t, dir, c.args...)
+		if code != 2 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, c.flag) {
+			t.Errorf("pimtrace %v: exit %d, stderr %q; want exit 2 naming %s", c.args, code, stderr, c.flag)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bad.trc")); err == nil {
+		t.Error("a refused synth/record still wrote its trace")
+	}
+}
+
+// TestReplayTelemetry pins the probed replay: it prints the interval and
+// hot-spot tables, writes the CSV and the Perfetto timeline, and its
+// manifest records the same simulated outcome as a plain replay's.
+func TestReplayTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	tr := synthTrace(t, dir)
+	if _, stderr, code := pimtrace(t, dir, "replay", "-manifest", "plain.json", tr); code != 0 {
+		t.Fatalf("plain replay exited %d: %s", code, stderr)
+	}
+	stdout, stderr, code := pimtrace(t, dir, "replay", "-intervals", "500", "-hotspots", "3",
+		"-csv", "iv.csv", "-events", "ev.json", "-manifest", "probed.json", tr)
+	if code != 0 {
+		t.Fatalf("probed replay exited %d: %s", code, stderr)
+	}
+	for _, want := range []string{
+		"interval metrics (500 cycles per interval)",
+		"hot blocks: most bus transactions (top 3)",
+		"wrote iv.csv",
+		"wrote ev.json",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("probed replay output lacks %q:\n%s", want, stdout)
+		}
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "iv.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(csv)), "\n"); len(lines) < 2 ||
+		lines[0] != "start,end,refs,misses,bus_cycles,lock_wait,invals,steals" {
+		t.Errorf("iv.csv is not an interval CSV:\n%.200s", csv)
+	}
+	events, err := os.ReadFile(filepath.Join(dir, "ev.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(events) {
+		t.Error("ev.json is not valid JSON")
+	}
+
+	plain, err := obs.ReadManifestFile(filepath.Join(dir, "plain.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed, err := obs.ReadManifestFile(filepath.Join(dir, "probed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Config.Mode != "stream" || probed.Config.Mode != "probed" {
+		t.Errorf("modes %q/%q, want stream/probed", plain.Config.Mode, probed.Config.Mode)
+	}
+	if plain.StatsKey() != probed.StatsKey() {
+		t.Errorf("StatsKey %s (plain) != %s (probed)", plain.StatsKey(), probed.StatsKey())
+	}
+	if !reflect.DeepEqual(plain.Stats, probed.Stats) {
+		t.Error("probed replay's statistics differ from the plain replay's")
+	}
+}
+
+// TestReplayRefusesTelemetryWithCheckpoints pins that telemetry, which
+// must cover a whole replay, cannot be combined with checkpoint/resume.
+func TestReplayRefusesTelemetryWithCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	tr := synthTrace(t, dir)
+	for _, args := range [][]string{
+		{"replay", "-intervals", "500", "-checkpoint-every", "1000", "-checkpoint", "c.ckpt", tr},
+		{"replay", "-events", "ev.json", "-resume", "-checkpoint", "c.ckpt", tr},
+	} {
+		_, stderr, code := pimtrace(t, dir, args...)
+		if code != 2 || !strings.Contains(stderr, "-checkpoint-every/-resume") {
+			t.Errorf("pimtrace %v: exit %d, stderr %q; want exit 2 refusing telemetry with checkpoints", args, code, stderr)
+		}
+	}
+	for _, name := range []string{"c.ckpt", "ev.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			t.Errorf("refused replay wrote %s", name)
+		}
+	}
+}

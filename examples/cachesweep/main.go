@@ -34,7 +34,7 @@ func main() {
 	for _, bw := range []int{1, 2, 4, 8, 16} {
 		cfg := bench.BaseCache(cache.OptionsAll())
 		cfg.BlockWords = bw
-		busStats, cacheStats, err := bench.ReplayConfig(tr, cfg, bus.DefaultTiming())
+		busStats, cacheStats, err := bench.ReplayConfig(tr, cfg, bus.DefaultTiming(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func main() {
 	for _, size := range []int{512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10} {
 		cfg := bench.BaseCache(cache.OptionsAll())
 		cfg.SizeWords = size
-		busStats, cacheStats, err := bench.ReplayConfig(tr, cfg, bus.DefaultTiming())
+		busStats, cacheStats, err := bench.ReplayConfig(tr, cfg, bus.DefaultTiming(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
@@ -256,17 +257,12 @@ func runLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus
 }
 
 // ReplayConfig replays a recorded stream against a cache configuration
-// and bus timing, returning the resulting statistics.
-func ReplayConfig(tr *trace.Trace, ccfg cache.Config, timing bus.Timing) (bus.Stats, cache.Stats, error) {
-	return ReplayConfigProbed(tr, ccfg, timing, nil)
-}
-
-// ReplayConfigProbed is ReplayConfig with a telemetry sink attached to
-// the replay machine. The sink receives the memory-system event stream
-// — identical, event for event, to a probed live run of the program the
-// trace was recorded from under the same configuration (scheduler
-// events excepted: a replay has no scheduler).
-func ReplayConfigProbed(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats, error) {
+// and bus timing, returning the resulting statistics. A non-nil sink
+// receives the memory-system event stream — identical, event for event,
+// to a probed live run of the program the trace was recorded from under
+// the same configuration (scheduler events excepted: a replay has no
+// scheduler).
+func ReplayConfig(tr *trace.Trace, ccfg cache.Config, timing bus.Timing, sink probe.Sink) (bus.Stats, cache.Stats, error) {
 	m, cr, err := newReplayMachine(tr.PEs, tr.Layout, ccfg, timing, sink)
 	if err != nil {
 		return bus.Stats{}, cache.Stats{}, err
@@ -400,7 +396,15 @@ type Data struct {
 // With Jobs != 1 the run is executed by the parallel evaluation engine
 // (see parallel.go): live runs and replays fan out over a bounded worker
 // pool, and the assembled Data is identical to the serial result.
+//
+// A name in Options.Benchmarks that names no benchmark is an error, so a
+// mistyped selection never yields empty tables.
 func Collect(o Options) (*Data, error) {
+	for _, name := range o.Benchmarks {
+		if _, ok := programs.ByName(name); !ok {
+			return nil, fmt.Errorf("bench: unknown benchmark %q", name)
+		}
+	}
 	if o.PEs == 0 {
 		o = mergeDefaults(o)
 	}
@@ -524,7 +528,7 @@ func benchSelected(o Options, name string) bool {
 		return true
 	}
 	for _, b := range o.Benchmarks {
-		if b == name {
+		if strings.EqualFold(b, name) {
 			return true
 		}
 	}

@@ -168,7 +168,7 @@ func TestReplayConfigMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, _, err := ReplayConfig(tr, BaseCache(cache.OptionsAll()), bus.DefaultTiming())
+	bs, _, err := ReplayConfig(tr, BaseCache(cache.OptionsAll()), bus.DefaultTiming(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +182,26 @@ func TestCollectRejectsMissingPEs(t *testing.T) {
 		Quick: true, Benchmarks: []string{"Pascal"}}
 	if _, err := Collect(o); err == nil {
 		t.Error("PESweep without PEs accepted")
+	}
+}
+
+// TestCollectRejectsUnknownBenchmark pins that a selection naming no
+// benchmark fails with the name in the error, at either job count, while
+// names match case-insensitively like programs.ByName.
+func TestCollectRejectsUnknownBenchmark(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		o := Options{Quick: true, SkipSweeps: true, Jobs: jobs, Benchmarks: []string{"Pascal", "Nope"}}
+		if _, err := Collect(o); err == nil || !strings.Contains(err.Error(), `unknown benchmark "Nope"`) {
+			t.Errorf("jobs=%d: Collect(%v) = %v, want an unknown-benchmark error", jobs, o.Benchmarks, err)
+		}
+	}
+	o := Options{PEs: 2, PESweep: []int{2}, SkipSweeps: true, Quick: true, Benchmarks: []string{"pascal"}}
+	d, err := Collect(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Benches) != 1 || d.Benches[0].Name != "Pascal" {
+		t.Errorf("Benchmarks [pascal] collected %d benchmarks, want Pascal", len(d.Benches))
 	}
 }
 

@@ -87,11 +87,11 @@ func TestFilterEquivalence(t *testing.T) {
 				cfgOn.Protocol = p.proto
 				cfgOff := filterCfg(p.opts, true)
 				cfgOff.Protocol = p.proto
-				bsOn, csOn, err := ReplayConfig(trFiltered, cfgOn, bus.DefaultTiming())
+				bsOn, csOn, err := ReplayConfig(trFiltered, cfgOn, bus.DefaultTiming(), nil)
 				if err != nil {
 					t.Fatalf("%s filtered replay (%d PEs): %v", p.name, recorded, err)
 				}
-				bsOff, csOff, err := ReplayConfig(trFiltered, cfgOff, bus.DefaultTiming())
+				bsOff, csOff, err := ReplayConfig(trFiltered, cfgOff, bus.DefaultTiming(), nil)
 				if err != nil {
 					t.Fatalf("%s unfiltered replay: %v", p.name, err)
 				}

@@ -58,7 +58,7 @@ func TestProbeDeterminism(t *testing.T) {
 					continue
 				}
 				replay := &probe.Buffer{}
-				if _, _, err := ReplayConfigProbed(tr, ccfg, timing, replay); err != nil {
+				if _, _, err := ReplayConfig(tr, ccfg, timing, replay); err != nil {
 					t.Fatalf("probed replay at %d PEs: %v", pes, err)
 				}
 				liveMem := buf1.MemoryEvents()
@@ -151,7 +151,7 @@ func TestPerfettoByteIdentity(t *testing.T) {
 	}
 	var rbuf bytes.Buffer
 	pf := probe.NewPerfetto(&rbuf, pes)
-	if _, _, err := ReplayConfigProbed(tr, ccfg, timing, pf); err != nil {
+	if _, _, err := ReplayConfig(tr, ccfg, timing, pf); err != nil {
 		t.Fatal(err)
 	}
 	if err := pf.Close(); err != nil {

@@ -142,7 +142,7 @@ func (o Options) replay(pw *progressLog, bench string, tr *trace.Trace, r *repla
 	sp := o.Phases.Start("replay/" + bench)
 	defer sp.End()
 	var err error
-	if r.bus, r.cache, err = ReplayConfig(tr, r.cfg, r.timing); err != nil {
+	if r.bus, r.cache, err = ReplayConfig(tr, r.cfg, r.timing, nil); err != nil {
 		return fmt.Errorf("%s/%s: %w", bench, r.labels[0], err)
 	}
 	return nil

@@ -48,7 +48,7 @@ type ReplayOutcome struct {
 // multi-gigabyte traces replay in constant memory. It supports
 // cancellation, periodic durable checkpoints and crash resume; a
 // non-nil sink receives the memory-system event stream exactly as
-// ReplayConfigProbed delivers it.
+// ReplayConfig delivers it.
 //
 // With resume nil it replays d from the top. With resume set (a
 // snapshot a previous, interrupted run checkpointed — by this stats-only

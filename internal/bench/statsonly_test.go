@@ -110,7 +110,7 @@ func statsOnlyTraces(t *testing.T) map[string]*trace.Trace {
 }
 
 // TestStatsOnlyEquivalence is the tentpole oracle: replaying any stream
-// through ReplayConfigProbed (stats-only, cache.Apply) must yield
+// through ReplayConfig (stats-only, cache.Apply) must yield
 // bit-identical bus statistics, cache statistics, and probe event
 // streams to the data-carrying oracle, for every protocol with the
 // filters on and off.
@@ -128,7 +128,7 @@ func TestStatsOnlyEquivalence(t *testing.T) {
 				bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), &dataLog)
 
 				var soLog eventLog
-				bsSO, csSO, err := ReplayConfigProbed(tr, cfg, bus.DefaultTiming(), &soLog)
+				bsSO, csSO, err := ReplayConfig(tr, cfg, bus.DefaultTiming(), &soLog)
 				if err != nil {
 					t.Fatalf("%s: stats-only replay: %v", p.name, err)
 				}
@@ -182,27 +182,6 @@ func TestStatsOnlyReaderEquivalence(t *testing.T) {
 		t.Errorf("cache stats diverge\ndata:     %+v\nstreamed: %+v", csData, out.Cache)
 	}
 	sameEvents(t, "streamed", dataLog.events, soLog.events)
-}
-
-// TestStatsOnlySharded pins the sharded replay path against the
-// unsharded data-carrying oracle.
-func TestStatsOnlySharded(t *testing.T) {
-	sc := synth.DefaultConfig()
-	sc.PEs = 8
-	sc.Events = 30_000
-	tr := synth.ORParallel(sc)
-	cfg := BaseCache(cache.OptionsAll())
-	bsData, csData := dataReplay(t, tr, cfg, bus.DefaultTiming(), nil)
-	bs, cs, err := ReplayConfigSharded(tr, cfg, bus.DefaultTiming(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs != bsData {
-		t.Errorf("bus stats diverge\nunsharded data: %+v\nsharded:        %+v", bsData, bs)
-	}
-	if cs != csData {
-		t.Errorf("cache stats diverge\nunsharded data: %+v\nsharded:        %+v", csData, cs)
-	}
 }
 
 // TestStatsOnlyCollectRenderAll runs a reduced but structurally complete
@@ -273,8 +252,8 @@ func TestStatsOnlyLiveRefused(t *testing.T) {
 
 // TestRefAreaClassified pins the area class every producer stores in
 // trace.Ref — the value the Apply loop trusts instead of classifying
-// each reference again: the Recorder, Read, Reader.Next, Reader.SkipTo,
-// the synth generators, and the sharded replayer's partitions.
+// each reference again: the Recorder, Read, Reader.Next, Reader.SkipTo
+// and the synth generators.
 func TestRefAreaClassified(t *testing.T) {
 	check := func(label string, layout mem.Layout, refs []trace.Ref) {
 		t.Helper()
@@ -328,10 +307,5 @@ func TestRefAreaClassified(t *testing.T) {
 			}
 		}
 		check(fmt.Sprintf("Next after SkipTo(%d)", skip), d.Layout(), got)
-	}
-
-	ccfg := BaseCache(cache.OptionsAll())
-	for i, part := range partitionBySet(tr, ccfg, 4) {
-		check(fmt.Sprintf("shard %d", i), part.Layout, part.Refs)
 	}
 }

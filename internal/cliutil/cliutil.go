@@ -1,8 +1,9 @@
-// Package cliutil holds the flag validation shared by the pimsim,
-// pimbench, pimtable, pimtrace and pimprof commands. The simulator
-// core panics on malformed configurations (and some bad values used to
-// slip far deeper before surfacing); these helpers turn bad flag
-// values into ordinary errors at the command line.
+// Package cliutil holds the flag handling shared by the pimsim,
+// pimbench, pimtable and pimtrace commands: validation, profiles, run
+// bounds, and the probe-layer telemetry flags. The simulator core
+// panics on malformed configurations (and some bad values used to slip
+// far deeper before surfacing); these helpers turn bad flag values into
+// ordinary errors at the command line.
 package cliutil
 
 import (
@@ -42,6 +43,15 @@ func ValidateJobs(jobs int) error {
 func ValidateBlock(block int) error {
 	if block < 1 || block&(block-1) != 0 {
 		return fmt.Errorf("-block must be a positive power of two (got %d)", block)
+	}
+	return nil
+}
+
+// ValidateBusWidth checks a -buswidth flag: at least one word per bus
+// cycle.
+func ValidateBusWidth(width int) error {
+	if width < 1 {
+		return fmt.Errorf("-buswidth must be at least 1 (got %d)", width)
 	}
 	return nil
 }

@@ -46,6 +46,19 @@ func TestValidateBlock(t *testing.T) {
 	}
 }
 
+func TestValidateBusWidth(t *testing.T) {
+	for _, width := range []int{1, 2, 8} {
+		if err := ValidateBusWidth(width); err != nil {
+			t.Errorf("ValidateBusWidth(%d) = %v, want nil", width, err)
+		}
+	}
+	for _, width := range []int{0, -1} {
+		if err := ValidateBusWidth(width); err == nil || !strings.Contains(err.Error(), "-buswidth") {
+			t.Errorf("ValidateBusWidth(%d) = %v, want an error naming -buswidth", width, err)
+		}
+	}
+}
+
 func TestParseOptions(t *testing.T) {
 	for name, want := range map[string]cache.Options{
 		"none": cache.OptionsNone(),

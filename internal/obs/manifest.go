@@ -52,9 +52,8 @@ type Manifest struct {
 
 // RunConfig is the canonical simulated-machine configuration of a run.
 // Everything here is deterministic and participates in the manifest
-// key; Mode and Shards describe the engine path (stream, resume,
-// sharded, probed, live, bench, table), which changes throughput but
-// never statistics.
+// key; Mode describes the engine path (stream, resume, probed, live,
+// bench, table), which changes throughput but never statistics.
 type RunConfig struct {
 	PEs           int    `json:"pes,omitempty"`
 	CacheWords    int    `json:"cache_words,omitempty"`
@@ -68,13 +67,12 @@ type RunConfig struct {
 	StatsOnly     bool   `json:"stats_only,omitempty"`
 	FiltersOff    bool   `json:"filters_off,omitempty"`
 	Mode          string `json:"mode,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
 }
 
 // NewRunConfig assembles a RunConfig from the shared CLI flag set.
 // optsName is the -opts flag value (the Options bitmask has no unique
 // name, so the flag string is the canonical spelling).
-func NewRunConfig(pes int, ccfg cache.Config, timing bus.Timing, optsName, mode string, shards int) RunConfig {
+func NewRunConfig(pes int, ccfg cache.Config, timing bus.Timing, optsName, mode string) RunConfig {
 	return RunConfig{
 		PEs:           pes,
 		CacheWords:    ccfg.SizeWords,
@@ -88,7 +86,6 @@ func NewRunConfig(pes int, ccfg cache.Config, timing bus.Timing, optsName, mode 
 		StatsOnly:     ccfg.StatsOnly,
 		FiltersOff:    ccfg.DisableBusFilters,
 		Mode:          mode,
-		Shards:        shards,
 	}
 }
 
@@ -267,14 +264,13 @@ func (m *Manifest) Key() string {
 
 // StatsKey identifies the *simulated outcome*: like Key, but with the
 // scenario label and the replay-engine knobs that provably do not
-// change statistics (Mode, Shards, StatsOnly, FiltersOff) cleared.
+// change statistics (Mode, StatsOnly, FiltersOff) cleared.
 // Manifests sharing a StatsKey must agree bit for bit on their Stats
 // section even when they took different engine paths — the free
 // cross-mode, cross-host determinism oracle.
 func (m *Manifest) StatsKey() string {
 	cfg := m.Config
 	cfg.Mode = ""
-	cfg.Shards = 0
 	cfg.StatsOnly = false
 	cfg.FiltersOff = false
 	return digestKey(keyFields{Config: cfg, Trace: m.Trace, Workload: m.Workload})

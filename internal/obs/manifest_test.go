@@ -16,7 +16,7 @@ func testManifest(mode string) *Manifest {
 		SizeWords: 4096, BlockWords: 4, Ways: 4, LockEntries: 4,
 		Protocol: cache.ProtocolPIM,
 	}
-	m.Config = NewRunConfig(8, ccfg, bus.DefaultTiming(), "all", mode, 0)
+	m.Config = NewRunConfig(8, ccfg, bus.DefaultTiming(), "all", mode)
 	m.Trace = &TraceInfo{SHA256: "ab12", Refs: 1000, PEs: 8, LayoutWords: 65536}
 	cs := cache.Stats{}
 	bs := bus.Stats{}

@@ -19,7 +19,7 @@ func mkManifest(scenario, mode string, mrefs float64, tweak func(*obs.Manifest))
 		SizeWords: 4096, BlockWords: 4, Ways: 4, LockEntries: 4,
 		Protocol: cache.ProtocolPIM,
 	}
-	m.Config = obs.NewRunConfig(8, ccfg, bus.DefaultTiming(), "all", mode, 0)
+	m.Config = obs.NewRunConfig(8, ccfg, bus.DefaultTiming(), "all", mode)
 	m.Trace = &obs.TraceInfo{SHA256: "feed", Refs: 1000, PEs: 8, LayoutWords: 65536}
 	cs := cache.Stats{}
 	cs.Hits[0] = 700

@@ -153,11 +153,11 @@ func Replay(t *Trace, ports []mem.Accessor) error {
 	return ReplayRange(t, ports, 0, len(t.Refs))
 }
 
-// ReplayRange replays the half-open reference range [lo, hi). It is the
-// checkpoint-resume and shard entry point: a resumer restores a machine
-// snapshot taken after k references and continues with ReplayRange(t,
-// ports, k, t.Len()); the sharded replayer feeds each worker its own
-// partition. Reported ref indices in errors are absolute trace positions.
+// ReplayRange replays the half-open reference range [lo, hi), so a
+// replay can stop at a checkpoint and continue from it: a resumer
+// restores a machine snapshot taken after k references and continues
+// with ReplayRange(t, ports, k, t.Len()). Reported ref indices in errors
+// are absolute trace positions.
 func ReplayRange(t *Trace, ports []mem.Accessor, lo, hi int) error {
 	if lo < 0 || hi > len(t.Refs) || lo > hi {
 		return fmt.Errorf("trace: range [%d, %d) outside trace of %d refs", lo, hi, len(t.Refs))
@@ -171,9 +171,9 @@ func ReplayRange(t *Trace, ports []mem.Accessor, lo, hi int) error {
 
 // ChunkReplayer drives reference chunks through a fixed set of caches.
 // Its Replay loop is the simulator's one per-reference dispatch: every
-// replay path — in-memory, streamed, resumed, sharded and probed —
-// sends each reference through cache.Apply with the area class its
-// producer computed.
+// replay path — in-memory, streamed, resumed and probed — sends each
+// reference through cache.Apply with the area class its producer
+// computed.
 type ChunkReplayer struct {
 	caches []*cache.Cache
 }

@@ -53,7 +53,7 @@ func replayToManifest(t *testing.T, data []byte, digest string, ccfg cache.Confi
 
 	man := obs.NewManifest("pimtrace")
 	man.Scenario = "matrix"
-	man.Config = obs.NewRunConfig(tr.PEs, ccfg, timing, "all", mode, 0)
+	man.Config = obs.NewRunConfig(tr.PEs, ccfg, timing, "all", mode)
 	man.Trace = &obs.TraceInfo{
 		SHA256: digest, Refs: refs, PEs: tr.PEs,
 		LayoutWords: uint64(tr.Layout.TotalWords()),
