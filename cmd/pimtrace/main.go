@@ -27,6 +27,7 @@ package main
 import (
 	"bufio"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -347,7 +348,7 @@ func replay(args []string) {
 		// run's — their manifests stay comparable.
 		src = io.TeeReader(cr, digest)
 	}
-	d, err := trace.NewReader(bufio.NewReaderSize(src, 1<<20))
+	d, err := trace.NewReader(bufio.NewReaderSize(src, 64<<10))
 	if err != nil {
 		fatal(err)
 	}
@@ -378,6 +379,7 @@ func replay(args []string) {
 	wd := run.Watchdog("replay "+fs.Arg(0), ph)
 	defer wd.Stop()
 	chunks := reg.Counter("trace.chunks")
+	// The hook runs on the replay's decoder goroutine: atomics only.
 	d.SetProgress(func(n int) {
 		chunks.Inc()
 		hb.Add(uint64(n))
@@ -407,10 +409,15 @@ func replay(args []string) {
 	})
 	workSeconds := time.Since(t0).Seconds()
 	hb.Stop()
+	if errors.Is(err, bench.ErrForeignCheckpoint) {
+		err = fmt.Errorf("%s: %w", *ckptPath, err)
+	}
 	if err != nil {
 		fatal(err)
 	}
 	bs, cs, refs := out.Bus, out.Cache, out.Refs
+	reg.Counter("trace.decode_ns").Add(uint64(out.DecodeTime))
+	reg.Counter("replay.stall_ns").Add(uint64(out.StallTime))
 	if err := stopProfiles(); err != nil {
 		fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -162,5 +163,71 @@ func TestReplayRefusesTelemetryWithCheckpoints(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			t.Errorf("refused replay wrote %s", name)
 		}
+	}
+}
+
+// TestResumeRefusesForeignCheckpoint pins the CLI's resume identity
+// check: a checkpoint taken from one trace must not be resumed on
+// another (exit 1, naming the checkpoint file, no manifest), while the
+// same checkpoint still resumes its own trace to the uninterrupted
+// replay's statistics.
+func TestResumeRefusesForeignCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	a := synthTrace(t, dir)
+	if _, stderr, code := pimtrace(t, dir, "synth", "-pes", "4", "-events", "20000", "-seed", "2", "-o", "b.trc"); code != 0 {
+		t.Fatalf("synth exited %d: %s", code, stderr)
+	}
+	ck := []string{"replay", "-checkpoint-every", "5000", "-checkpoint", "x.ckpt"}
+	if _, stderr, code := pimtrace(t, dir, append(ck, "-chaos-exit-after", "2", a)...); code != 3 {
+		t.Fatalf("chaos run exited %d, want 3: %s", code, stderr)
+	}
+	_, stderr, code := pimtrace(t, dir, append(ck, "-resume", "-manifest", "foreign.json", "b.trc")...)
+	if code != 1 || !strings.Contains(stderr, "x.ckpt: bench: resume: checkpoint at ref 16384: taken from a different trace") {
+		t.Errorf("resume on another trace: exit %d, stderr %q; want exit 1 naming x.ckpt", code, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "foreign.json")); err == nil {
+		t.Error("refused resume wrote a manifest")
+	}
+
+	if _, stderr, code := pimtrace(t, dir, append(ck, "-resume", "-manifest", "resumed.json", a)...); code != 0 {
+		t.Fatalf("resume on its own trace exited %d: %s", code, stderr)
+	}
+	if _, stderr, code := pimtrace(t, dir, "replay", "-manifest", "fresh.json", a); code != 0 {
+		t.Fatalf("fresh replay exited %d: %s", code, stderr)
+	}
+	resumed, err := obs.ReadManifestFile(filepath.Join(dir, "resumed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := obs.ReadManifestFile(filepath.Join(dir, "fresh.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.StatsKey() != fresh.StatsKey() || !reflect.DeepEqual(resumed.Stats, fresh.Stats) {
+		t.Error("resumed replay's statistics differ from the uninterrupted replay's")
+	}
+}
+
+// TestChaosTrailingData pins that two traces concatenated into one file
+// are refused by verify, info and replay with the byte offset where the
+// first trace ends, instead of replaying the first and ignoring the rest.
+func TestChaosTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := os.ReadFile(filepath.Join(dir, synthTrace(t, dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ab.trc"), append(raw, raw...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("trace: trailing data at byte offset %d after the last declared chunk", len(raw))
+	for _, args := range [][]string{{"verify", "ab.trc"}, {"info", "ab.trc"}, {"replay", "-manifest", "ab.json", "ab.trc"}} {
+		_, stderr, code := pimtrace(t, dir, args...)
+		if code != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("pimtrace %v: exit %d, stderr %q; want exit 1 with %q", args, code, stderr, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ab.json")); err == nil {
+		t.Error("refused replay wrote a manifest")
 	}
 }

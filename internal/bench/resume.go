@@ -2,8 +2,10 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
@@ -41,7 +43,18 @@ type ReplayOutcome struct {
 	Refs uint64
 	// Checkpoints counts durable checkpoint writes this run performed.
 	Checkpoints int
+	// DecodeTime is the host time the decoder goroutine spent in
+	// Reader.Next (reading, checksums, any tee on the source, decoding);
+	// StallTime is the time the replay waited on an empty ring. A run
+	// whose StallTime is a large share of its wall time was
+	// decode-bound. Host timing only: no simulated result depends on
+	// either.
+	DecodeTime, StallTime time.Duration
 }
+
+// ErrForeignCheckpoint marks a resume refused because the checkpoint was
+// taken from a different trace than the one being replayed.
+var ErrForeignCheckpoint = errors.New("taken from a different trace")
 
 // ReplayReaderResumable replays a serialized stream straight from its
 // Reader in chunks, never materializing the reference slice, so
@@ -50,12 +63,25 @@ type ReplayOutcome struct {
 // non-nil sink receives the memory-system event stream exactly as
 // ReplayConfig delivers it.
 //
+// The replay is a two-stage pipeline: a decoder goroutine calls d.Next
+// into a ring of ringChunks chunk buffers while the calling goroutine
+// replays the filled ones strictly in stream order, so reading,
+// checksumming and decoding overlap the cache simulation. Only the
+// goroutine that decodes changes; the references, their order and the
+// replay loop do not, so statistics, probe streams, checkpoints and
+// errors are those of decoding and replaying one chunk after the other.
+// A decode error is returned once every earlier chunk has replayed.
+// Every return waits for the decoder goroutine to exit, so the caller
+// owns d and its source again when this returns.
+//
 // With resume nil it replays d from the top. With resume set (a
 // snapshot a previous, interrupted run checkpointed — by this stats-only
 // replay or by an older data-carrying one) it restores the machine,
 // seeks the reader to the recorded position — re-validating every
-// skipped chunk's checksum on the way — and replays the rest.
-// Either way the returned statistics are bit-identical to an
+// skipped chunk's checksum on the way — checks that the snapshot was
+// taken from this trace (ErrForeignCheckpoint otherwise; snapshots from
+// builds that did not record the trace are trusted), and replays the
+// rest. Either way the returned statistics are bit-identical to an
 // uninterrupted replay of the whole stream: the resume protocol's
 // core guarantee, pinned by TestResumeBitIdentical and the soak
 // kill/resume oracle.
@@ -81,6 +107,7 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 		return nil, err
 	}
 
+	header := machine.TraceIdentity{PEs: d.PEs(), Layout: d.Layout(), Refs: d.Len()}
 	out := &ReplayOutcome{}
 	if resume != nil {
 		if resume.RefsReplayed < 0 {
@@ -92,30 +119,35 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 		if err := d.SkipTo(uint64(resume.RefsReplayed)); err != nil {
 			return nil, fmt.Errorf("bench: resume seek: %w", err)
 		}
+		if want, got := resume.Trace, header.At(d.Chain()); want != nil && *want != *got {
+			return nil, fmt.Errorf("bench: resume: checkpoint at ref %d: %w (checkpoint: %v; this trace: %v)",
+				resume.RefsReplayed, ErrForeignCheckpoint, want, got)
+		}
 		out.Refs = uint64(resume.RefsReplayed)
 	}
 
-	chunk := make([]trace.Ref, 4096)
+	dec := startDecoder(d)
+	defer func() { out.DecodeTime = dec.stop() }()
 	var sinceCkpt uint64
 	for {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("bench: replay canceled after %d refs: %w", out.Refs, err)
 		}
-		n, rerr := d.Next(chunk)
-		if n > 0 {
-			if err := cr.Replay(chunk[:n], int(out.Refs)); err != nil {
-				return out, err
-			}
-			out.Refs += uint64(n)
-			sinceCkpt += uint64(n)
+		c := dec.next(&out.StallTime)
+		if err := cr.Replay(c.refs, int(out.Refs)); err != nil {
+			return out, err
 		}
-		done := rerr == io.EOF
-		if rerr != nil && !done {
-			return out, rerr
+		out.Refs += uint64(len(c.refs))
+		sinceCkpt += uint64(len(c.refs))
+		dec.free <- c.refs[:cap(c.refs)]
+		done := c.err == io.EOF
+		if c.err != nil && !done {
+			return out, c.err
 		}
 		if ck.Every > 0 && sinceCkpt >= ck.Every && !done {
 			snap := m.Checkpoint()
 			snap.RefsReplayed = int(out.Refs)
+			snap.Trace = header.At(c.chain)
 			if err := write(snap); err != nil {
 				// The previous checkpoint (if any) is intact on disk; the
 				// run aborts cleanly rather than continue without the
@@ -137,4 +169,91 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 	out.Bus = m.BusStats()
 	out.Cache = m.CacheStats()
 	return out, nil
+}
+
+// ringChunks is the depth of the stream replay's ring: the decoder runs
+// at most this many chunks ahead of the replay. Four absorb a slow read
+// or two while the ring (128 KiB of references) stays cache-resident.
+const ringChunks = 4
+
+// chunkRefs sizes each ring buffer to one on-disk chunk, so Next decodes
+// straight into it and every hand-off carries exactly one chunk: the
+// checkpoint positions stay on the chunk boundaries a serial loop sees.
+const chunkRefs = 4096
+
+// decoded is one filled ring buffer: the references Next delivered, the
+// error it returned with them, and the reader's chunk chain after them
+// (the decoder runs ahead, so the replay cannot ask the reader).
+type decoded struct {
+	refs  []trace.Ref
+	err   error
+	chain uint32
+}
+
+// decoder runs Reader.Next on its own goroutine, into a fixed ring of
+// chunk buffers. Until stop returns, only that goroutine touches the
+// reader (and the progress hook runs there).
+type decoder struct {
+	full chan decoded     // filled buffers, in stream order
+	free chan []trace.Ref // buffers the replay has finished with
+	quit chan struct{}    // closed by stop
+	done chan struct{}    // closed when the goroutine exits
+	busy time.Duration    // time in Next; read after done is closed
+}
+
+func startDecoder(d *trace.Reader) *decoder {
+	p := &decoder{
+		full: make(chan decoded, ringChunks),
+		free: make(chan []trace.Ref, ringChunks),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	for range ringChunks {
+		p.free <- make([]trace.Ref, chunkRefs)
+	}
+	go p.run(d)
+	return p
+}
+
+// run decodes until the stream ends or fails, or stop is called. Both
+// channels hold as many entries as there are buffers, so no send blocks.
+func (p *decoder) run(d *trace.Reader) {
+	defer close(p.done)
+	for {
+		var buf []trace.Ref
+		select {
+		case buf = <-p.free:
+		case <-p.quit:
+			return
+		}
+		t0 := time.Now()
+		n, err := d.Next(buf)
+		p.busy += time.Since(t0)
+		p.full <- decoded{buf[:n], err, d.Chain()}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// next returns the next filled buffer in stream order, adding the time
+// spent waiting for it, if any, to *stall.
+func (p *decoder) next(stall *time.Duration) decoded {
+	select {
+	case c := <-p.full:
+		return c
+	default:
+	}
+	t0 := time.Now()
+	c := <-p.full
+	*stall += time.Since(t0)
+	return c
+}
+
+// stop makes the decoder goroutine exit, waits for it, and reports the
+// time it spent in Next.
+func (p *decoder) stop() time.Duration {
+	close(p.quit)
+	<-p.done
+	return p.busy
 }

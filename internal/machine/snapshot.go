@@ -13,6 +13,7 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/word"
+	"pimcache/internal/mem"
 	"pimcache/internal/safeio"
 )
 
@@ -42,6 +43,33 @@ type Snapshot struct {
 	Memory       []word.Word
 	Bus          *bus.Snapshot
 	Caches       []*cache.Snapshot
+	// Trace identifies the trace a replay checkpoint was taken from, at
+	// RefsReplayed, so a resume can refuse a different trace. Nil in
+	// snapshots from older builds and from non-replay uses.
+	Trace *TraceIdentity
+}
+
+// TraceIdentity identifies a serialized trace at a stream position: its
+// header (PE count, layout, declared reference count) and the CRC32C
+// chained over the stored checksums of the chunks read up to that
+// position (trace.Reader.Chain).
+type TraceIdentity struct {
+	PEs    int
+	Layout mem.Layout
+	Refs   uint64
+	Chain  uint32
+}
+
+// At returns the identity of the same header at the position whose
+// chunk chain is chain.
+func (id TraceIdentity) At(chain uint32) *TraceIdentity {
+	id.Chain = chain
+	return &id
+}
+
+func (id TraceIdentity) String() string {
+	return fmt.Sprintf("%d PEs, %d layout words, %d refs, chunk chain %08x",
+		id.PEs, id.Layout.TotalWords(), id.Refs, id.Chain)
 }
 
 // Checkpoint captures the machine's complete simulated state.

@@ -21,8 +21,8 @@ import (
 // inside the header's layout), whose area class it fills in. A corrupt
 // or torn stream yields a clean error labeled with the byte offset of
 // the damage — never an out-of-range index inside the replay loop, and
-// never a silently short stream: io.EOF from Next means every declared
-// reference was delivered intact.
+// never a silently short or long stream: io.EOF from Next means every
+// declared reference was delivered intact and the stream ended there.
 type Reader struct {
 	r       io.Reader
 	pes     int
@@ -32,6 +32,7 @@ type Reader struct {
 	read    uint64     // refs delivered so far
 	off     int64      // bytes consumed from r
 	chunks  uint64     // CRC-verified chunk frames decoded
+	chain   uint32     // CRC32C chained over the chunk checksums read so far
 	buf     []byte     // raw chunk bytes: frame + payload
 	pend    []Ref      // decoded refs not yet delivered
 	pendBuf []Ref      // backing array for pend, refsPerChunk capacity
@@ -42,7 +43,11 @@ type Reader struct {
 
 // SetProgress installs a hook called after every decoded batch with the
 // number of references just decoded. Streaming replays use it to feed a
-// heartbeat (obs.Heartbeat.Add); a nil fn disables the hook.
+// heartbeat (obs.Heartbeat.Add); a nil fn disables the hook. The hook
+// runs on the goroutine that calls Next. Under
+// bench.ReplayReaderResumable that is the decoder goroutine, which runs
+// ahead of and concurrently with the replay, so the hook must touch only
+// state that is safe for concurrent use (atomics such as obs.Counter).
 func (d *Reader) SetProgress(fn func(n int)) { d.progress = fn }
 
 // NewReader reads and validates the stream header, leaving r positioned
@@ -92,8 +97,30 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("trace: header layout ends at word %d, beyond the 32-bit address space", end)
 	}
 	d.n = binary.LittleEndian.Uint64(hdr[24:])
+	if d.n == 0 {
+		// The header CRC is the last declared byte.
+		if err := d.checkEnd(); err != nil {
+			return nil, err
+		}
+	}
 	d.buf = make([]byte, frameBytes+refBytes*refsPerChunk)
 	return d, nil
+}
+
+// checkEnd requires the stream to end at the last declared byte, just
+// consumed: bytes after it (two traces concatenated, say) would otherwise
+// be ignored by the replay yet hashed into a manifest's trace digest only
+// as far as read-ahead happened to pull them in.
+func (d *Reader) checkEnd() error {
+	var b [1]byte
+	switch err := d.fill(b[:]); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("trace: trailing data at byte offset %d after the last declared chunk (%d refs)", d.off-1, d.n)
+	default:
+		return err
+	}
 }
 
 // fill is io.ReadFull with byte-offset accounting.
@@ -116,6 +143,12 @@ func (d *Reader) Offset() int64 { return d.off }
 // Chunks reports how many CRC-verified chunk frames have been decoded.
 func (d *Reader) Chunks() uint64 { return d.chunks }
 
+// Chain reports the CRC32C chained over the stored checksums of every
+// chunk read so far, in order: with the header, it identifies the trace
+// up to the current position at O(1) cost per chunk. A checkpoint
+// records it so a resume can refuse a different trace.
+func (d *Reader) Chain() uint32 { return d.chain }
+
 // Replayed reports how many references have been delivered so far.
 func (d *Reader) Replayed() uint64 { return d.read }
 
@@ -126,9 +159,11 @@ func (d *Reader) Len() uint64 { return d.n }
 
 // Next decodes up to len(dst) references into dst and returns how many
 // were decoded. It returns io.EOF — possibly alongside the final
-// references — once all declared references have been delivered; any
-// earlier end of stream is an error. Errors are permanent: a Reader
-// that returned one delivers no further references.
+// references — once all declared references have been delivered and the
+// stream ends there; any earlier end of stream is an error, and so are
+// bytes after the last declared chunk (returned alongside the final
+// references). Errors are permanent: a Reader that returned one
+// delivers no further references.
 func (d *Reader) Next(dst []Ref) (int, error) {
 	if d.read == d.n {
 		return 0, io.EOF
@@ -145,6 +180,9 @@ func (d *Reader) Next(dst []Ref) (int, error) {
 		d.progress(n)
 	}
 	if d.read == d.n {
+		if err := d.checkEnd(); err != nil {
+			return n, err
+		}
 		return n, io.EOF
 	}
 	return n, nil
@@ -195,6 +233,7 @@ func (d *Reader) nextChunk(dst []Ref) (int, error) {
 		return 0, fmt.Errorf("trace: chunk checksum mismatch at byte offset %d (refs %d..%d of %d: computed %#x, stored %#x)",
 			payloadOff, d.read, d.read+uint64(plen/refBytes)-1, d.n, got, wantCRC)
 	}
+	d.chain = crc32.Update(d.chain, castagnoli, frame[4:8])
 	k := int(plen) / refBytes
 	if len(dst) >= k {
 		if err := d.decodeRefs(payload, dst[:k], payloadOff); err != nil {
@@ -288,9 +327,9 @@ type VerifyInfo struct {
 }
 
 // Verify stream-validates a serialized trace end to end — header
-// and its CRC, chunk framing, chunk checksums, and every
-// reference's PE, op and address — without building a machine or
-// replaying.
+// and its CRC, chunk framing, chunk checksums, every reference's PE,
+// op and address, and the end of the stream at the last declared
+// chunk — without building a machine or replaying.
 // The first damage fails with the same byte-offset-labeled error a
 // replay would produce.
 func Verify(r io.Reader) (*VerifyInfo, error) {

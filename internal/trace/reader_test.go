@@ -465,3 +465,83 @@ func TestStreamedReplayMatchesReplay(t *testing.T) {
 		t.Errorf("cache stats diverge\nmaterialized: %+v\nstreamed:     %+v", c1, c2)
 	}
 }
+
+// TestChaosTrailingData pins the end of the stream: bytes after the last
+// declared chunk — a second trace appended, or one stray byte, after a
+// full or an empty trace — fail Read, Next, SkipTo and Verify with the
+// byte offset of the first extra byte instead of being ignored.
+func TestChaosTrailingData(t *testing.T) {
+	for _, tr := range []*Trace{largeSyntheticTrace(refsPerChunk + 9), {PEs: 2, Layout: smallTrace().Layout}} {
+		raw := encodeTrace(t, tr)
+		if _, err := Verify(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%d refs: Verify clean stream: %v", tr.Len(), err)
+		}
+		want := fmt.Sprintf("trailing data at byte offset %d after the last declared chunk", len(raw))
+		for name, tail := range map[string][]byte{"second trace": raw, "one byte": {0}} {
+			long := append(append([]byte(nil), raw...), tail...)
+			label := fmt.Sprintf("%d refs + %s", tr.Len(), name)
+			readErr(t, label, long, want)
+			if _, err := Verify(bytes.NewReader(long)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: Verify: %v, want %q", label, err, want)
+			}
+			if d, err := NewReader(bytes.NewReader(long)); err == nil {
+				if err := d.SkipTo(d.Len()); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: SkipTo the end: %v, want %q", label, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestResumeIdentityChain pins the reader's chunk chain, the trace
+// identity a checkpoint records: the CRC32C over the stored chunk
+// checksums in order, the same whether the chunks were delivered or
+// skipped, and different from the first chunk whose content differs.
+func TestResumeIdentityChain(t *testing.T) {
+	tr := largeSyntheticTrace(refsPerChunk*3 + 5)
+	raw := encodeTrace(t, tr)
+	var sums []byte
+	for off := chunk0; off < len(raw); off += frameBytes + int(binary.LittleEndian.Uint32(raw[off:])) {
+		sums = append(sums, raw[off+4:off+8]...)
+	}
+	chains := func(raw []byte) []uint32 {
+		d, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []uint32{d.Chain()}
+		buf := make([]Ref, refsPerChunk)
+		for {
+			_, err := d.Next(buf)
+			out = append(out, d.Chain())
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := chains(raw)
+	if want := crc32.Checksum(sums, castagnoli); got[len(got)-1] != want {
+		t.Errorf("chain after the last chunk %08x, want the CRC32C of the chunk checksums %08x", got[len(got)-1], want)
+	}
+	for k := range got {
+		d, _ := NewReader(bytes.NewReader(raw))
+		if err := d.SkipTo(min(uint64(k*refsPerChunk), d.Len())); err != nil {
+			t.Fatal(err)
+		}
+		if d.Chain() != got[k] {
+			t.Errorf("chain after skipping %d chunks %08x, after delivering them %08x", k, d.Chain(), got[k])
+		}
+	}
+
+	edited := largeSyntheticTrace(tr.Len())
+	edited.Refs[refsPerChunk+7].PE ^= 1
+	other := chains(encodeTrace(t, edited))
+	for k := range got {
+		if same := other[k] == got[k]; same != (k < 2) {
+			t.Errorf("after %d chunks: chains equal = %v, want %v (chunk 1 differs)", k, same, k < 2)
+		}
+	}
+}
