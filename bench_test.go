@@ -12,6 +12,7 @@ package pimcache
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -261,17 +262,41 @@ func BenchmarkSimulatePascal(b *testing.B) { benchmarkSimulator(b, "Pascal") }
 
 // --- component microbenchmarks ---
 
-// BenchmarkCacheReadHit measures the simulated cache's hit path.
+// BenchmarkCacheReadHit measures the simulated cache's hit path on one
+// full set of the 4-way cache. way0 reads one block, so every lookup
+// matches way 0. mixed cycles through a fixed order in which every
+// other read hits way 0 and the reads between hit ways 1–3 in
+// pseudo-random order: predictable way-0 hits and spread-out others,
+// the pattern lookup's branch-free match over ways 1–3 is for
+// (DESIGN.md §10).
 func BenchmarkCacheReadHit(b *testing.B) {
 	m := mem.New(mem.Layout{InstWords: 64, HeapWords: 8192, GoalWords: 256, SuspWords: 64, CommWords: 64})
 	bsys := bus.New(bus.Config{Timing: bus.DefaultTiming(), BlockWords: 4}, m)
 	c := cache.New(cache.Config{SizeWords: 1024, BlockWords: 4, Ways: 4, LockEntries: 2}, 0, bsys)
 	base := m.Bounds().HeapBase
-	c.Read(base)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Read(base + word.Addr(i&3))
+	const stride = 1024 / 4 // words between blocks of one set: sets × block words
+	for w := 0; w < 4; w++ {
+		c.Read(base + stride*word.Addr(w)) // fills way w
 	}
+	var mixed [1024]word.Addr
+	rng := rand.New(rand.NewSource(1))
+	for i := range mixed {
+		w := 0
+		if i%2 == 1 {
+			w = 1 + rng.Intn(3)
+		}
+		mixed[i] = base + stride*word.Addr(w) + word.Addr(i&3)
+	}
+	b.Run("way0", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Read(base + word.Addr(i&3))
+		}
+	})
+	b.Run("mixed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Read(mixed[i%len(mixed)])
+		}
+	})
 }
 
 // BenchmarkCacheCoherenceMiss measures the two-cache transfer path.

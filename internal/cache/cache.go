@@ -23,6 +23,10 @@ import (
 // base planes back the coherence bookkeeping, and the data plane is
 // one flat word slice (frame f's block at f*BlockWords).
 //
+// A block occupies at most one frame: every install goes through a miss
+// (lookup failed) or a restored snapshot that Restore has checked, and the
+// 4-way lookup relies on it.
+//
 // A Cache is not safe for concurrent use; the machine steps PEs
 // deterministically and the bus serializes all coherence activity.
 type Cache struct {
@@ -215,12 +219,31 @@ func frameTag(base word.Addr, st State) uint64 {
 }
 
 // lookup returns the frame holding a, or -1. This is the hot path: it
-// scans the ways of one set through the packed tag plane only. A frame
+// reads the ways of one set from the packed tag plane only. A frame
 // matches iff tag^want is a valid (nonzero) state, i.e. in 1..numStates-1
 // — one XOR and one unsigned compare per way.
+//
+// The 4-way base geometry tests way 0 with a branch the host predicts
+// well (victimFor fills the first invalid way, so on hit-dominated
+// replays way 0 takes the largest share of hits), then matches ways 1–3
+// without branches: each compare's borrow is 1 on a match, and the
+// borrows fold into the way number. The fold is exact only because a
+// block occupies at most one frame. Other geometries scan.
 func (c *Cache) lookup(a word.Addr) int {
 	want := uint64(a&^c.offMask) << 8
 	f := int((a>>c.blockShift)&c.setMask) * c.ways
+	if c.ways == 4 {
+		d := c.tags[f : f+4 : f+4]
+		if (d[0]^want)-1 < uint64(numStates)-1 {
+			return f
+		}
+		_, m1 := bits.Sub64((d[1]^want)-1, uint64(numStates)-1, 0)
+		_, m2 := bits.Sub64((d[2]^want)-1, uint64(numStates)-1, 0)
+		_, m3 := bits.Sub64((d[3]^want)-1, uint64(numStates)-1, 0)
+		// hit is 1 on a match in ways 1–3, else 0, which yields -1.
+		hit := int(m1 | m2 | m3)
+		return hit*(f+int(m1+2*m2+3*m3)+1) - 1
+	}
 	d := c.tags[f : f+c.ways]
 	for i := range d {
 		if (d[i]^want)-1 < uint64(numStates)-1 {
@@ -360,12 +383,18 @@ func (c *Cache) fetchInto(a word.Addr, inval bool) int {
 // of ER/RP/RI. It records hit/miss under op.
 func (c *Cache) readInternal(a word.Addr, op Op) word.Word {
 	if f := c.lookup(a); f >= 0 {
-		c.stats.Hits[op]++
-		c.touch(f)
-		return c.loadWord(f, a)
+		return c.readHit(f, a, op)
 	}
 	c.miss(a, op)
 	f := c.fetchInto(a, false)
+	return c.loadWord(f, a)
+}
+
+// readHit is readInternal's hit half, for callers that already looked
+// up the frame f holding a.
+func (c *Cache) readHit(f int, a word.Addr, op Op) word.Word {
+	c.stats.Hits[op]++
+	c.touch(f)
 	return c.loadWord(f, a)
 }
 
@@ -388,30 +417,7 @@ func (c *Cache) writeInternal(a word.Addr, w word.Word, op Op) {
 		return
 	}
 	if f := c.lookup(a); f >= 0 {
-		c.stats.Hits[op]++
-		c.touch(f)
-		switch st := c.states[f]; {
-		case st == EC:
-			c.setState(f, EM, probe.ReasonWrite)
-		case !st.Exclusive():
-			// Writing a shared block. Invalidate protocols kill the other
-			// copies; the block stays non-exclusive if a remote PE holds
-			// a lock on one of its words (see Bus.RemoteLockInBlock), and
-			// a killed remote dirty copy needs no special handling here:
-			// the writer's copy becomes modified either way. Update
-			// protocols broadcast the word to the other copies instead.
-			if c.isUpdate {
-				c.updateShared(f, a, w)
-				break
-			}
-			if ok, _ := c.bus.Invalidate(c.pe, a, false); !ok {
-				c.stats.BusyWaits++
-				c.bus.ForceInvalidate(c.pe, a)
-			}
-			locked := c.bus.RemoteLockInBlock(c.pe, a) && !Faults.GrantEMOverRemoteLock
-			c.setState(f, c.proto.WriteOwnState(locked), probe.ReasonWrite)
-		}
-		c.storeWord(f, a, w)
+		c.writeHit(f, a, w, op)
 		return
 	}
 	c.miss(a, op)
@@ -431,6 +437,35 @@ func (c *Cache) writeInternal(a word.Addr, w word.Word, op Op) {
 	// A lock-forced non-exclusive grant keeps the writer dirty-shared.
 	locked := !c.states[f].Exclusive() && !Faults.GrantEMOverRemoteLock
 	c.setState(f, c.proto.WriteOwnState(locked), probe.ReasonWrite)
+	c.storeWord(f, a, w)
+}
+
+// writeHit is writeInternal's copy-back hit half, for callers that
+// already looked up the frame f holding a.
+func (c *Cache) writeHit(f int, a word.Addr, w word.Word, op Op) {
+	c.stats.Hits[op]++
+	c.touch(f)
+	switch st := c.states[f]; {
+	case st == EC:
+		c.setState(f, EM, probe.ReasonWrite)
+	case !st.Exclusive():
+		// Writing a shared block. Invalidate protocols kill the other
+		// copies; the block stays non-exclusive if a remote PE holds
+		// a lock on one of its words (see Bus.RemoteLockInBlock), and
+		// a killed remote dirty copy needs no special handling here:
+		// the writer's copy becomes modified either way. Update
+		// protocols broadcast the word to the other copies instead.
+		if c.isUpdate {
+			c.updateShared(f, a, w)
+			break
+		}
+		if ok, _ := c.bus.Invalidate(c.pe, a, false); !ok {
+			c.stats.BusyWaits++
+			c.bus.ForceInvalidate(c.pe, a)
+		}
+		locked := c.bus.RemoteLockInBlock(c.pe, a) && !Faults.GrantEMOverRemoteLock
+		c.setState(f, c.proto.WriteOwnState(locked), probe.ReasonWrite)
+	}
 	c.storeWord(f, a, w)
 }
 
@@ -517,10 +552,10 @@ func (c *Cache) directWrite(a word.Addr, w word.Word, area mem.Area) {
 		c.writeInternal(a, w, OpDW)
 		return
 	}
-	if c.lookup(a) >= 0 {
+	if f := c.lookup(a); f >= 0 {
 		// Already resident (a previous DW to this block): a plain hit.
 		c.stats.DWDegraded++
-		c.writeInternal(a, w, OpDW)
+		c.writeHit(f, a, w, OpDW)
 		return
 	}
 	if c.isUpdate && !Faults.SkipDWUpdateInval && c.bus.RemoteHolder(c.pe, a) {
@@ -588,9 +623,7 @@ func (c *Cache) exclusiveRead(a word.Addr, area mem.Area) word.Word {
 	}
 	last := a&c.offMask == c.offMask
 	if f := c.lookup(a); f >= 0 {
-		c.stats.Hits[OpER]++
-		c.touch(f)
-		v := c.loadWord(f, a)
+		v := c.readHit(f, a, OpER)
 		if last {
 			// Case (ii): the block is dead after this read; discard it
 			// even if modified — that is the whole point (the data is
@@ -683,9 +716,9 @@ func (c *Cache) readInvalidate(a word.Addr, area mem.Area) word.Word {
 		c.stats.RIDegraded++
 		return c.readInternal(a, OpRI)
 	}
-	if c.lookup(a) >= 0 {
+	if f := c.lookup(a); f >= 0 {
 		c.stats.RIDegraded++
-		return c.readInternal(a, OpRI)
+		return c.readHit(f, a, OpRI)
 	}
 	c.miss(a, OpRI)
 	if c.bus.RemoteHolder(c.pe, a) {

@@ -66,18 +66,15 @@ func (c *Cache) Snapshot() *Snapshot {
 
 // Restore overwrites the cache's mutable state from a snapshot taken on a
 // cache with the same configuration. A stats-only cache drops the
-// snapshot's data plane, if it has one. The bus presence filter is NOT
-// updated here — the filter is bus state, and a machine-level restore
-// reinstates it through bus.(*Bus).Restore; restoring a lone cache
-// outside a machine checkpoint would desynchronize the filter.
+// snapshot's data plane, if it has one. A snapshot that fails
+// checkSnapshot is refused before anything is copied. The bus presence
+// filter is NOT updated here — the filter is bus state, and a
+// machine-level restore reinstates it through bus.(*Bus).Restore;
+// restoring a lone cache outside a machine checkpoint would
+// desynchronize the filter.
 func (c *Cache) Restore(s *Snapshot) error {
-	if len(s.States) != len(c.states) || !c.noData && len(s.Data) != len(c.data) {
-		return fmt.Errorf("cache: snapshot geometry %d frames/%d words does not match cache %d/%d",
-			len(s.States), len(s.Data), len(c.states), len(c.data))
-	}
-	if len(s.Locks) != len(c.dir.entries) {
-		return fmt.Errorf("cache: snapshot has %d lock entries, cache has %d",
-			len(s.Locks), len(c.dir.entries))
+	if err := c.checkSnapshot(s); err != nil {
+		return err
 	}
 	copy(c.states, s.States)
 	copy(c.bases, s.Bases)
@@ -91,18 +88,55 @@ func (c *Cache) Restore(s *Snapshot) error {
 	copy(c.lru, s.LRU)
 	copy(c.data, s.Data)
 	c.lruClock = s.LRUClock
-	if c.updCounts != nil {
-		if len(s.UpdCounts) != len(c.updCounts) {
-			return fmt.Errorf("cache: snapshot has %d update counters, cache has %d",
-				len(s.UpdCounts), len(c.updCounts))
-		}
-		copy(c.updCounts, s.UpdCounts)
-	}
+	copy(c.updCounts, s.UpdCounts)
 	for i, e := range s.Locks {
 		c.dir.entries[i] = lockEntry{addr: e.Addr, state: e.State}
 	}
 	c.blocked = s.Blocked
 	c.blockedOn = s.BlockedOn
 	c.stats = s.Stats
+	return nil
+}
+
+// checkSnapshot validates s against c's geometry and the directory
+// invariants the hit path relies on: every plane has one entry per
+// frame, every state is known, and every valid frame holds a
+// block-aligned base of its own set that no other way of the set holds
+// (lookup assumes a block occupies at most one frame).
+func (c *Cache) checkSnapshot(s *Snapshot) error {
+	frames := len(c.states)
+	if len(s.States) != frames || len(s.Bases) != frames || len(s.LRU) != frames ||
+		!c.noData && len(s.Data) != len(c.data) {
+		return fmt.Errorf("cache: snapshot geometry %d states/%d bases/%d LRU clocks/%d words does not match cache %d frames/%d words",
+			len(s.States), len(s.Bases), len(s.LRU), len(s.Data), frames, len(c.data))
+	}
+	if len(s.Locks) != len(c.dir.entries) {
+		return fmt.Errorf("cache: snapshot has %d lock entries, cache has %d",
+			len(s.Locks), len(c.dir.entries))
+	}
+	if c.updCounts != nil && len(s.UpdCounts) != len(c.updCounts) {
+		return fmt.Errorf("cache: snapshot has %d update counters, cache has %d",
+			len(s.UpdCounts), len(c.updCounts))
+	}
+	for f, st := range s.States {
+		if st >= numStates {
+			return fmt.Errorf("cache: snapshot frame %d: unknown state %d", f, st)
+		}
+		if st == INV {
+			continue
+		}
+		base, set := s.Bases[f], f/c.ways
+		if base&c.offMask != 0 {
+			return fmt.Errorf("cache: snapshot frame %d: base %#x is not block-aligned", f, base)
+		}
+		if got := int((base >> c.blockShift) & c.setMask); got != set {
+			return fmt.Errorf("cache: snapshot frame %d (set %d): block %#x belongs to set %d", f, set, base, got)
+		}
+		for g := set * c.ways; g < f; g++ {
+			if s.States[g] != INV && s.Bases[g] == base {
+				return fmt.Errorf("cache: snapshot frames %d and %d both hold block %#x", g, f, base)
+			}
+		}
+	}
 	return nil
 }

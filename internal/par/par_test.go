@@ -96,9 +96,12 @@ func TestPoolTasksMaySubmitTasks(t *testing.T) {
 
 func TestPoolCancelDropsPending(t *testing.T) {
 	p := New(1)
-	release := make(chan struct{})
+	held, release := make(chan struct{}), make(chan struct{})
 	var ran atomic.Int64
-	p.Go(func() error { <-release; return nil })
+	p.Go(func() error { close(held); <-release; return nil })
+	// Go starts one goroutine per task, so any task could win the single
+	// slot: submit the others only once the blocker holds it.
+	<-held
 	for i := 0; i < 10; i++ {
 		p.Go(func() error { ran.Add(1); return nil })
 	}
@@ -115,9 +118,10 @@ func TestPoolCancelDropsPending(t *testing.T) {
 func TestPoolCtxCancelDropsPendingAndReportsErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewCtx(ctx, 1)
-	release := make(chan struct{})
+	held, release := make(chan struct{}), make(chan struct{})
 	var ran atomic.Int64
-	p.Go(func() error { <-release; return nil })
+	p.Go(func() error { close(held); <-release; return nil })
+	<-held // the blocker holds the slot (see TestPoolCancelDropsPending)
 	for i := 0; i < 10; i++ {
 		p.Go(func() error { ran.Add(1); return nil })
 	}
