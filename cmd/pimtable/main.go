@@ -9,11 +9,8 @@
 //	pimtable                  # PIM protocol
 //	pimtable -protocol illinois
 //	pimtable -protocol all    # every registered protocol (the ablation)
-//	pimtable -jobs 1          # derive serially
 //
-// Each transition is derived by an independent two-cache experiment, so
-// the derivation fans out over -jobs workers; the table is identical for
-// every job count.
+// Each transition is derived by an independent two-cache experiment.
 package main
 
 import (
@@ -33,12 +30,12 @@ import (
 // registered protocol, in registry (enum) order, so a protocol added to
 // the cache package automatically appears here. ph gets one derivation
 // phase per protocol for the manifest timing breakdown.
-func renderAll(ph *obs.Phases, jobs int) (string, int) {
+func renderAll(ph *obs.Phases) (string, int) {
 	var sb strings.Builder
 	total := 0
 	for i, p := range cache.Protocols() {
 		sp := ph.Start("derive/" + p.Name())
-		rows := cache.DeriveTransitionsJobs(p.ID(), jobs)
+		rows := cache.DeriveTransitions(p.ID())
 		sp.End()
 		if i > 0 {
 			sb.WriteString("\n")
@@ -53,7 +50,6 @@ func renderAll(ph *obs.Phases, jobs int) (string, int) {
 func main() {
 	proto := flag.String("protocol", "pim",
 		cliutil.ProtocolFlagHelp()+"; or 'all' for every registered protocol")
-	jobs := flag.Int("jobs", 0, "concurrent derivation experiments (0 = all CPU cores)")
 	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
 	run := cliutil.TimeoutFlags(flag.CommandLine)
 	flag.Parse()
@@ -62,14 +58,10 @@ func main() {
 	cliutil.AbortOnDone(ctx, 30*time.Second, os.Stderr)
 	man := obs.NewManifest("pimtable")
 	ph := obs.NewPhases()
-	if err := cliutil.ValidateJobs(*jobs); err != nil {
-		fmt.Fprintln(os.Stderr, "pimtable:", err)
-		os.Exit(2)
-	}
 	var table string
 	var transitions int
 	if *proto == "all" {
-		table, transitions = renderAll(ph, *jobs)
+		table, transitions = renderAll(ph)
 		fmt.Printf("transition-table ablation: %d registered protocols, %d transitions\n",
 			len(cache.Protocols()), transitions)
 		fmt.Println("(local PE0 state x remote PE1 context x processor op; base timing)")
@@ -82,7 +74,7 @@ func main() {
 			os.Exit(2)
 		}
 		sp := ph.Start("derive/" + *proto)
-		rows := cache.DeriveTransitionsJobs(p, *jobs)
+		rows := cache.DeriveTransitions(p)
 		sp.End()
 		transitions = len(rows)
 		fmt.Printf("%s protocol: %d derived transitions\n", *proto, transitions)

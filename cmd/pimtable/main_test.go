@@ -20,7 +20,7 @@ const goldenPath = "testdata/ablation.golden"
 //
 //	PIMTABLE_GEN_GOLDEN=1 go test ./cmd/pimtable
 func TestAblationGolden(t *testing.T) {
-	got, transitions := renderAll(obs.NewPhases(), 0)
+	got, transitions := renderAll(obs.NewPhases())
 	if os.Getenv("PIMTABLE_GEN_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

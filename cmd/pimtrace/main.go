@@ -196,8 +196,9 @@ func info(args []string) {
 }
 
 // verify stream-validates artifacts without replaying: traces (framing,
-// checksums, every reference), checkpoints (frame, checksum,
-// decodability) and run manifests (JSON + schema).
+// checksums, every reference), checkpoints (frame, checksum, and a
+// restore into a stats-only machine of the recorded configuration, as
+// -resume does) and run manifests (JSON + schema).
 // The file type is sniffed from its magic. Exit status 1 with the
 // first bad offset on any damage; success prints one summary line per
 // file.
@@ -249,8 +250,19 @@ func verifyFile(path string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("ok checkpoint: %d PEs, replay position %d, %d memory words",
-			s.Config.PEs, s.RefsReplayed, len(s.Memory)), nil
+		if err := s.Verify(); err != nil {
+			return "", err
+		}
+		resident := 0
+		for _, c := range s.Caches {
+			for _, st := range c.States {
+				if st.Valid() {
+					resident++
+				}
+			}
+		}
+		return fmt.Sprintf("ok checkpoint: %d PEs, replay position %d, %d resident blocks",
+			s.Config.PEs, s.RefsReplayed, resident), nil
 	case len(sniff) > 0 && (sniff[0] == '{' || sniff[0] == ' ' || sniff[0] == '\n'):
 		m, err := obs.ReadManifestFile(path)
 		if err != nil {

@@ -9,10 +9,17 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"pimcache/internal/cache"
+	"pimcache/internal/kl1/word"
+	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/obs"
+	"pimcache/internal/safeio"
+	"pimcache/internal/trace"
 )
 
 // The tests drive the real command: with pimtraceAsCommand set in its
@@ -229,5 +236,83 @@ func TestChaosTrailingData(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ab.json")); err == nil {
 		t.Error("refused replay wrote a manifest")
+	}
+}
+
+// TestReplayRefusesLockMisuse pins that a trace whose lock references no
+// live run produces passes verify (its framing is sound) but fails replay
+// with exit 1 and a labeled error naming the reference, never a panic.
+func TestReplayRefusesLockMisuse(t *testing.T) {
+	dir := t.TempDir()
+	layout := mem.DefaultLayout()
+	a := layout.Bounds().HeapBase
+	lr := func(addr word.Addr) trace.Ref { return trace.Ref{Op: cache.OpLR, Addr: addr} }
+	for _, tc := range []struct {
+		name string
+		refs []trace.Ref
+		want string
+	}{
+		{"unlock.trc", []trace.Ref{{Op: cache.OpR, Addr: a}, {Op: cache.OpU, Addr: a}},
+			"trace: ref 1 (PE 0): cache: unlock of unheld address"},
+		{"relock.trc", []trace.Ref{lr(a), lr(a)},
+			"trace: ref 1 (PE 0): cache: re-locking"},
+		{"overflow.trc", []trace.Ref{lr(a), lr(a + 1), lr(a + 2), lr(a + 3), lr(a + 4)},
+			"trace: ref 4 (PE 0): cache: lock directory overflow"},
+	} {
+		tr := &trace.Trace{PEs: 1, Layout: layout, Refs: tc.refs}
+		if err := safeio.WriteFile(filepath.Join(dir, tc.name), tr.Write); err != nil {
+			t.Fatal(err)
+		}
+		if stdout, stderr, code := pimtrace(t, dir, "verify", tc.name); code != 0 || !strings.Contains(stdout, "ok trace v3") {
+			t.Errorf("verify %s: exit %d, stdout %q, stderr %q; want ok", tc.name, code, stdout, stderr)
+		}
+		_, stderr, code := pimtrace(t, dir, "replay", tc.name)
+		if code != 1 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, tc.want) {
+			t.Errorf("replay %s: exit %d, stderr %q; want exit 1 with %q", tc.name, code, stderr, tc.want)
+		}
+	}
+}
+
+// TestVerifyRestoresCheckpoints pins that verify checks a checkpoint the
+// way -resume does: a real checkpoint reports its PE count, replay
+// position and resident blocks, while one that Restore refuses, or whose
+// recorded geometry its planes do not match, fails with exit 1.
+func TestVerifyRestoresCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	tr := synthTrace(t, dir)
+	if _, stderr, code := pimtrace(t, dir, "replay", "-checkpoint-every", "5000", "-checkpoint", "x.ckpt",
+		"-chaos-exit-after", "1", tr); code != 3 {
+		t.Fatalf("chaos run exited %d, want 3: %s", code, stderr)
+	}
+	stdout, stderr, code := pimtrace(t, dir, "verify", "x.ckpt")
+	if code != 0 || !regexp.MustCompile(`ok checkpoint: 4 PEs, replay position 8192, [1-9][0-9]* resident blocks`).MatchString(stdout) {
+		t.Fatalf("verify x.ckpt: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *machine.Snapshot)
+		want string
+	}{
+		{"twice.ckpt", func(s *machine.Snapshot) {
+			s.Caches[0].Locks[0] = cache.LockEntrySnapshot{Addr: 0x4000, State: cache.LCK}
+			s.Caches[0].Locks[1] = cache.LockEntrySnapshot{Addr: 0x4000, State: cache.LCK}
+		}, "machine: PE 0: cache: snapshot lock entries 0 and 1 both lock 0x4000"},
+		{"nobus.ckpt", func(s *machine.Snapshot) { s.Bus = nil }, "machine: snapshot has no bus section"},
+		{"huge.ckpt", func(s *machine.Snapshot) { s.Config.Cache.SizeWords <<= 30 },
+			"machine: PE 0: snapshot has 1024 frames and 4 lock entries, its configuration 1099511627776 and 4"},
+		{"pes.ckpt", func(s *machine.Snapshot) { s.Config.PEs = 0 }, "machine: PE count 0 outside [1, 64]"},
+	} {
+		s, err := machine.ReadSnapshotFile(filepath.Join(dir, "x.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(s)
+		if err := s.WriteFile(filepath.Join(dir, tc.name)); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := pimtrace(t, dir, "verify", tc.name)
+		if code != 1 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("verify %s: exit %d, stderr %q; want exit 1 with %q", tc.name, code, stderr, tc.want)
+		}
 	}
 }

@@ -314,13 +314,12 @@ type Bus struct {
 	// zeroing a table proportional to the whole address space (the
 	// dominant allocation of a short replay); every access is on the
 	// miss path, so the extra indirection never taxes cache hits.
-	presence       [][]uint64
-	presenceBlocks int
-	blockShift     uint
-	lockCounts     []uint32
-	totalLocks     int
-	allMask        uint64
-	blockBuf       []word.Word
+	presence   [][]uint64
+	blockShift uint
+	lockCounts []uint32
+	totalLocks int
+	allMask    uint64
+	blockBuf   []word.Word
 
 	// cycleTab and memBusyTab are Timing.Cycles and the memory-module
 	// occupancy precomputed per pattern at construction: account runs on
@@ -386,19 +385,18 @@ func New(cfg Config, memory *mem.Memory) *Bus {
 		}
 	}
 	return &Bus{
-		timing:         cfg.Timing,
-		blockWords:     cfg.BlockWords,
-		memory:         memory,
-		bounds:         memory.Bounds(),
-		noFilters:      cfg.DisableFilters,
-		poison:         cfg.PoisonFetchData,
-		statsOnly:      cfg.StatsOnly,
-		presence:       make([][]uint64, (blocks+presencePageLen-1)/presencePageLen),
-		presenceBlocks: blocks,
-		blockShift:     shift,
-		blockBuf:       make([]word.Word, cfg.BlockWords),
-		cycleTab:       cycleTab,
-		memBusyTab:     memBusyTab,
+		timing:     cfg.Timing,
+		blockWords: cfg.BlockWords,
+		memory:     memory,
+		bounds:     memory.Bounds(),
+		noFilters:  cfg.DisableFilters,
+		poison:     cfg.PoisonFetchData,
+		statsOnly:  cfg.StatsOnly,
+		presence:   make([][]uint64, (blocks+presencePageLen-1)/presencePageLen),
+		blockShift: shift,
+		blockBuf:   make([]word.Word, cfg.BlockWords),
+		cycleTab:   cycleTab,
+		memBusyTab: memBusyTab,
 	}
 }
 

@@ -1,67 +1,25 @@
 package bus
 
-import "fmt"
-
-// Snapshot is a copy of the bus's mutable state: statistics, the two
-// presence filters, and the probe clock's per-reference tick component.
-// Together with the per-cache snapshots it makes a restored machine's
-// future behaviour — including probe cycle stamps — bit-identical to the
-// uninterrupted run. Attached snoopers, lock units and the probe sink are
-// wiring, not state, and are left untouched by Restore.
+// Snapshot is a copy of the bus's own mutable state: its statistics and
+// the probe clock's per-reference tick component. Together with the
+// per-cache snapshots it makes a restored machine's future behaviour —
+// including probe cycle stamps — bit-identical to the uninterrupted run.
+// The presence and lock filters are not in it: they are derived from the
+// caches, and each cache's Restore rebuilds its share of them. Attached
+// snoopers, lock units and the probe sink are wiring, not state, and are
+// left untouched by Restore.
 type Snapshot struct {
-	Stats      Stats
-	Presence   []uint64
-	LockCounts []uint32
-	TotalLocks int
-	Ticks      uint64
+	Stats Stats
+	Ticks uint64
 }
 
-// Snapshot captures the bus's mutable state. The paged presence filter
-// is flattened to one mask per block, so the serialized form is
-// independent of the in-memory page layout.
+// Snapshot captures the bus's mutable state.
 func (b *Bus) Snapshot() *Snapshot {
-	flat := make([]uint64, b.presenceBlocks)
-	for pi, pg := range b.presence {
-		if pg != nil {
-			copy(flat[pi<<presencePageShift:], pg)
-		}
-	}
-	return &Snapshot{
-		Stats:      b.stats,
-		Presence:   flat,
-		LockCounts: append([]uint32(nil), b.lockCounts...),
-		TotalLocks: b.totalLocks,
-		Ticks:      b.ticks,
-	}
+	return &Snapshot{Stats: b.stats, Ticks: b.ticks}
 }
 
-// Restore overwrites the bus's mutable state from a snapshot taken on a
-// bus with the same geometry (block size, memory footprint, PE count).
-func (b *Bus) Restore(s *Snapshot) error {
-	if len(s.Presence) != b.presenceBlocks {
-		return fmt.Errorf("bus: snapshot presence table has %d blocks, bus has %d",
-			len(s.Presence), b.presenceBlocks)
-	}
-	if len(s.LockCounts) != len(b.lockCounts) {
-		return fmt.Errorf("bus: snapshot has %d PEs, bus has %d",
-			len(s.LockCounts), len(b.lockCounts))
-	}
+// Restore overwrites the bus's statistics and probe clock from s.
+func (b *Bus) Restore(s *Snapshot) {
 	b.stats = s.Stats
-	for i := range b.presence {
-		b.presence[i] = nil
-	}
-	for idx, m := range s.Presence {
-		if m != 0 {
-			pg := b.presence[idx>>presencePageShift]
-			if pg == nil {
-				pg = make([]uint64, presencePageLen)
-				b.presence[idx>>presencePageShift] = pg
-			}
-			pg[idx&presencePageMask] = m
-		}
-	}
-	copy(b.lockCounts, s.LockCounts)
-	b.totalLocks = s.TotalLocks
 	b.ticks = s.Ticks
-	return nil
 }

@@ -738,15 +738,18 @@ func (c *Cache) readInvalidate(a word.Addr, area mem.Area) word.Word {
 // Otherwise LK rides with I (shared hit) or FI (miss); if a remote lock
 // directory answers LH, ok is false: the caller must drop any locks it
 // holds and retry after the machine unblocks this PE on the UL broadcast.
+// On a live run, re-locking a held word or overflowing the lock
+// directory is a runtime bug and panics.
 func (c *Cache) LockRead(a word.Addr) (word.Word, bool) {
 	c.countRef(a, OpLR)
+	if err := c.dir.lockable(a); err != nil {
+		panic(fmt.Sprintf("%v on PE %d", err, c.pe))
+	}
 	return c.lockRead(a)
 }
 
+// lockRead is LR after the lock directory has accepted a.
 func (c *Cache) lockRead(a word.Addr) (word.Word, bool) {
-	if c.dir.held(a) {
-		panic(fmt.Sprintf("cache: PE %d re-locking %#x", c.pe, a))
-	}
 	if f := c.lookup(a); f >= 0 {
 		c.stats.Hits[OpLR]++
 		c.touch(f)
@@ -843,8 +846,12 @@ func (c *Cache) Unlock(a word.Addr) {
 // (trace.ChunkReplayer). It behaves identically
 // to the corresponding Accessor method with the written value 0 and the
 // read value discarded, which is precisely what trace replay does. ok is
-// false only when an LR blocked on a remote lock.
-func (c *Cache) Apply(op Op, a word.Addr, area mem.Area) (ok bool) {
+// false when an LR blocked on a remote lock, or when err reports a lock
+// misuse that the live Accessor methods panic on: an LR of a word this
+// PE holds, an LR with every lock entry in use, or a U/UW of a word it
+// does not hold. A trace can carry those, so they are input errors here,
+// refused before the reference changes anything but its count.
+func (c *Cache) Apply(op Op, a word.Addr, area mem.Area) (ok bool, err error) {
 	c.countRefIn(a, area, op)
 	switch op {
 	case OpR:
@@ -852,12 +859,21 @@ func (c *Cache) Apply(op Op, a word.Addr, area mem.Area) (ok bool) {
 	case OpW:
 		c.writeInternal(a, 0, OpW)
 	case OpLR:
+		if err := c.dir.lockable(a); err != nil {
+			return false, err
+		}
 		_, ok := c.lockRead(a)
-		return ok
+		return ok, nil
 	case OpUW:
+		if !c.dir.held(a) {
+			return false, errUnheld(a)
+		}
 		c.writeInternal(a, 0, OpUW)
 		c.releaseLock(a)
 	case OpU:
+		if !c.dir.held(a) {
+			return false, errUnheld(a)
+		}
 		c.releaseLock(a)
 	case OpDW:
 		c.directWrite(a, 0, area)
@@ -870,7 +886,7 @@ func (c *Cache) Apply(op Op, a word.Addr, area mem.Area) (ok bool) {
 	default:
 		panic(fmt.Sprintf("cache: Apply: unknown op %d", op))
 	}
-	return true
+	return true, nil
 }
 
 func (c *Cache) releaseLock(a word.Addr) {

@@ -38,14 +38,32 @@ func (d *lockDir) find(addr word.Addr) int {
 // held reports whether this PE holds a lock on addr.
 func (d *lockDir) held(addr word.Addr) bool { return d.find(addr) >= 0 }
 
-// acquire registers a lock on addr in the LCK state. It panics if the
-// address is already locked by this PE (KL1 locks are not reentrant; a
-// double LR is a runtime bug) or if the directory is full (the paper
-// argues one or two entries suffice; overflow means the runtime holds
-// more simultaneous locks than the hardware provides).
+// lockable reports why this PE cannot lock addr now: it already holds
+// it (KL1 locks are not reentrant) or every entry is in use (the runtime
+// holds more simultaneous locks than the hardware provides; the paper
+// argues one or two entries suffice). nil means acquire will succeed.
+func (d *lockDir) lockable(addr word.Addr) error {
+	free := false
+	for i := range d.entries {
+		switch e := &d.entries[i]; {
+		case e.state == EMP:
+			free = true
+		case e.addr == addr:
+			return fmt.Errorf("cache: re-locking %#x", addr)
+		}
+	}
+	if !free {
+		return fmt.Errorf("cache: lock directory overflow locking %#x", addr)
+	}
+	return nil
+}
+
+// acquire registers a lock on addr in the LCK state. It panics when
+// lockable refuses addr: the cache checks first, so reaching the panic
+// is a bug in the cache itself.
 func (d *lockDir) acquire(addr word.Addr) {
-	if d.find(addr) >= 0 {
-		panic(fmt.Sprintf("cache: double lock of %#x", addr))
+	if err := d.lockable(addr); err != nil {
+		panic(err)
 	}
 	for i := range d.entries {
 		if d.entries[i].state == EMP {
@@ -53,17 +71,22 @@ func (d *lockDir) acquire(addr word.Addr) {
 			return
 		}
 	}
-	panic(fmt.Sprintf("cache: lock directory overflow locking %#x", addr))
+}
+
+// errUnheld is the error for an unlock of an address this PE does not
+// hold: an unmatched U/UW.
+func errUnheld(addr word.Addr) error {
+	return fmt.Errorf("cache: unlock of unheld address %#x", addr)
 }
 
 // release frees the entry for addr and reports whether any PE was
 // waiting (LWAIT), in which case the caller must broadcast UL. It panics
-// on unlocking an address this PE does not hold — an unmatched U/UW is a
-// runtime bug.
+// with errUnheld on unlocking an address this PE does not hold — on a
+// live run an unmatched U/UW is a runtime bug.
 func (d *lockDir) release(addr word.Addr) (hadWaiter bool) {
 	i := d.find(addr)
 	if i < 0 {
-		panic(fmt.Sprintf("cache: unlock of unheld address %#x", addr))
+		panic(errUnheld(addr))
 	}
 	hadWaiter = d.entries[i].state == LWAIT
 	d.entries[i] = lockEntry{}

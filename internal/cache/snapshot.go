@@ -68,14 +68,15 @@ func (c *Cache) Snapshot() *Snapshot {
 // cache with the same configuration. A stats-only cache drops the
 // snapshot's data plane, if it has one. A snapshot that fails
 // checkSnapshot is refused before anything is copied. The bus presence
-// filter is NOT updated here — the filter is bus state, and a
-// machine-level restore reinstates it through bus.(*Bus).Restore;
-// restoring a lone cache outside a machine checkpoint would
-// desynchronize the filter.
+// and lock filters are derived state, not part of any snapshot: Restore
+// takes the frames and locks the cache held out of them and puts the
+// restored ones in, so they are exact after any restore. It emits no
+// probe event and changes no bus statistic.
 func (c *Cache) Restore(s *Snapshot) error {
 	if err := c.checkSnapshot(s); err != nil {
 		return err
 	}
+	c.announce(false)
 	copy(c.states, s.States)
 	copy(c.bases, s.Bases)
 	for f, st := range c.states {
@@ -95,14 +96,42 @@ func (c *Cache) Restore(s *Snapshot) error {
 	c.blocked = s.Blocked
 	c.blockedOn = s.BlockedOn
 	c.stats = s.Stats
+	c.announce(true)
 	return nil
+}
+
+// announce reports every valid frame and held lock of the cache to the
+// bus filters: as installs and acquisitions when join is true, as drops
+// and releases when it is false.
+func (c *Cache) announce(join bool) {
+	for f, st := range c.states {
+		switch {
+		case st == INV:
+		case join:
+			c.bus.BlockInstalled(c.pe, c.bases[f])
+		default:
+			c.bus.BlockDropped(c.pe, c.bases[f])
+		}
+	}
+	for _, e := range c.dir.entries {
+		switch {
+		case e.state == EMP:
+		case join:
+			c.bus.LockAcquired(c.pe)
+		default:
+			c.bus.LockReleased(c.pe)
+		}
+	}
 }
 
 // checkSnapshot validates s against c's geometry and the directory
 // invariants the hit path relies on: every plane has one entry per
 // frame, every state is known, and every valid frame holds a
-// block-aligned base of its own set that no other way of the set holds
-// (lookup assumes a block occupies at most one frame).
+// block-aligned base in memory and of its own set that no other way of
+// the set holds (lookup assumes a block occupies at most one frame).
+// Every lock entry has a known state, and no address is locked twice
+// (find would see only the first entry, so the second could never be
+// released).
 func (c *Cache) checkSnapshot(s *Snapshot) error {
 	frames := len(c.states)
 	if len(s.States) != frames || len(s.Bases) != frames || len(s.LRU) != frames ||
@@ -129,12 +158,28 @@ func (c *Cache) checkSnapshot(s *Snapshot) error {
 		if base&c.offMask != 0 {
 			return fmt.Errorf("cache: snapshot frame %d: base %#x is not block-aligned", f, base)
 		}
+		if base >= c.bounds.End {
+			return fmt.Errorf("cache: snapshot frame %d: block %#x lies beyond memory (%d words)", f, base, c.bounds.End)
+		}
 		if got := int((base >> c.blockShift) & c.setMask); got != set {
 			return fmt.Errorf("cache: snapshot frame %d (set %d): block %#x belongs to set %d", f, set, base, got)
 		}
 		for g := set * c.ways; g < f; g++ {
 			if s.States[g] != INV && s.Bases[g] == base {
 				return fmt.Errorf("cache: snapshot frames %d and %d both hold block %#x", g, f, base)
+			}
+		}
+	}
+	for i, e := range s.Locks {
+		if e.State > LWAIT {
+			return fmt.Errorf("cache: snapshot lock entry %d: unknown state %d", i, e.State)
+		}
+		if e.State == EMP {
+			continue
+		}
+		for j, p := range s.Locks[:i] {
+			if p.State != EMP && p.Addr == e.Addr {
+				return fmt.Errorf("cache: snapshot lock entries %d and %d both lock %#x", j, i, e.Addr)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/kl1/word"
 	"pimcache/internal/mem"
-	"pimcache/internal/par"
 	"pimcache/internal/probe"
 )
 
@@ -43,17 +42,9 @@ type TransitionRow struct {
 }
 
 // DeriveTransitions computes the protocol transition table for the given
-// protocol by direct experiment.
+// protocol by direct experiment: one two-cache system per scenario and
+// operation.
 func DeriveTransitions(proto Protocol) []TransitionRow {
-	return DeriveTransitionsJobs(proto, 1)
-}
-
-// DeriveTransitionsJobs is DeriveTransitions with the derivation
-// experiments fanned out over a worker pool (each scenario builds its own
-// two-cache system, so they are independent). The returned table is
-// identical for every job count: results are collected by scenario index,
-// not completion order, before the canonical sort.
-func DeriveTransitionsJobs(proto Protocol, jobs int) []TransitionRow {
 	// The scenario grid is the cross product of the protocol's registered
 	// state set with itself ("-" meaning no remote copy), so a protocol's
 	// table automatically covers exactly the states it declares (MOESI's
@@ -77,40 +68,12 @@ func DeriveTransitionsJobs(proto Protocol, jobs int) []TransitionRow {
 	}
 	ops := []string{"R", "W", "DW", "ER", "RP", "RI", "LR"}
 
-	// Flatten the scenario×op grid so each cell is one independent
-	// experiment with a fixed slot; the pool fills slots in any order.
-	type cell struct {
-		local  State
-		remote string
-		op     string
-	}
-	var cells []cell
+	var rows []TransitionRow
 	for _, sc := range scenarios {
 		for _, op := range ops {
-			cells = append(cells, cell{sc.local, sc.remote, op})
-		}
-	}
-	derived := make([]TransitionRow, len(cells))
-	ok := make([]bool, len(cells))
-	if par.Jobs(jobs) <= 1 {
-		for i, c := range cells {
-			derived[i], ok[i] = deriveOne(proto, c.local, c.remote, c.op)
-		}
-	} else {
-		pool := par.New(jobs)
-		for i, c := range cells {
-			i, c := i, c
-			pool.Go(func() error {
-				derived[i], ok[i] = deriveOne(proto, c.local, c.remote, c.op)
-				return nil
-			})
-		}
-		pool.Wait()
-	}
-	var rows []TransitionRow
-	for i := range cells {
-		if ok[i] {
-			rows = append(rows, derived[i])
+			if row, ok := deriveOne(proto, sc.local, sc.remote, op); ok {
+				rows = append(rows, row)
+			}
 		}
 	}
 	sort.SliceStable(rows, func(i, j int) bool {

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -206,20 +205,5 @@ func TestDragonTransitionGolden(t *testing.T) {
 	}
 	if strings.Contains(r.BusOps, "UP") || r.RemoteEnd != "-" {
 		t.Errorf("Dragon lock read: got %s remote %s, want invalidation", r.BusOps, r.RemoteEnd)
-	}
-}
-
-// TestDeriveTransitionsJobsIdentical checks that the parallel derivation
-// produces exactly the serial table for every registered protocol: rows
-// are slotted by scenario index before the canonical sort, so worker
-// scheduling can never reorder or drop a transition.
-func TestDeriveTransitionsJobsIdentical(t *testing.T) {
-	for _, p := range Protocols() {
-		serial := DeriveTransitions(p.ID())
-		parallel := DeriveTransitionsJobs(p.ID(), 8)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%v: parallel derivation differs\nserial:\n%s\nparallel:\n%s",
-				p.ID(), FormatTransitions(serial), FormatTransitions(parallel))
-		}
 	}
 }

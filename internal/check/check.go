@@ -15,15 +15,19 @@
 //     grant/denial, and the exact memory image at quiescence
 //     (post-flush). Any deviation is a coherence bug.
 //  2. Per-transition invariant oracles, checked after every single
-//     operation: at most one dirty owner per block; an exclusive (EC/EM)
-//     copy implies no other copy anywhere; all valid copies of a block
-//     hold identical data; with no dirty owner every copy equals shared
-//     memory; the bus snoop-filter holder masks equal the ground-truth
-//     holder sets; per-PE lock-filter counts equal the lock directories;
-//     at most one PE holds any word lock (and it is the PE the model
-//     says); no remote cache holds a locked word's block exclusively;
-//     and the bus cycle total equals the sum of per-transaction spans
-//     reported by the probe layer.
+//     operation. The cluster invariants live in package machine, and
+//     machine.(*Machine).CheckInvariants checks them here exactly as
+//     it does in the machine and emulator tests: at most one dirty
+//     owner per block; an exclusive (EC/EM) copy implies no other copy
+//     anywhere; all valid copies of a block hold identical data; the
+//     bus snoop-filter holder masks equal the ground-truth holder sets;
+//     per-PE lock-filter counts equal the lock directories; at most one
+//     PE holds any word lock; no remote cache holds a locked word's
+//     block exclusively. This package adds the two that need its
+//     generator's contracts or its model: with no dirty owner every
+//     copy equals shared memory, and each lock's holder is the PE the
+//     model says. At quiescence the bus cycle total must equal the sum
+//     of per-transaction spans reported by the probe layer.
 //  3. Differential runs: the same schedule is executed under every
 //     protocol x optimization configuration (the optimized commands are
 //     value-preserving under the software contracts the generator

@@ -11,133 +11,79 @@ import (
 // checkInvariants runs the per-transition oracles over every watched
 // block and lock word. It is called after every executed operation, so
 // any violation is pinned to the op that introduced it.
+// machine.CheckInvariants checks the cluster invariants; the two checked
+// here need what only this package has: the generator's contracts and
+// the model.
 func (h *harness) checkInvariants(idx int, op Op) *Failure {
-	fail := func(msg string) *Failure { return h.fail(idx, op, msg) }
-	for _, base := range PoolBlocks() {
-		if f := h.checkBlock(base, fail); f != nil {
-			return f
-		}
+	if err := h.m.CheckInvariants(h.blocks); err != nil {
+		return h.fail(idx, op, err.Error())
 	}
-	if f := h.checkLocks(fail); f != nil {
-		return f
+	if msg := h.checkCleanCopies(); msg != "" {
+		return h.fail(idx, op, msg)
 	}
-	return nil
-}
-
-// checkBlock verifies the single-block protocol invariants:
-//
-//   - an exclusive (EC/EM) copy is the only copy anywhere;
-//   - at most one dirty (EM/SM) copy exists;
-//   - all valid copies hold identical data;
-//   - with no dirty owner, every copy equals shared memory (a stale
-//     clean copy is unreachable: invalidations kill remote copies
-//     before a write commits);
-//   - the bus presence filter's holder mask equals the ground-truth
-//     scan of every cache.
-func (h *harness) checkBlock(base word.Addr, fail func(string) *Failure) *Failure {
-	holders, exclusive, dirty := 0, 0, 0
-	var refData [BlockWords]word.Word
-	refPE := -1
-	for pe, c := range h.caches {
-		st := c.StateOf(base)
-		if !st.Valid() {
-			continue
-		}
-		holders++
-		if st.Exclusive() {
-			exclusive++
-		}
-		if st.Dirty() {
-			dirty++
-		}
-		var data [BlockWords]word.Word
-		for i := range data {
-			data[i], _ = c.PeekWord(base + word.Addr(i))
-		}
-		if refPE < 0 {
-			refData, refPE = data, pe
-		} else if data != refData {
-			return fail(fmt.Sprintf("block %#x: PE%d holds %v, PE%d holds %v",
-				base, refPE, refData, pe, data))
-		}
-	}
-	if exclusive > 0 && holders > 1 {
-		return fail(fmt.Sprintf("block %#x: exclusive copy among %d holders", base, holders))
-	}
-	if dirty > 1 {
-		return fail(fmt.Sprintf("block %#x: %d dirty copies", base, dirty))
-	}
-	// Value invariants are vacuous without a data plane (PeekWord reports
-	// zero everywhere and memory holds nothing to compare against); the
-	// state, presence-filter and lock invariants below still run.
-	if dirty == 0 && holders > 0 && !h.cfg.StatsOnly {
-		for i := range refData {
-			if mv := h.mem.Read(base + word.Addr(i)); mv != refData[i] {
-				return fail(fmt.Sprintf(
-					"block %#x word %d: clean copies hold %v but memory holds %v",
-					base, i, refData[i], mv))
-			}
-		}
-	}
-	if got, want := h.bus.HolderMask(base), h.bus.ScanHolders(base); got != want {
-		return fail(fmt.Sprintf(
-			"block %#x: presence filter mask %#x, true holder set %#x", base, got, want))
+	if msg := h.checkLockOwners(); msg != "" {
+		return h.fail(idx, op, msg)
 	}
 	return nil
 }
 
-// checkLocks verifies the lock-layer invariants: at most one holder per
-// word (and it is the PE the model names), per-PE lock-filter counts
-// match the directories, and no remote cache holds a locked word's
-// block exclusively (the invariant that makes the zero-bus LR
-// hit-exclusive fast path safe).
-func (h *harness) checkLocks(fail func(string) *Failure) *Failure {
-	total := 0
-	for pe, c := range h.caches {
-		inUse := c.LocksInUse()
-		total += inUse
-		if got := h.bus.LockCount(pe); got != inUse {
-			return fail(fmt.Sprintf(
-				"PE%d: bus lock filter counts %d, directory holds %d", pe, got, inUse))
-		}
+// checkCleanCopies checks that a block with no dirty copy has every copy
+// equal to shared memory: a stale clean copy is unreachable, because
+// invalidations kill remote copies before a write commits and the
+// generator purges only dead data. CheckInvariants has found all copies
+// identical, so one holder speaks for all. Without a data plane there is
+// nothing to compare.
+func (h *harness) checkCleanCopies() string {
+	if h.cfg.StatsOnly {
+		return ""
 	}
-	if got := h.bus.TotalLockCount(); got != total {
-		return fail(fmt.Sprintf("bus lock filter total %d, directories hold %d", got, total))
-	}
-	for _, a := range lockPool() {
+	for _, base := range h.blocks {
 		holder := -1
-		for pe, c := range h.caches {
-			if !c.HeldLock(a) {
-				continue
+		for pe := range h.m.Config().PEs {
+			st := h.m.Cache(pe).StateOf(base)
+			if st.Dirty() {
+				holder = -1
+				break
 			}
-			if holder >= 0 {
-				return fail(fmt.Sprintf("lock %#x held by both PE%d and PE%d", a, holder, pe))
+			if st.Valid() && holder < 0 {
+				holder = pe
 			}
-			holder = pe
-		}
-		owner, locked := h.md.locks[a]
-		switch {
-		case locked && holder != owner:
-			return fail(fmt.Sprintf("lock %#x: model owner PE%d, directory holder PE%d",
-				a, owner, holder))
-		case !locked && holder >= 0:
-			return fail(fmt.Sprintf("lock %#x held by PE%d but free in the model", a, holder))
 		}
 		if holder < 0 {
 			continue
 		}
-		base := a &^ word.Addr(BlockWords-1)
-		for pe, c := range h.caches {
-			if pe == holder {
-				continue
-			}
-			if st := c.StateOf(base); st.Exclusive() {
-				return fail(fmt.Sprintf(
-					"lock %#x held by PE%d but PE%d holds its block %s", a, holder, pe, st))
+		for i := 0; i < BlockWords; i++ {
+			a := base + word.Addr(i)
+			v, _ := h.m.Cache(holder).PeekWord(a)
+			if mv := h.m.Memory().Read(a); mv != v {
+				return fmt.Sprintf("block %#x word %d: clean copies hold %v but memory holds %v",
+					base, i, v, mv)
 			}
 		}
 	}
-	return nil
+	return ""
+}
+
+// checkLockOwners checks that each lock word's holder in the lock
+// directories is the PE the model names (CheckInvariants has found at
+// most one).
+func (h *harness) checkLockOwners() string {
+	for _, a := range lockPool() {
+		holder := -1
+		for pe := range h.m.Config().PEs {
+			if h.m.Cache(pe).HeldLock(a) {
+				holder = pe
+			}
+		}
+		owner, locked := h.md.locks[a]
+		switch {
+		case locked && holder != owner:
+			return fmt.Sprintf("lock %#x: model owner PE%d, directory holder PE%d", a, owner, holder)
+		case !locked && holder >= 0:
+			return fmt.Sprintf("lock %#x held by PE%d but free in the model", a, holder)
+		}
+	}
+	return ""
 }
 
 // cycleAudit is a probe sink that accumulates the per-transaction spans

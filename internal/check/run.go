@@ -6,7 +6,7 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/word"
-	"pimcache/internal/mem"
+	"pimcache/internal/machine"
 )
 
 // RunConfig selects one protocol/optimization/bus configuration for a
@@ -76,36 +76,18 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("[%s] op %d (%s): %s", f.Config, f.OpIndex, f.Op, f.Msg)
 }
 
-// harness is one machine under check: the real bus+caches, the flat
-// model, and the per-PE op queues the round-robin scheduler drains.
+// harness is one machine under check: the real cluster, the flat model,
+// and the per-PE op queues the round-robin scheduler drains.
 type harness struct {
 	cfg    RunConfig
-	mem    *mem.Memory
-	bus    *bus.Bus
-	caches []*cache.Cache
+	m      *machine.Machine
+	blocks []word.Addr // PoolBlocks, scanned after every op
 	md     *model
 	audit  *cycleAudit
 }
 
 func newHarness(pes int, rc RunConfig) *harness {
-	var m *mem.Memory
-	if rc.StatsOnly {
-		// No data plane: seeding (and any later value check) is
-		// impossible, which is fine — coherence decisions never read
-		// values, the property the stats-only twin exists to pin.
-		m = mem.NewStatsOnly(Layout())
-	} else {
-		m = mem.New(Layout())
-		seedMemory(m)
-	}
-	b := bus.New(bus.Config{
-		Timing:          bus.DefaultTiming(),
-		BlockWords:      BlockWords,
-		DisableFilters:  rc.DisableFilters,
-		PoisonFetchData: !rc.StatsOnly,
-		StatsOnly:       rc.StatsOnly,
-	}, m)
-	ccfg := cache.Config{
+	m := machine.New(machine.Config{PEs: pes, Layout: Layout(), Cache: cache.Config{
 		SizeWords:         CacheWords,
 		BlockWords:        BlockWords,
 		Ways:              1,
@@ -116,17 +98,15 @@ func newHarness(pes int, rc RunConfig) *harness {
 		DisableBusFilters: rc.DisableFilters,
 		PoisonBusData:     !rc.StatsOnly,
 		StatsOnly:         rc.StatsOnly,
+	}, Timing: bus.DefaultTiming()})
+	if !rc.StatsOnly {
+		// A stats-only machine has nothing to seed, which is fine:
+		// coherence decisions never read values, the property the
+		// stats-only twin exists to pin.
+		seedMemory(m.Memory())
 	}
-	if err := ccfg.Validate(); err != nil {
-		panic(err)
-	}
-	caches := make([]*cache.Cache, pes)
-	for i := range caches {
-		caches[i] = cache.New(ccfg, i, b)
-	}
-	h := &harness{cfg: rc, mem: m, bus: b, caches: caches,
-		md: newModel(), audit: &cycleAudit{}}
-	b.SetProbe(h.audit)
+	h := &harness{cfg: rc, m: m, blocks: PoolBlocks(), md: newModel(), audit: &cycleAudit{}}
+	m.Bus().SetProbe(h.audit)
 	return h
 }
 
@@ -152,7 +132,7 @@ func RunSeq(s *Seq, rc RunConfig) (Result, *Failure) {
 				Msg: fmt.Sprintf("no quiescence after %d rounds: livelock or lost unlock broadcast", round)}
 		}
 		for pe := 0; pe < s.PEs; pe++ {
-			if len(queues[pe]) == 0 || h.caches[pe].Blocked() {
+			if len(queues[pe]) == 0 || h.m.Cache(pe).Blocked() {
 				continue
 			}
 			idx := queues[pe][0]
@@ -172,12 +152,7 @@ func RunSeq(s *Seq, rc RunConfig) (Result, *Failure) {
 	if f := h.quiesce(); f != nil {
 		return Result{}, f
 	}
-	var tot cache.Stats
-	for _, c := range h.caches {
-		st := c.Stats()
-		tot.Add(&st)
-	}
-	return Result{Cache: tot, Bus: h.bus.Stats()}, nil
+	return Result{Cache: h.m.CacheStats(), Bus: h.m.BusStats()}, nil
 }
 
 // exec runs one operation against the real cache and the model.
@@ -191,7 +166,7 @@ func (h *harness) exec(idx int, op Op) (advanced bool, f *Failure) {
 			f = h.fail(idx, op, fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	c := h.caches[op.PE]
+	c := h.m.Cache(op.PE)
 	switch op.Kind {
 	case cache.OpR, cache.OpER, cache.OpRP, cache.OpRI:
 		var got word.Word
@@ -254,7 +229,8 @@ func (h *harness) exec(idx int, op Op) (advanced bool, f *Failure) {
 // schedule, flushed memory equals the model image word for word, and
 // the probe-observed bus spans sum to the accounted cycle totals.
 func (h *harness) quiesce() *Failure {
-	for pe, c := range h.caches {
+	for pe := range h.m.Config().PEs {
+		c := h.m.Cache(pe)
 		if c.Blocked() {
 			return h.failEnd(fmt.Sprintf("PE%d still busy-waiting on %#x", pe, c.BlockedOn()))
 		}
@@ -262,27 +238,25 @@ func (h *harness) quiesce() *Failure {
 			return h.failEnd(fmt.Sprintf("PE%d still holds %d locks", pe, n))
 		}
 	}
-	if n := h.bus.TotalLockCount(); n != 0 {
+	if n := h.m.Bus().TotalLockCount(); n != 0 {
 		return h.failEnd(fmt.Sprintf("bus lock filter counts %d held locks at quiescence", n))
 	}
 	if n := len(h.md.locks); n != 0 {
 		return h.failEnd(fmt.Sprintf("model still holds %d locks (generator bug)", n))
 	}
-	for _, c := range h.caches {
-		c.Flush()
-	}
+	h.m.FlushAll()
 	if !h.cfg.StatsOnly {
-		for _, base := range PoolBlocks() {
+		for _, base := range h.blocks {
 			for i := 0; i < BlockWords; i++ {
 				a := base + word.Addr(i)
-				if got, want := h.mem.Read(a), h.md.read(a); got != want {
+				if got, want := h.m.Memory().Read(a), h.md.read(a); got != want {
 					return h.failEnd(fmt.Sprintf(
 						"memory[%#x] = %v after flush, model says %v", a, got, want))
 				}
 			}
 		}
 	}
-	if err := h.audit.verify(h.bus.Stats()); err != nil {
+	if err := h.audit.verify(h.m.BusStats()); err != nil {
 		return h.failEnd(err.Error())
 	}
 	return nil

@@ -219,7 +219,7 @@ add(A, B, R) :- wait(A), wait(B) | R := A + B.
 		for a := b.GoalBase; a < b.GoalBase+4096; a += 4 {
 			addrs = append(addrs, a)
 		}
-		if err := cl.Machine.VerifyCoherence(addrs); err != nil {
+		if err := cl.Machine.CheckInvariants(addrs); err != nil {
 			t.Fatalf("%d PEs: coherence: %v", pes, err)
 		}
 	}
@@ -337,7 +337,7 @@ add(A, B, R) :- wait(A), wait(B) | R := A + B.
 	for a := b.CommBase; a < b.End; a += 4 {
 		addrs = append(addrs, a)
 	}
-	if err := cl.Machine.VerifyCoherence(addrs); err != nil {
+	if err := cl.Machine.CheckInvariants(addrs); err != nil {
 		t.Errorf("coherence: %v", err)
 	}
 }

@@ -66,7 +66,7 @@ func TestLockContentionStress(t *testing.T) {
 	if cs.UnlockWaiter == 0 {
 		t.Error("no UL broadcasts despite contention")
 	}
-	if err := m.VerifyCoherence([]word.Addr{a}); err != nil {
+	if err := m.CheckInvariants([]word.Addr{a}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {

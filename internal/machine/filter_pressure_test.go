@@ -50,13 +50,13 @@ func applyRef(c *cache.Cache, r trace.Ref) error {
 }
 
 // TestFilterBookkeepingUnderEvictionPressure replays conflict-heavy
-// synthetic streams through tiny direct-mapped caches and cross-checks
-// the bus presence filter against the unfiltered scan after every single
-// operation: the holder mask of the touched block must always equal the
-// ground-truth poll of every cache, and the per-PE lock counts must
-// always equal each lock directory's in-use count. A periodic full sweep
-// covers blocks evicted as conflict victims (which the touched-block
-// check alone would miss going stale).
+// synthetic streams through tiny direct-mapped caches and runs
+// CheckInvariants after every single operation: among them, the holder
+// mask of the touched block must always equal the ground-truth poll of
+// every cache, and the per-PE lock counts must always equal each lock
+// directory's in-use count. A periodic full sweep covers blocks evicted
+// as conflict victims (which the touched-block check alone would miss
+// going stale).
 func TestFilterBookkeepingUnderEvictionPressure(t *testing.T) {
 	sc := synth.Config{
 		Layout: smallSynthLayout(),
@@ -89,37 +89,24 @@ func TestFilterBookkeepingUnderEvictionPressure(t *testing.T) {
 				},
 				Timing: bus.DefaultTiming(),
 			})
-			b := m.Bus()
-			bases := map[word.Addr]struct{}{}
+			seen := map[word.Addr]bool{}
+			var bases []word.Addr
 			for i, ref := range tr.Refs {
 				if err := applyRef(m.Cache(int(ref.PE)), ref); err != nil {
 					t.Fatalf("ref %d: %v", i, err)
 				}
-				base := ref.Addr &^ 3
-				bases[base] = struct{}{}
-				if got, want := b.HolderMask(base), b.ScanHolders(base); got != want {
-					t.Fatalf("ref %d (%v %#x): HolderMask = %b, ScanHolders = %b",
-						i, ref.Op, ref.Addr, got, want)
+				if base := ref.Addr &^ 3; !seen[base] {
+					seen[base] = true
+					bases = append(bases, base)
 				}
-				total := 0
-				for pe := 0; pe < sc.PEs; pe++ {
-					inUse := m.Cache(pe).LocksInUse()
-					if got := b.LockCount(pe); got != inUse {
-						t.Fatalf("ref %d: PE %d lock count %d, directory holds %d", i, pe, got, inUse)
-					}
-					total += inUse
-				}
-				if got := b.TotalLockCount(); got != total {
-					t.Fatalf("ref %d: total lock count %d, directories hold %d", i, got, total)
+				if err := m.CheckInvariants([]word.Addr{ref.Addr}); err != nil {
+					t.Fatalf("ref %d (%v %#x): %v", i, ref.Op, ref.Addr, err)
 				}
 				// Conflict evictions drop blocks other than the touched
 				// one; sweep every block the stream has ever referenced.
 				if i%512 == 511 || i == len(tr.Refs)-1 {
-					for bb := range bases {
-						if got, want := b.HolderMask(bb), b.ScanHolders(bb); got != want {
-							t.Fatalf("ref %d: sweep: HolderMask(%#x) = %b, ScanHolders = %b",
-								i, bb, got, want)
-						}
+					if err := m.CheckInvariants(bases); err != nil {
+						t.Fatalf("ref %d: sweep: %v", i, err)
 					}
 				}
 			}

@@ -12,10 +12,10 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
-	"pimcache/internal/kl1/word"
 	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 )
@@ -90,10 +90,35 @@ type Machine struct {
 	probe  probe.Sink
 }
 
+// Validate reports why cfg cannot build a machine, or nil.
+func (cfg Config) Validate() error {
+	if cfg.PEs < 1 || cfg.PEs > bus.MaxPEs {
+		return fmt.Errorf("machine: PE count %d outside [1, %d]", cfg.PEs, bus.MaxPEs)
+	}
+	// Addresses are 32 bits wide; Bounds would silently wrap a layout
+	// that does not fit.
+	l := cfg.Layout
+	end := uint64(l.Bounds().InstBase)
+	for _, n := range [...]int{l.InstWords, l.HeapWords, l.GoalWords, l.SuspWords, l.CommWords} {
+		if n < 0 || uint64(n) > math.MaxUint32 {
+			return fmt.Errorf("machine: layout area of %d words", n)
+		}
+		end += uint64(n)
+	}
+	if end > math.MaxUint32 {
+		return fmt.Errorf("machine: layout ends at word %d, beyond the 32-bit address space", end)
+	}
+	if t := cfg.Timing; t.MemCycles < 1 || t.WidthWords < 1 {
+		return fmt.Errorf("machine: invalid bus timing %+v", t)
+	}
+	return cfg.Cache.Validate()
+}
+
 // New builds the memory, bus and caches. Processors attach afterwards.
+// It panics on a configuration Validate refuses.
 func New(cfg Config) *Machine {
-	if cfg.PEs < 1 {
-		panic("machine: need at least one PE")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	var m *mem.Memory
 	if cfg.Cache.StatsOnly {
@@ -303,53 +328,4 @@ func (m *Machine) ResetStats() {
 	for _, c := range m.caches {
 		c.ResetStats()
 	}
-}
-
-// VerifyCoherence checks the protocol invariants for the block containing
-// each given address: at most one exclusive holder (and then no others),
-// at most one dirty copy, and identical data in all valid copies. It
-// returns the first violation found, or nil. Tests call it; it models
-// nothing.
-func (m *Machine) VerifyCoherence(addrs []word.Addr) error {
-	bw := m.cfg.Cache.BlockWords
-	for _, a := range addrs {
-		base := a &^ word.Addr(bw-1)
-		holders, exclusive, dirty := 0, 0, 0
-		var ref []word.Word
-		var refPE int
-		for pe, c := range m.caches {
-			st := c.StateOf(base)
-			if !st.Valid() {
-				continue
-			}
-			holders++
-			if st.Exclusive() {
-				exclusive++
-			}
-			if st.Dirty() {
-				dirty++
-			}
-			data := make([]word.Word, bw)
-			for i := 0; i < bw; i++ {
-				data[i], _ = c.PeekWord(base + word.Addr(i))
-			}
-			if ref == nil {
-				ref, refPE = data, pe
-				continue
-			}
-			for i := range ref {
-				if ref[i] != data[i] {
-					return fmt.Errorf("block %#x word %d: PE%d has %v, PE%d has %v",
-						base, i, refPE, ref[i], pe, data[i])
-				}
-			}
-		}
-		if exclusive > 0 && holders > 1 {
-			return fmt.Errorf("block %#x: exclusive copy among %d holders", base, holders)
-		}
-		if dirty > 1 {
-			return fmt.Errorf("block %#x: %d dirty copies", base, dirty)
-		}
-	}
-	return nil
 }

@@ -172,8 +172,14 @@ func TestFlushAllAndVerifyCoherence(t *testing.T) {
 		func() { _ = m.Port(1).Read(a) },
 	}})
 	m.Run(0)
-	if err := m.VerifyCoherence([]word.Addr{a}); err != nil {
+	addrs := []word.Addr{a}
+	if err := m.CheckInvariants(addrs); err != nil {
 		t.Fatalf("coherence: %v", err)
+	}
+	// The checker runs CheckInvariants after every operation; its
+	// passing path must stay allocation-free.
+	if n := testing.AllocsPerRun(10, func() { _ = m.CheckInvariants(addrs) }); n != 0 {
+		t.Errorf("CheckInvariants allocates %v times per passing call", n)
 	}
 	m.FlushAll()
 	if m.Memory().Read(a).IntVal() != 5 {

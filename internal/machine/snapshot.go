@@ -18,10 +18,12 @@ import (
 )
 
 // Snapshot is a complete machine checkpoint: configuration, shared
-// memory, bus state (statistics, presence filters, probe clock) and every
-// cache's planes, lock directory and statistics. Restoring a snapshot
-// into a machine of the same configuration and then continuing a trace
-// replay produces bit-identical statistics and probe event streams to the
+// memory, bus state (statistics and probe clock) and every cache's
+// planes, lock directory and statistics. The bus presence and lock
+// filters are derived from the caches and rebuilt on restore, so no
+// checkpoint stores them. Restoring a snapshot into a machine of the
+// same configuration and then continuing a trace replay produces
+// bit-identical statistics and probe event streams to the
 // uninterrupted run — the property TestCheckpointResume pins and
 // resumable replay (bench.ReplayReaderResumable) relies on.
 //
@@ -97,6 +99,11 @@ func (m *Machine) Checkpoint() *Snapshot {
 // image (no statistic depends on a value), so checkpoints written by a
 // data-carrying replay stay resumable. The reverse is refused — a
 // stats-only snapshot has no values to give a data-carrying machine.
+//
+// Restore checks the snapshot's structure (its sections, and each
+// cache's planes and lock entries), not the protocol invariants:
+// honest replays can break those (see CheckInvariants), and their
+// checkpoints must stay resumable.
 func (m *Machine) Restore(s *Snapshot) error {
 	cfg := s.Config
 	if cfg.Cache.StatsOnly && !m.cfg.Cache.StatsOnly {
@@ -106,15 +113,13 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if cfg != m.cfg {
 		return fmt.Errorf("machine: snapshot config %+v does not match machine %+v", s.Config, m.cfg)
 	}
-	if len(s.Caches) != len(m.caches) {
-		return fmt.Errorf("machine: snapshot has %d caches, machine has %d", len(s.Caches), len(m.caches))
+	if err := s.checkSections(len(m.caches)); err != nil {
+		return err
 	}
 	if err := m.memory.Restore(s.Memory); err != nil {
-		return err
+		return fmt.Errorf("machine: %w", err)
 	}
-	if err := m.bus.Restore(s.Bus); err != nil {
-		return err
-	}
+	m.bus.Restore(s.Bus)
 	for i, c := range m.caches {
 		if err := c.Restore(s.Caches[i]); err != nil {
 			return fmt.Errorf("machine: PE %d: %w", i, err)
@@ -123,6 +128,43 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.steps = s.Steps
 	m.rounds = s.Rounds
 	return nil
+}
+
+// checkSections refuses a snapshot that lacks a section a machine of
+// pes PEs restores from. (gob cannot encode a nil cache section, so a
+// decoded snapshot never has one.)
+func (s *Snapshot) checkSections(pes int) error {
+	if s.Bus == nil {
+		return fmt.Errorf("machine: snapshot has no bus section")
+	}
+	if len(s.Caches) != pes {
+		return fmt.Errorf("machine: snapshot has %d caches, machine has %d", len(s.Caches), pes)
+	}
+	return nil
+}
+
+// Verify checks s the way a resume does: it restores s into a stats-only
+// machine built from the configuration s records. The configuration is
+// validated first, and every cache section must have the plane lengths
+// it implies, so a forged geometry cannot make Verify build a cache
+// larger than the snapshot's own planes.
+func (s *Snapshot) Verify() error {
+	cfg := s.Config
+	cfg.Cache.StatsOnly = true
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if err := s.checkSections(cfg.PEs); err != nil {
+		return err
+	}
+	frames := cfg.Cache.SizeWords / cfg.Cache.BlockWords
+	for i, c := range s.Caches {
+		if len(c.States) != frames || len(c.Locks) != cfg.Cache.LockEntries {
+			return fmt.Errorf("machine: PE %d: snapshot has %d frames and %d lock entries, its configuration %d and %d",
+				i, len(c.States), len(c.Locks), frames, cfg.Cache.LockEntries)
+		}
+	}
+	return New(cfg).Restore(s)
 }
 
 // The on-disk checkpoint format (PIMCKPT2) is a magic string, a u64

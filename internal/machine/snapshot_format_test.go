@@ -2,7 +2,9 @@ package machine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,8 +14,11 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/chaos"
+	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/safeio"
+	"pimcache/internal/synth"
 	"pimcache/internal/trace"
 )
 
@@ -160,4 +165,165 @@ func writeSnapshotTorn(path string, snap *machine.Snapshot) error {
 	return safeio.WriteFile(path, func(w io.Writer) error {
 		return snap.Encode(chaos.NewWriter(w, tear))
 	})
+}
+
+// legacyBusSnapshot and legacySnapshot have the field names of the
+// checkpoint format that stored the bus presence and lock filters; gob
+// matches fields by name, so encoding them writes that format.
+type legacyBusSnapshot struct {
+	Stats      bus.Stats
+	Presence   []uint64
+	LockCounts []uint32
+	TotalLocks int
+	Ticks      uint64
+}
+
+type legacySnapshot struct {
+	Config       machine.Config
+	RefsReplayed int
+	Steps        uint64
+	Rounds       uint64
+	Memory       []word.Word
+	Bus          *legacyBusSnapshot
+	Caches       []*cache.Snapshot
+	Trace        *machine.TraceIdentity
+}
+
+// encodeFramed writes v in the PIMCKPT2 frame: magic, u64 payload
+// length, u32 payload CRC32C, gob payload.
+func encodeFramed(t *testing.T, v any) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	out := []byte(machine.SnapshotMagic)
+	out = binary.LittleEndian.AppendUint64(out, uint64(payload.Len()))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload.Bytes()...)
+}
+
+// TestRestoreIgnoresStoredFilters: a checkpoint in the older format,
+// whose stored presence table and lock counts disagree with its caches,
+// resumes bit-identically, because Restore rebuilds the filters from
+// the caches instead of trusting the stored copy.
+func TestRestoreIgnoresStoredFilters(t *testing.T) {
+	tr := checkpointWorkload()
+	ccfg := cache.DefaultConfig()
+	ccfg.Options = cache.OptionsAll()
+	ref, refPorts := replayMachine(tr, ccfg)
+	if err := trace.Replay(tr, refPorts); err != nil {
+		t.Fatal(err)
+	}
+
+	k := tr.Len() / 3
+	a, aPorts := replayMachine(tr, ccfg)
+	if err := trace.ReplayRange(tr, aPorts, 0, k); err != nil {
+		t.Fatal(err)
+	}
+	s := a.Checkpoint()
+	old := legacySnapshot{
+		Config: s.Config, RefsReplayed: k, Steps: s.Steps, Rounds: s.Rounds,
+		Memory: s.Memory, Caches: s.Caches,
+		Bus: &legacyBusSnapshot{
+			Stats:      s.Bus.Stats,
+			Presence:   make([]uint64, (tr.Layout.TotalWords()+ccfg.BlockWords-1)/ccfg.BlockWords),
+			LockCounts: make([]uint32, tr.PEs),
+			Ticks:      s.Bus.Ticks,
+		},
+	}
+	decoded, err := machine.DecodeSnapshot(bytes.NewReader(encodeFramed(t, old)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, bPorts := replayMachine(tr, ccfg)
+	if err := b.Restore(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.ReplayRange(tr, bPorts, k, tr.Len()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.BusStats(), ref.BusStats(); got != want {
+		t.Errorf("resumed from an older checkpoint with a cleared presence table: %d bus cycles, uninterrupted %d",
+			got.TotalCycles, want.TotalCycles)
+	}
+	if got, want := b.CacheStats(), ref.CacheStats(); got != want {
+		t.Error("cache stats diverged")
+	}
+}
+
+// TestRestoreRefusesMalformedSnapshots: a well-framed checkpoint that
+// lacks a section, or whose lock directory holds an entry no run can
+// produce, is refused by Restore and by Verify with a labeled error,
+// never a panic.
+func TestRestoreRefusesMalformedSnapshots(t *testing.T) {
+	snap := formatSnapshot(t)
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	cases := []struct {
+		name string
+		edit func(s *machine.Snapshot)
+		want string
+	}{
+		{"no bus section", func(s *machine.Snapshot) { s.Bus = nil },
+			"machine: snapshot has no bus section"},
+		{"unknown lock state", func(s *machine.Snapshot) { s.Caches[1].Locks[0].State = 7 },
+			"machine: PE 1: cache: snapshot lock entry 0: unknown state 7"},
+		{"one address locked twice", func(s *machine.Snapshot) {
+			s.Caches[1].Locks[0] = cache.LockEntrySnapshot{Addr: 0x4000, State: cache.LCK}
+			s.Caches[1].Locks[3] = cache.LockEntrySnapshot{Addr: 0x4000, State: cache.LWAIT}
+		}, "machine: PE 1: cache: snapshot lock entries 0 and 3 both lock 0x4000"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := machine.DecodeSnapshot(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(s)
+			var edited bytes.Buffer
+			if err := s.Encode(&edited); err != nil {
+				t.Fatal(err)
+			}
+			s, err = machine.DecodeSnapshot(&edited)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := machine.New(s.Config)
+			if err := m.Restore(s); err == nil || err.Error() != tc.want {
+				t.Errorf("Restore = %v, want %q", err, tc.want)
+			}
+			if err := s.Verify(); err == nil || err.Error() != tc.want {
+				t.Errorf("Verify = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckpointHoldsNoFilters pins what a checkpoint costs: an 8-PE
+// replay of the default layout writes tens of kilobytes, not the
+// presence table's one word per memory block (2.4M blocks, about
+// 2.5 MB encoded).
+func TestCheckpointHoldsNoFilters(t *testing.T) {
+	c := synth.DefaultConfig()
+	c.PEs = 8
+	c.Events = 20_000
+	c.Layout = mem.DefaultLayout()
+	tr := synth.ORParallel(c)
+	ccfg := cache.DefaultConfig()
+	ccfg.StatsOnly = true
+	m, ports := replayMachine(tr, ccfg)
+	if err := trace.Replay(tr, ports); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Checkpoint().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 100<<10 {
+		t.Errorf("checkpoint is %d bytes, want under 100 KiB", buf.Len())
+	}
 }

@@ -2,10 +2,12 @@ package machine_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 	"pimcache/internal/probe"
@@ -35,84 +37,114 @@ func replayMachine(tr *trace.Trace, ccfg cache.Config) (*machine.Machine, []mem.
 }
 
 // TestCheckpointResume pins the checkpoint contract: restoring a
-// mid-replay snapshot into a fresh machine and replaying the remaining
-// references produces bit-identical bus statistics, per-PE cache
-// statistics and probe event streams versus the uninterrupted replay —
-// for all three protocols, and across a gob encode/decode of the
-// snapshot.
+// mid-replay snapshot and replaying the remaining references produces
+// bit-identical bus statistics, per-PE cache statistics and probe event
+// streams versus the uninterrupted replay — for every protocol at block
+// sizes 1, 4 and 8 (4 only under -short), and across a gob
+// encode/decode of the snapshot. The restore lands on a machine that
+// has replayed a different prefix, so the bus presence and lock filters
+// it rebuilds must drop that machine's blocks and locks and take the
+// snapshot's.
 func TestCheckpointResume(t *testing.T) {
 	tr := checkpointWorkload()
 	k := tr.Len() / 3
-	for _, proto := range []cache.Protocol{
-		cache.ProtocolPIM, cache.ProtocolIllinois, cache.ProtocolWriteThrough,
-	} {
-		t.Run(proto.String(), func(t *testing.T) {
-			ccfg := cache.DefaultConfig()
-			ccfg.Options = cache.OptionsAll()
-			ccfg.Protocol = proto
-
-			// Uninterrupted reference run.
-			ref, refPorts := replayMachine(tr, ccfg)
-			refProbe := &probe.Buffer{}
-			ref.SetProbe(refProbe)
-			if err := trace.Replay(tr, refPorts); err != nil {
-				t.Fatal(err)
-			}
-
-			// Interrupted run: replay [0, k), checkpoint, serialize,
-			// restore into a fresh machine, replay [k, n).
-			a, aPorts := replayMachine(tr, ccfg)
-			aProbe := &probe.Buffer{}
-			a.SetProbe(aProbe)
-			if err := trace.ReplayRange(tr, aPorts, 0, k); err != nil {
-				t.Fatal(err)
-			}
-			snap := a.Checkpoint()
-			snap.RefsReplayed = k
-
-			var buf bytes.Buffer
-			if err := snap.Encode(&buf); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			decoded, err := machine.DecodeSnapshot(&buf)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if decoded.RefsReplayed != k {
-				t.Fatalf("decoded RefsReplayed = %d, want %d", decoded.RefsReplayed, k)
-			}
-
-			b, bPorts := replayMachine(tr, ccfg)
-			bProbe := &probe.Buffer{}
-			b.SetProbe(bProbe)
-			if err := b.Restore(decoded); err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			if err := trace.ReplayRange(tr, bPorts, decoded.RefsReplayed, tr.Len()); err != nil {
-				t.Fatal(err)
-			}
-
-			if got, want := b.BusStats(), ref.BusStats(); got != want {
-				t.Errorf("bus stats diverged:\nresumed %+v\nuninterrupted %+v", got, want)
-			}
-			for pe := 0; pe < tr.PEs; pe++ {
-				if got, want := b.Cache(pe).Stats(), ref.Cache(pe).Stats(); got != want {
-					t.Errorf("PE %d cache stats diverged", pe)
-				}
-			}
-
-			events := append(append([]probe.Event(nil), aProbe.Events...), bProbe.Events...)
-			if len(events) != len(refProbe.Events) {
-				t.Fatalf("probe stream length %d, want %d", len(events), len(refProbe.Events))
-			}
-			for i := range events {
-				if events[i] != refProbe.Events[i] {
-					t.Fatalf("probe event %d diverged:\nresumed %+v\nuninterrupted %+v",
-						i, events[i], refProbe.Events[i])
-				}
+	blocks := []int{1, 4, 8}
+	if testing.Short() {
+		blocks = []int{4}
+	}
+	for _, p := range cache.Protocols() {
+		t.Run(p.ID().String(), func(t *testing.T) {
+			for _, bw := range blocks {
+				t.Run(fmt.Sprintf("block%d", bw), func(t *testing.T) {
+					ccfg := cache.DefaultConfig()
+					ccfg.Options = cache.OptionsAll()
+					ccfg.Protocol = p.ID()
+					ccfg.BlockWords = bw
+					checkResume(t, tr, ccfg, k)
+				})
 			}
 		})
 	}
+}
+
+// checkResume replays tr uninterrupted and again through a checkpoint
+// at ref k, and requires identical statistics and probe streams.
+func checkResume(t *testing.T, tr *trace.Trace, ccfg cache.Config, k int) {
+	// Uninterrupted reference run.
+	ref, refPorts := replayMachine(tr, ccfg)
+	refProbe := &probe.Buffer{}
+	ref.SetProbe(refProbe)
+	if err := trace.Replay(tr, refPorts); err != nil {
+		t.Fatal(err)
+	}
+
+	// Interrupted run: replay [0, k), checkpoint, serialize, restore
+	// into a machine that replayed [0, k/2), replay [k, n).
+	a, aPorts := replayMachine(tr, ccfg)
+	aProbe := &probe.Buffer{}
+	a.SetProbe(aProbe)
+	if err := trace.ReplayRange(tr, aPorts, 0, k); err != nil {
+		t.Fatal(err)
+	}
+	snap := a.Checkpoint()
+	snap.RefsReplayed = k
+
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	decoded, err := machine.DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if decoded.RefsReplayed != k {
+		t.Fatalf("decoded RefsReplayed = %d, want %d", decoded.RefsReplayed, k)
+	}
+
+	b, bPorts := replayMachine(tr, ccfg)
+	if err := trace.ReplayRange(tr, bPorts, 0, k/2); err != nil {
+		t.Fatal(err)
+	}
+	bProbe := &probe.Buffer{}
+	b.SetProbe(bProbe)
+	if err := b.Restore(decoded); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if err := b.CheckInvariants(traceAddrs(tr)); err != nil {
+		t.Fatalf("after restore: %v", err)
+	}
+	if err := trace.ReplayRange(tr, bPorts, decoded.RefsReplayed, tr.Len()); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := b.BusStats(), ref.BusStats(); got != want {
+		t.Errorf("bus stats diverged:\nresumed %+v\nuninterrupted %+v", got, want)
+	}
+	for pe := 0; pe < tr.PEs; pe++ {
+		if got, want := b.Cache(pe).Stats(), ref.Cache(pe).Stats(); got != want {
+			t.Errorf("PE %d cache stats diverged", pe)
+		}
+	}
+
+	events := append(append([]probe.Event(nil), aProbe.Events...), bProbe.Events...)
+	if len(events) != len(refProbe.Events) {
+		t.Fatalf("probe stream length %d, want %d", len(events), len(refProbe.Events))
+	}
+	for i := range events {
+		if events[i] != refProbe.Events[i] {
+			t.Fatalf("probe event %d diverged:\nresumed %+v\nuninterrupted %+v",
+				i, events[i], refProbe.Events[i])
+		}
+	}
+}
+
+// traceAddrs lists every address tr references.
+func traceAddrs(tr *trace.Trace) []word.Addr {
+	addrs := make([]word.Addr, len(tr.Refs))
+	for i, r := range tr.Refs {
+		addrs[i] = r.Addr
+	}
+	return addrs
 }
 
 // TestRestoreRejectsMismatch: restoring into a differently configured

@@ -14,23 +14,21 @@
 // # Zero overhead when disabled
 //
 // Like package probe, every obs handle is nil-safe: a nil *Counter,
-// *Gauge, *Histogram, *Registry, *Phases, *Span or *Heartbeat accepts
-// every method as a no-op costing one branch and zero allocations
-// (pinned by TestMetricsZeroAlloc). Components therefore hold obs
-// handles unconditionally and never guard call sites; passing nil
-// disables the instrumentation exactly.
+// *Registry, *Phases, *Span or *Heartbeat accepts every method as a
+// no-op costing one branch and zero allocations (pinned by
+// TestMetricsZeroAlloc). Components therefore hold obs handles
+// unconditionally and never guard call sites; passing nil disables the
+// instrumentation exactly.
 //
 // # Concurrency
 //
-// Counter, Gauge and Histogram are lock-free (atomic) and safe for
-// concurrent use from simulation workers. Registry and Phases guard
-// registration and span completion with a mutex; the per-event hot
-// path (Add/Set/Observe, and a Span's End) stays allocation-free.
+// Counter is lock-free (atomic) and safe for concurrent use from
+// simulation workers. Registry and Phases guard registration and span
+// completion with a mutex; the per-event hot path (Add, and a Span's
+// End) stays allocation-free.
 package obs
 
 import (
-	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,120 +58,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-value metric. The zero value is ready to use; a nil
-// Gauge discards updates.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add moves the gauge by d. Nil-safe.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value reads the gauge (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Histogram accumulates a distribution of uint64 samples in
-// power-of-two buckets: bucket i holds samples whose bit length is i,
-// i.e. the range [2^(i-1), 2^i). Quantiles are therefore exact to a
-// factor of two, which is the right resolution for latencies and sizes
-// and keeps Observe allocation-free and lock-free. The zero value is
-// ready to use; a nil Histogram discards samples.
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [65]atomic.Uint64
-}
-
-// Observe records one sample. Nil-safe.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
-// Count reports how many samples were observed (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum reports the sum of all samples (0 for nil).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Max reports the largest observed sample (0 for nil).
-func (h *Histogram) Max() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1):
-// the top of the power-of-two bucket in which the quantile sample
-// falls, clamped to Max. Returns 0 for an empty or nil histogram.
-func (h *Histogram) Quantile(q float64) uint64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(n))
-	if rank >= n {
-		rank = n - 1
-	}
-	var seen uint64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			var top uint64
-			if i == 0 {
-				top = 0
-			} else if i >= 64 {
-				top = ^uint64(0)
-			} else {
-				top = 1<<uint(i) - 1
-			}
-			if m := h.Max(); top > m {
-				top = m
-			}
-			return top
-		}
-	}
-	return h.Max()
-}
-
 // Registry is a named collection of metrics. Handles are registered on
 // first use and stable thereafter (Counter("x") always returns the
 // same *Counter). A nil Registry returns nil handles, so a disabled
@@ -181,17 +65,11 @@ func (h *Histogram) Quantile(q float64) uint64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry makes an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-	}
+	return &Registry{counters: map[string]*Counter{}}
 }
 
 // Counter returns the named counter, creating it on first use. A nil
@@ -210,49 +88,12 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. A nil
-// registry returns nil.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first use. A
-// nil registry returns nil.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Metric is one snapshotted metric value, in the shape the run
-// manifest records (histograms carry their distribution summary).
+// manifest records.
 type Metric struct {
 	Name  string `json:"name"`
-	Kind  string `json:"kind"` // counter, gauge, histogram
+	Kind  string `json:"kind"` // always "counter"
 	Value int64  `json:"value"`
-	Count uint64 `json:"count,omitempty"`
-	Sum   uint64 `json:"sum,omitempty"`
-	P50   uint64 `json:"p50,omitempty"`
-	P99   uint64 `json:"p99,omitempty"`
-	Max   uint64 `json:"max,omitempty"`
 }
 
 // Snapshot returns every registered metric, sorted by name (a
@@ -264,35 +105,10 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make([]Metric, 0, len(r.counters))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: int64(c.Value())})
 	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		out = append(out, Metric{
-			Name: name, Kind: "histogram",
-			Value: int64(h.Count()),
-			Count: h.Count(), Sum: h.Sum(),
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99), Max: h.Max(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Kind < out[j].Kind
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// String renders a metric for logs.
-func (m Metric) String() string {
-	if m.Kind == "histogram" {
-		return fmt.Sprintf("%s: n=%d sum=%d p50=%d p99=%d max=%d",
-			m.Name, m.Count, m.Sum, m.P50, m.P99, m.Max)
-	}
-	return fmt.Sprintf("%s: %d", m.Name, m.Value)
 }

@@ -11,12 +11,8 @@ import (
 func TestMetricsZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("refs")
-	g := r.Gauge("inflight")
-	h := r.Histogram("chunk_refs")
 
 	var nilC *Counter
-	var nilG *Gauge
-	var nilH *Histogram
 	var nilHB *Heartbeat
 
 	cases := []struct {
@@ -24,11 +20,7 @@ func TestMetricsZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"counter", func() { c.Add(3); c.Inc() }},
-		{"gauge", func() { g.Set(7); g.Add(-2) }},
-		{"histogram", func() { h.Observe(1024) }},
 		{"nil-counter", func() { nilC.Add(3); nilC.Inc() }},
-		{"nil-gauge", func() { nilG.Set(7); nilG.Add(-2) }},
-		{"nil-histogram", func() { nilH.Observe(1024) }},
 		{"nil-heartbeat", func() { nilHB.Add(64); nilHB.SetBytes(4096) }},
 		{"nil-span-end", func() { var s *Span; s.End() }},
 	}
@@ -50,15 +42,9 @@ func TestCounterGauge(t *testing.T) {
 	if r.Counter("a") != c {
 		t.Fatal("Counter(name) not stable across calls")
 	}
-	g := r.Gauge("b")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
 
 	var nr *Registry
-	if nr.Counter("x") != nil || nr.Gauge("x") != nil || nr.Histogram("x") != nil {
+	if nr.Counter("x") != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	if nr.Snapshot() != nil {
@@ -66,78 +52,24 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := &Histogram{}
-	for v := uint64(1); v <= 1000; v++ {
-		h.Observe(v)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", h.Count())
-	}
-	if h.Sum() != 500500 {
-		t.Fatalf("sum = %d, want 500500", h.Sum())
-	}
-	if h.Max() != 1000 {
-		t.Fatalf("max = %d, want 1000", h.Max())
-	}
-	// The median of 1..1000 is ~500; the power-of-two bucket answer is
-	// the top of [256,512), i.e. 511.
-	if q := h.Quantile(0.5); q != 511 {
-		t.Fatalf("p50 = %d, want 511", q)
-	}
-	// p99 (~990) lands in [512,1024); clamped to the observed max 1000.
-	if q := h.Quantile(0.99); q != 1000 {
-		t.Fatalf("p99 = %d, want 1000 (bucket top clamped to max)", q)
-	}
-	if q := h.Quantile(1.0); q != 1000 {
-		t.Fatalf("p100 = %d, want 1000", q)
-	}
-
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 || nilH.Count() != 0 || nilH.Sum() != 0 || nilH.Max() != 0 {
-		t.Fatal("nil histogram reads must be 0")
-	}
-}
-
-func TestHistogramZeroSample(t *testing.T) {
-	h := &Histogram{}
-	h.Observe(0)
-	h.Observe(0)
-	if h.Count() != 2 || h.Max() != 0 {
-		t.Fatalf("count=%d max=%d, want 2,0", h.Count(), h.Max())
-	}
-	if q := h.Quantile(0.99); q != 0 {
-		t.Fatalf("all-zero p99 = %d, want 0", q)
-	}
-}
-
 func TestSnapshotSortedAndComplete(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("z_gauge").Set(1)
+	r.Counter("z_counter").Add(1)
 	r.Counter("a_counter").Add(2)
-	r.Histogram("m_hist").Observe(8)
+	r.Counter("m_counter").Add(8)
 
 	snap := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d metrics, want 3", len(snap))
 	}
-	wantNames := []string{"a_counter", "m_hist", "z_gauge"}
+	want := []Metric{
+		{Name: "a_counter", Kind: "counter", Value: 2},
+		{Name: "m_counter", Kind: "counter", Value: 8},
+		{Name: "z_counter", Kind: "counter", Value: 1},
+	}
 	for i, m := range snap {
-		if m.Name != wantNames[i] {
-			t.Fatalf("snapshot[%d] = %q, want %q", i, m.Name, wantNames[i])
+		if m != want[i] {
+			t.Fatalf("snapshot[%d] = %+v, want %+v", i, m, want[i])
 		}
-	}
-	if snap[0].Kind != "counter" || snap[0].Value != 2 {
-		t.Fatalf("counter metric wrong: %+v", snap[0])
-	}
-	if snap[1].Kind != "histogram" || snap[1].Count != 1 || snap[1].Sum != 8 {
-		t.Fatalf("histogram metric wrong: %+v", snap[1])
-	}
-	if snap[2].Kind != "gauge" || snap[2].Value != 1 {
-		t.Fatalf("gauge metric wrong: %+v", snap[2])
 	}
 }

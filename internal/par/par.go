@@ -1,8 +1,8 @@
 // Package par provides the bounded worker pool that backs every parallel
 // phase of the evaluation harness: the benchmark harness fans live runs
-// and trace replays out across it (internal/bench), and the protocol
-// table derivation fans scenarios out across it (internal/cache via
-// cmd/pimtable).
+// and trace replays out across it (internal/bench, behind pimbench and
+// pimsim -jobs). The protocol transition tables (cmd/pimtable) derive
+// serially: their experiments are too small for a pool to pay.
 //
 // The pool bounds *concurrency*, not submission: Go never blocks, so a
 // running task may safely submit follow-up tasks (the record→replay job

@@ -147,8 +147,8 @@ func (p *recordingPort) ReadInvalidate(a word.Addr) word.Word {
 
 // Replay drives a trace through the caches of a machine (one port per
 // PE, each a *cache.Cache). It returns an error if a lock operation
-// blocks, which would indicate the trace is not a legal serialized
-// stream.
+// blocks or misuses a lock directory, either of which means the trace
+// is not a legal serialized stream.
 func Replay(t *Trace, ports []mem.Accessor) error {
 	return ReplayRange(t, ports, 0, len(t.Refs))
 }
@@ -197,12 +197,17 @@ func NewChunkReplayer(pes int, ports []mem.Accessor) (*ChunkReplayer, error) {
 }
 
 // Replay replays one chunk; base is the absolute trace index of
-// refs[0], used in error labels.
+// refs[0], used in error labels. A reference the caches refuse — an LR
+// that blocks, or a lock misuse cache.Apply reports — ends the replay
+// with an error naming it.
 func (cr *ChunkReplayer) Replay(refs []Ref, base int) error {
 	for i := range refs {
 		r := &refs[i]
-		if !cr.caches[r.PE].Apply(r.Op, r.Addr, r.Area) {
-			return fmt.Errorf("trace: ref %d: LR %#x blocked during replay", base+i, r.Addr)
+		if ok, err := cr.caches[r.PE].Apply(r.Op, r.Addr, r.Area); !ok {
+			if err == nil {
+				err = fmt.Errorf("LR %#x blocked during replay", r.Addr)
+			}
+			return fmt.Errorf("trace: ref %d (PE %d): %w", base+i, r.PE, err)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -317,4 +318,41 @@ func compileSrc(t *testing.T, src string) *compile.Image {
 		t.Fatal(err)
 	}
 	return img
+}
+
+// TestReplayRefusesLockMisuse: a well-formed trace whose lock references
+// no live run produces — an unmatched U, a PE re-locking a word it
+// holds, more simultaneous locks than the lock directory has entries —
+// ends the replay with an error naming the reference and its PE, where
+// a live run panics.
+func TestReplayRefusesLockMisuse(t *testing.T) {
+	layout := mem.DefaultLayout()
+	a := layout.Bounds().HeapBase
+	ref := func(op cache.Op, addr word.Addr) Ref { return Ref{PE: 1, Op: op, Addr: addr} }
+	for _, tc := range []struct {
+		name string
+		refs []Ref
+		want string
+	}{
+		{"unmatched U", []Ref{ref(cache.OpR, a), ref(cache.OpU, a)},
+			"trace: ref 1 (PE 1): cache: unlock of unheld address"},
+		{"unmatched UW", []Ref{ref(cache.OpUW, a)},
+			"trace: ref 0 (PE 1): cache: unlock of unheld address"},
+		{"re-lock", []Ref{ref(cache.OpLR, a), ref(cache.OpLR, a)},
+			"trace: ref 1 (PE 1): cache: re-locking"},
+		{"directory overflow", []Ref{ref(cache.OpLR, a), ref(cache.OpLR, a+1),
+			ref(cache.OpLR, a+2), ref(cache.OpLR, a+3), ref(cache.OpLR, a+4)},
+			"trace: ref 4 (PE 1): cache: lock directory overflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := withAreas(&Trace{PEs: 2, Layout: layout, Refs: tc.refs})
+			ccfg := cache.DefaultConfig()
+			ccfg.StatsOnly = true
+			m := machine.New(machine.Config{PEs: 2, Layout: layout, Cache: ccfg, Timing: bus.DefaultTiming()})
+			err := Replay(tr, []mem.Accessor{m.Port(0), m.Port(1)})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("Replay = %v, want %q", err, tc.want)
+			}
+		})
+	}
 }
