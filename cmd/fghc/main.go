@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/cliutil"
 	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/emulator"
 	"pimcache/internal/kl1/parser"
@@ -37,6 +39,22 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fghc [flags] program.fghc  (use - for stdin)")
+		os.Exit(2)
+	}
+	mcfg := machine.Config{
+		PEs: *pes,
+		Layout: mem.Layout{
+			InstWords: 64 << 10,
+			HeapWords: *heapWords,
+			GoalWords: 1 << 20,
+			SuspWords: 256 << 10,
+			CommWords: 64 << 10,
+		},
+		Cache:  cacheConfig(),
+		Timing: bus.DefaultTiming(),
+	}
+	if err := cliutil.FirstError(cliutil.ValidatePEs(*pes), mcfg.Validate()); err != nil {
+		fmt.Fprintln(os.Stderr, "fghc:", err)
 		os.Exit(2)
 	}
 	var src []byte
@@ -66,23 +84,14 @@ func main() {
 		return
 	}
 
-	mcfg := machine.Config{
-		PEs: *pes,
-		Layout: mem.Layout{
-			InstWords: 64 << 10,
-			HeapWords: *heapWords,
-			GoalWords: 1 << 20,
-			SuspWords: 256 << 10,
-			CommWords: 64 << 10,
-		},
-		Cache:  cacheConfig(),
-		Timing: bus.DefaultTiming(),
-	}
 	ecfg := emulator.DefaultConfig()
 	ecfg.EnableGC = *useGC
 	cl, res, err := emulator.RunSource(string(src), mcfg, ecfg, *maxSteps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fghc:", err)
+		if errors.Is(err, emulator.ErrMachineConfig) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	fmt.Print(res.Output)

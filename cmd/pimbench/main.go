@@ -50,7 +50,7 @@ func main() {
 	run := cliutil.TimeoutFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cliutil.FirstError(
-		cliutil.ValidateJobs(*jobs),
+		cliutil.ValidateCount("-jobs", *jobs),
 		validateSelection(*table, *figure, *extra),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "pimbench:", err)

@@ -26,6 +26,7 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,6 +39,7 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
+	"pimcache/internal/kl1/emulator"
 	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/par"
@@ -72,7 +74,8 @@ func main() {
 
 	if err := cliutil.FirstError(
 		cliutil.ValidatePEs(*pes),
-		cliutil.ValidateJobs(*jobs),
+		cliutil.ValidateCount("-jobs", *jobs),
+		cliutil.ValidateCount("-scale", *scale),
 		cliutil.ValidateBlock(*block),
 		cliutil.ValidateBusWidth(*width),
 		tel.Validate(),
@@ -109,8 +112,7 @@ func main() {
 		}
 		rd, err := runProbed(benches[0], *scale, *pes, ccfg, timing, *tel, ph)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pimsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		writeManifest(man, *manifest, rd, ccfg, timing, *optsName, ph)
 		return
@@ -128,7 +130,7 @@ func main() {
 				runScale = b.DefaultScale
 			}
 			sp := ph.Start("live/" + b.Name)
-			rd, _, err := bench.RunLiveTiming(b, runScale, *pes, ccfg, timing, false)
+			rd, err := bench.RunLiveTiming(b, runScale, *pes, ccfg, timing, nil, nil)
 			sp.End()
 			if err != nil {
 				return err
@@ -148,10 +150,20 @@ func main() {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pimsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	writeManifest(man, *manifest, results[0], ccfg, timing, *optsName, ph)
+}
+
+// fail reports a failed run and exits: with status 2 when the runtime
+// refused the machine configuration (a usage error, like a malformed
+// flag), 1 otherwise.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "pimsim:", err)
+	if errors.Is(err, emulator.ErrMachineConfig) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }
 
 // writeManifest records a single-benchmark run: the configuration, the
@@ -192,7 +204,7 @@ func runProbed(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing b
 		return nil, err
 	}
 	sp := ph.Start("live/" + b.Name)
-	rd, _, err := bench.RunLiveProbed(b, runScale, pes, ccfg, timing, false, probes.Sink)
+	rd, err := bench.RunLiveTiming(b, runScale, pes, ccfg, timing, nil, probes.Sink)
 	sp.End()
 	if err != nil {
 		return nil, err

@@ -40,6 +40,7 @@ import (
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
+	"pimcache/internal/kl1/emulator"
 	"pimcache/internal/machine"
 	"pimcache/internal/obs"
 	"pimcache/internal/safeio"
@@ -95,7 +96,7 @@ func record(args []string) {
 	if *out == "" {
 		usageErr(fmt.Errorf("record: -o required"))
 	}
-	if err := cliutil.ValidatePEs(*pes); err != nil {
+	if err := cliutil.FirstError(cliutil.ValidatePEs(*pes), cliutil.ValidateCount("-scale", *scale)); err != nil {
 		usageErr(fmt.Errorf("record: %w", err))
 	}
 	b, ok := programs.ByName(*benchName)
@@ -105,13 +106,31 @@ func record(args []string) {
 	if *scale == 0 {
 		*scale = b.DefaultScale
 	}
-	_, tr, err := bench.RunLive(b, *scale, *pes, bench.BaseCache(cache.OptionsAll()), true)
-	if err != nil {
+	// The live run streams its trace into the output's temporary file,
+	// chunk by chunk, so recording holds one chunk at a time. An
+	// unwritable -o fails before the run starts; a failed run leaves no
+	// file.
+	var refs int
+	var runErr error
+	err := safeio.WriteFile(*out, func(w io.Writer) error {
+		rec := trace.NewStreamRecorder(w.(*os.File), *pes, bench.Layout())
+		_, runErr = bench.RunLiveTiming(b, *scale, *pes, bench.BaseCache(cache.OptionsAll()), bus.DefaultTiming(), rec, nil)
+		if runErr != nil {
+			return runErr
+		}
+		refs = rec.Len()
+		return rec.Close()
+	})
+	switch {
+	case errors.Is(runErr, emulator.ErrMachineConfig):
+		usageErr(runErr)
+	case runErr != nil:
+		fatal(runErr)
+	case err != nil:
 		fatal(err)
 	}
-	writeTrace(tr, *out)
 	fmt.Printf("recorded %d references from %s (scale %d, %d PEs) to %s\n",
-		tr.Len(), b.Name, *scale, *pes, *out)
+		refs, b.Name, *scale, *pes, *out)
 }
 
 func synthesize(args []string) {
@@ -125,7 +144,7 @@ func synthesize(args []string) {
 	if *out == "" {
 		usageErr(fmt.Errorf("synth: -o required"))
 	}
-	if err := cliutil.ValidatePEs(*pes); err != nil {
+	if err := cliutil.FirstError(cliutil.ValidatePEs(*pes), cliutil.ValidateCount("-events", *events)); err != nil {
 		usageErr(fmt.Errorf("synth: %w", err))
 	}
 	c := synth.DefaultConfig()
@@ -141,7 +160,11 @@ func synthesize(args []string) {
 	default:
 		usageErr(fmt.Errorf("synth: unknown -kind %q (want seqprolog, orparallel, or ring)", *kind))
 	}
-	writeTrace(tr, *out)
+	// Atomic: a crash mid-write can never leave a torn trace under the
+	// final name.
+	if err := safeio.WriteFile(*out, tr.Write); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("generated %d %s references to %s\n", tr.Len(), *kind, *out)
 }
 
@@ -458,13 +481,5 @@ func replay(args []string) {
 		if err := man.WriteFile(*manifestPath); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-func writeTrace(tr *trace.Trace, path string) {
-	// Atomic: a crash mid-write can never leave a torn trace under the
-	// final name.
-	if err := safeio.WriteFile(path, tr.Write); err != nil {
-		fatal(err)
 	}
 }

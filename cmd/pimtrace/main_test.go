@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 
+	"pimcache/internal/bench"
+	"pimcache/internal/bench/programs"
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
@@ -78,6 +80,8 @@ func TestMalformedFlagsExit2(t *testing.T) {
 		{"-pes", []string{"synth", "-pes", "65", "-o", "bad.trc"}},
 		{"-pes", []string{"record", "-pes", "0", "-o", "bad.trc"}},
 		{"-pes", []string{"record", "-pes", "65", "-o", "bad.trc"}},
+		{"-scale", []string{"record", "-scale", "-1", "-o", "bad.trc"}},
+		{"-events", []string{"synth", "-events", "-5", "-o", "bad.trc"}},
 		{"-buswidth", []string{"replay", "-buswidth", "0", tr}},
 		{"-buswidth", []string{"replay", "-buswidth", "-1", tr}},
 		{"-hotspots", []string{"replay", "-hotspots", "-1", tr}},
@@ -90,6 +94,44 @@ func TestMalformedFlagsExit2(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "bad.trc")); err == nil {
 		t.Error("a refused synth/record still wrote its trace")
+	}
+}
+
+// TestRecordStreamsTrace: record writes, chunk by chunk, the bytes of
+// the in-memory recording of the same live run, and an unwritable -o
+// fails without leaving a file.
+func TestRecordStreamsTrace(t *testing.T) {
+	dir := t.TempDir()
+	stdout, stderr, code := pimtrace(t, dir, "record", "-bench", "Tri", "-scale", "3", "-pes", "4", "-o", "tri.trc")
+	if code != 0 {
+		t.Fatalf("record exited %d: %s", code, stderr)
+	}
+	b, _ := programs.ByName("Tri")
+	_, tr, err := bench.RunLive(b, 3, 4, bench.BaseCache(cache.OptionsAll()), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tr.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "tri.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("recorded trace (%d bytes) differs from the in-memory recording (%d bytes)", len(got), want.Len())
+	}
+	if line := fmt.Sprintf("recorded %d references from Tri (scale 3, 4 PEs)", tr.Len()); !strings.Contains(stdout, line) {
+		t.Errorf("record printed %q, want %q", stdout, line)
+	}
+
+	_, stderr, code = pimtrace(t, dir, "record", "-bench", "Tri", "-scale", "3", "-o", "missing/tri.trc")
+	if code != 1 || !strings.Contains(stderr, "missing") {
+		t.Errorf("record to a missing directory: exit %d, stderr %q; want exit 1 naming it", code, stderr)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("a failed record left files behind: %v", entries)
 	}
 }
 

@@ -177,49 +177,72 @@ type RunData struct {
 // reference stream. Output is verified against the benchmark's Go
 // reference implementation.
 func RunLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, record bool) (*RunData, *trace.Trace, error) {
-	return RunLiveTiming(b, scale, pes, ccfg, bus.DefaultTiming(), record)
+	var rec *trace.Recorder
+	if record {
+		rec = trace.NewRecorderHint(pes, Layout(), refHint(b.Name, scale))
+	}
+	data, err := RunLiveTiming(b, scale, pes, ccfg, bus.DefaultTiming(), rec, nil)
+	if err != nil || rec == nil {
+		return data, nil, err
+	}
+	return data, rec.Trace(), nil
 }
 
-// RunLiveProbed is RunLiveTiming with a telemetry sink attached to the
-// whole cluster (bus, caches, machine, scheduler) for the duration of
-// the run. The sink receives the full event stream, scheduler events
-// included.
-func RunLiveProbed(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, record bool, sink probe.Sink) (*RunData, *trace.Trace, error) {
-	return runLive(b, scale, pes, ccfg, timing, record, sink)
+// RunLiveTiming is RunLive with explicit bus timing. A non-nil rec, made
+// for pes PEs and Layout(), records the reference stream; closing a
+// stream recorder (trace.NewStreamRecorder) is the caller's. A non-nil
+// sink is attached to the whole cluster (bus, caches, machine,
+// scheduler) for the duration of the run and receives the full event
+// stream, scheduler events included.
+func RunLiveTiming(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, rec *trace.Recorder, sink probe.Sink) (*RunData, error) {
+	cl, err := liveCluster(b, scale, pes, ccfg, timing, rec, sink)
+	if err != nil {
+		return nil, err
+	}
+	res := cl.Run(0)
+	if res.Failed {
+		return nil, fmt.Errorf("%s: program failed: %s", b.Name, res.FailReason)
+	}
+	if want := b.Expected(scale); res.Output != want {
+		return nil, fmt.Errorf("%s: wrong answer %q (want %q)", b.Name, res.Output, want)
+	}
+	m := cl.Machine
+	return &RunData{
+		Bench:  b.Name,
+		PEs:    pes,
+		Scale:  scale,
+		Result: res,
+		Bus:    m.BusStats(),
+		Cache:  m.CacheStats(),
+	}, nil
 }
 
-// RunLiveTiming is RunLive with explicit bus timing.
-func RunLiveTiming(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, record bool) (*RunData, *trace.Trace, error) {
-	return runLive(b, scale, pes, ccfg, timing, record, nil)
-}
-
-func runLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, record bool, sink probe.Sink) (*RunData, *trace.Trace, error) {
+// liveCluster compiles benchmark b and builds the cluster a live run
+// steps: a data-carrying machine with one engine per PE, whose ports rec
+// (when non-nil) records and whose events sink (when non-nil) receives.
+func liveCluster(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, rec *trace.Recorder, sink probe.Sink) (*emulator.Cluster, error) {
 	if ccfg.StatsOnly {
 		// machine.Run would panic anyway; fail with a benchmark-labelled
 		// error first so callers get a diagnosable message.
-		return nil, nil, fmt.Errorf("%s: live run needs data values (unification reads them back): cache config is stats-only, which supports trace replay only", b.Name)
+		return nil, fmt.Errorf("%s: live run needs data values (unification reads them back): cache config is stats-only, which supports trace replay only", b.Name)
 	}
 	prog, err := parser.Parse(b.Source(scale))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: parse: %w", b.Name, err)
+		return nil, fmt.Errorf("%s: parse: %w", b.Name, err)
 	}
 	im, err := compile.Compile(prog, word.NewTable())
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: compile: %w", b.Name, err)
+		return nil, fmt.Errorf("%s: compile: %w", b.Name, err)
 	}
 	mcfg := machine.Config{PEs: pes, Layout: Layout(), Cache: ccfg, Timing: timing}
 	m := machine.New(mcfg)
-	sh, err := emulator.NewShared(im, m.Memory(), pes, emulator.DefaultConfig())
+	sh, err := emulator.NewShared(im, m, emulator.DefaultConfig())
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	if sink != nil {
 		m.SetProbe(sink)
 		sh.SetProbe(sink, m.Bus().ProbeClock)
-	}
-	var rec *trace.Recorder
-	if record {
-		rec = trace.NewRecorderHint(pes, Layout(), refHint(b.Name, scale))
 	}
 	cl := &emulator.Cluster{Machine: m, Shared: sh}
 	for i := 0; i < pes; i++ {
@@ -229,31 +252,12 @@ func runLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus
 		}
 		e, err := emulator.NewEngine(sh, i, port)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", b.Name, err)
+			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		cl.Engines = append(cl.Engines, e)
 		m.Attach(i, e)
 	}
-	res := cl.Run(0)
-	if res.Failed {
-		return nil, nil, fmt.Errorf("%s: program failed: %s", b.Name, res.FailReason)
-	}
-	if want := b.Expected(scale); res.Output != want {
-		return nil, nil, fmt.Errorf("%s: wrong answer %q (want %q)", b.Name, res.Output, want)
-	}
-	data := &RunData{
-		Bench:  b.Name,
-		PEs:    pes,
-		Scale:  scale,
-		Result: res,
-		Bus:    m.BusStats(),
-		Cache:  m.CacheStats(),
-	}
-	var tr *trace.Trace
-	if rec != nil {
-		tr = rec.Trace()
-	}
-	return data, tr, nil
+	return cl, nil
 }
 
 // ReplayConfig replays a recorded stream against a cache configuration

@@ -42,11 +42,12 @@ func TestProbeDeterminism(t *testing.T) {
 			t.Parallel()
 			for _, pes := range pesList {
 				buf1, buf2 := &probe.Buffer{}, &probe.Buffer{}
-				_, tr, err := RunLiveProbed(b, scale, pes, ccfg, timing, true, buf1)
-				if err != nil {
+				rec := trace.NewRecorder(pes, Layout())
+				if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, rec, buf1); err != nil {
 					t.Fatalf("probed live run at %d PEs: %v", pes, err)
 				}
-				if _, _, err := RunLiveProbed(b, scale, pes, ccfg, timing, false, buf2); err != nil {
+				tr := rec.Trace()
+				if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, nil, buf2); err != nil {
 					t.Fatalf("second probed live run at %d PEs: %v", pes, err)
 				}
 				if len(buf1.Events) == 0 {
@@ -115,8 +116,11 @@ func TestPerfettoByteIdentity(t *testing.T) {
 		if memOnly {
 			sink = probe.MemoryOnly(pf)
 		}
-		_, tr, err := RunLiveProbed(b, scale, pes, ccfg, timing, record, sink)
-		if err != nil {
+		var rec *trace.Recorder
+		if record {
+			rec = trace.NewRecorder(pes, Layout())
+		}
+		if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, rec, sink); err != nil {
 			t.Fatal(err)
 		}
 		if err := pf.Close(); err != nil {
@@ -125,7 +129,7 @@ func TestPerfettoByteIdentity(t *testing.T) {
 		var trBytes []byte
 		if record {
 			var tb bytes.Buffer
-			if err := tr.Write(&tb); err != nil {
+			if err := rec.Trace().Write(&tb); err != nil {
 				t.Fatal(err)
 			}
 			trBytes = tb.Bytes()

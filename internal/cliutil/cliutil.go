@@ -30,10 +30,12 @@ func ValidatePEs(pes int) error {
 	return nil
 }
 
-// ValidateJobs checks a -jobs flag: non-negative (0 means all cores).
-func ValidateJobs(jobs int) error {
-	if jobs < 0 {
-		return fmt.Errorf("-jobs must be non-negative (got %d)", jobs)
+// ValidateCount checks a count flag such as -jobs, -scale or -events:
+// non-negative. Zero keeps the meaning its flag gives it (all cores, the
+// default scale).
+func ValidateCount(name string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("%s must be non-negative (got %d)", name, n)
 	}
 	return nil
 }

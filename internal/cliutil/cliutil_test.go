@@ -22,14 +22,14 @@ func TestValidatePEs(t *testing.T) {
 	}
 }
 
-func TestValidateJobs(t *testing.T) {
-	for _, jobs := range []int{0, 1, 64} {
-		if err := ValidateJobs(jobs); err != nil {
-			t.Errorf("ValidateJobs(%d) = %v, want nil", jobs, err)
+func TestValidateCount(t *testing.T) {
+	for _, n := range []int{0, 1, 64} {
+		if err := ValidateCount("-jobs", n); err != nil {
+			t.Errorf("ValidateCount(-jobs, %d) = %v, want nil", n, err)
 		}
 	}
-	if err := ValidateJobs(-1); err == nil {
-		t.Error("ValidateJobs(-1) = nil, want error")
+	if err := ValidateCount("-scale", -1); err == nil || !strings.Contains(err.Error(), "-scale") {
+		t.Errorf("ValidateCount(-scale, -1) = %v, want an error naming -scale", err)
 	}
 }
 

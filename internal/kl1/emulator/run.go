@@ -20,7 +20,7 @@ type Cluster struct {
 // per PE.
 func NewCluster(im *compile.Image, mcfg machine.Config, ecfg Config) (*Cluster, error) {
 	m := machine.New(mcfg)
-	sh, err := NewShared(im, m.Memory(), mcfg.PEs, ecfg)
+	sh, err := NewShared(im, m, ecfg)
 	if err != nil {
 		return nil, err
 	}

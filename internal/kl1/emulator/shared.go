@@ -13,11 +13,13 @@
 package emulator
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/word"
+	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 )
@@ -126,9 +128,24 @@ func (sh *Shared) emitSched(kind probe.Kind, pe int, addr word.Addr, arg uint64)
 	sh.probe.Emit(probe.Event{Kind: kind, Cycle: sh.now(), PE: int16(pe), Addr: addr, Arg: arg})
 }
 
-// NewShared prepares the cluster state and loads the code image into the
-// instruction area (system boot: written directly, not through a cache).
-func NewShared(im *compile.Image, memory *mem.Memory, numPEs int, cfg Config) (*Shared, error) {
+// ErrMachineConfig marks a machine configuration the runtime refuses
+// to run on. Commands report it as a usage error.
+var ErrMachineConfig = errors.New("emulator: unsupported machine configuration")
+
+// NewShared prepares the cluster state for machine m and loads the code
+// image into the instruction area (system boot: written directly, not
+// through a cache). Every live run passes through it, so it refuses, with
+// an ErrMachineConfig error, a cache the runtime's records cannot use.
+func NewShared(im *compile.Image, m *machine.Machine, cfg Config) (*Shared, error) {
+	// Goal records are created with DW and consumed with ER/RP, each
+	// acting on a whole block. A block larger than a record would span
+	// its neighbour: a DW installs the block without fetching it, so the
+	// neighbour's free-list link is lost at write-back.
+	if c := m.Config().Cache; c.BlockWords > GoalRecordWords && c.Options.PerArea[mem.AreaGoal] != 0 {
+		return nil, fmt.Errorf("%w: goal-area optimized commands need blocks of at most %d words (one goal record), not %d",
+			ErrMachineConfig, GoalRecordWords, c.BlockWords)
+	}
+	memory, numPEs := m.Memory(), m.Config().PEs
 	b := memory.Bounds()
 	instCap := int(b.HeapBase - b.InstBase)
 	if len(im.Code) > instCap {

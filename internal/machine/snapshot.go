@@ -42,9 +42,12 @@ type Snapshot struct {
 	RefsReplayed int
 	Steps        uint64
 	Rounds       uint64
-	Memory       []word.Word
-	Bus          *bus.Snapshot
-	Caches       []*cache.Snapshot
+	// Memory is a data-carrying machine's whole memory image, flat
+	// (nil from a stats-only machine). Restore allocates only the
+	// memory pages that hold a nonzero word.
+	Memory []word.Word
+	Bus    *bus.Snapshot
+	Caches []*cache.Snapshot
 	// Trace identifies the trace a replay checkpoint was taken from, at
 	// RefsReplayed, so a resume can refuse a different trace. Nil in
 	// snapshots from older builds and from non-replay uses.

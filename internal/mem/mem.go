@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"pimcache/internal/kl1/word"
 )
@@ -117,17 +118,34 @@ func (b Bounds) AreaOf(a word.Addr) Area {
 // (the eight-cycle access latency, bus occupancy) is modelled by the bus
 // package. Memory is not safe for concurrent use: the machine serializes
 // all accesses, mirroring the single shared bus.
+//
+// The word store is paged, in pages of pageWords words (the bus presence
+// filter pages its table the same way). A page is allocated on its first
+// nonzero write and a page never written reads as zero, so a run pays
+// only for the memory it touches: a quick benchmark run writes about 330
+// of the bench layout's 2401 pages. The last page is sized exactly, so
+// every address at or past Size panics. A stats-only memory has no page
+// table at all.
 type Memory struct {
-	words  []word.Word
+	pages  [][]word.Word // nil on a stats-only memory; a nil page was never written
 	size   int
 	bounds Bounds
 }
 
-// New allocates a memory for the layout.
+// Memory pages hold pageWords words.
+const (
+	pageShift = 12
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+)
+
+// New builds a memory for the layout. Its pages are allocated as they
+// are written.
 func New(l Layout) *Memory {
+	n := l.TotalWords()
 	return &Memory{
-		words:  make([]word.Word, l.TotalWords()),
-		size:   l.TotalWords(),
+		pages:  make([][]word.Word, (n+pageMask)>>pageShift),
+		size:   n,
 		bounds: l.Bounds(),
 	}
 }
@@ -144,7 +162,7 @@ func NewStatsOnly(l Layout) *Memory {
 }
 
 // StatsOnly reports whether this memory carries no word store.
-func (m *Memory) StatsOnly() bool { return m.words == nil && m.size > 0 }
+func (m *Memory) StatsOnly() bool { return m.pages == nil && m.size > 0 }
 
 // Bounds returns the area map.
 func (m *Memory) Bounds() Bounds { return m.bounds }
@@ -155,54 +173,118 @@ func (m *Memory) AreaOf(a word.Addr) Area { return m.bounds.AreaOf(a) }
 // Size reports the total number of words.
 func (m *Memory) Size() int { return m.size }
 
-func (m *Memory) checkData() {
-	if m.words == nil && m.size > 0 {
+// Pages reports how many pages hold data and how many the layout spans
+// (both zero on a stats-only memory).
+func (m *Memory) Pages() (resident, total int) {
+	for _, p := range m.pages {
+		if p != nil {
+			resident++
+		}
+	}
+	return resident, len(m.pages)
+}
+
+// checkRange panics unless [a, a+n) is a data access inside the memory:
+// the simulated machine's address arithmetic is supposed to be correct,
+// so a wild address is a simulator bug.
+func (m *Memory) checkRange(a word.Addr, n int) {
+	if m.StatsOnly() {
 		panic("mem: data access on a stats-only memory (missing data-plane gate)")
+	}
+	if int(a)+n > m.size {
+		panic(fmt.Sprintf("mem: access to [%#x, %#x) past the memory's %d words", a, int(a)+n, m.size))
 	}
 }
 
-// Read returns the word at a. It panics on out-of-range addresses: the
-// simulated machine's address arithmetic is supposed to be correct, so a
-// wild address is a simulator bug.
+// alloc allocates the page holding a, the last page only up to Size.
+func (m *Memory) alloc(a word.Addr) []word.Word {
+	i := int(a >> pageShift)
+	p := make([]word.Word, min(pageWords, m.size-i<<pageShift))
+	m.pages[i] = p
+	return p
+}
+
+// Read returns the word at a. It panics on out-of-range addresses.
 func (m *Memory) Read(a word.Addr) word.Word {
-	m.checkData()
-	return m.words[a]
+	m.checkRange(a, 1)
+	if p := m.pages[a>>pageShift]; p != nil {
+		return p[a&pageMask]
+	}
+	return 0
 }
 
 // Write stores w at a.
 func (m *Memory) Write(a word.Addr, w word.Word) {
-	m.checkData()
-	m.words[a] = w
+	m.checkRange(a, 1)
+	p := m.pages[a>>pageShift]
+	if p == nil {
+		if w == 0 {
+			return
+		}
+		p = m.alloc(a)
+	}
+	p[a&pageMask] = w
 }
 
-// ReadBlock copies the block of n words starting at base into dst.
+// ReadBlock copies the len(dst) words starting at base into dst. Words
+// of pages never written read as zero; dst is overwritten either way.
 func (m *Memory) ReadBlock(base word.Addr, dst []word.Word) {
-	m.checkData()
-	copy(dst, m.words[base:int(base)+len(dst)])
+	m.checkRange(base, len(dst))
+	for len(dst) > 0 {
+		off := int(base & pageMask)
+		n := min(len(dst), pageWords-off)
+		if p := m.pages[base>>pageShift]; p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, base = dst[n:], base+word.Addr(n)
+	}
 }
 
-// WriteBlock stores src at base.
+// WriteBlock stores src at base. A block may span pages; a page never
+// written stays unallocated while only zeros are stored into it.
 func (m *Memory) WriteBlock(base word.Addr, src []word.Word) {
-	m.checkData()
-	copy(m.words[base:int(base)+len(src)], src)
+	m.checkRange(base, len(src))
+	for len(src) > 0 {
+		off := int(base & pageMask)
+		n := min(len(src), pageWords-off)
+		p := m.pages[base>>pageShift]
+		if p == nil && slices.ContainsFunc(src[:n], func(w word.Word) bool { return w != 0 }) {
+			p = m.alloc(base)
+		}
+		if p != nil {
+			copy(p[off:], src[:n])
+		}
+		src, base = src[n:], base+word.Addr(n)
+	}
 }
 
-// Snapshot returns a copy of the full word store, for machine-level
-// checkpoints.
+// Snapshot returns a flat copy of the whole word store, for
+// machine-level checkpoints (nil on a stats-only memory).
 func (m *Memory) Snapshot() []word.Word {
-	return append([]word.Word(nil), m.words...)
+	if m.StatsOnly() {
+		return nil
+	}
+	words := make([]word.Word, m.size)
+	for i, p := range m.pages {
+		copy(words[i<<pageShift:], p)
+	}
+	return words
 }
 
 // Restore overwrites the word store from a snapshot of a memory with the
-// same layout. A stats-only memory has no word store and drops the image.
+// same layout, allocating only the pages that hold a nonzero word. A
+// stats-only memory has no word store and drops the image.
 func (m *Memory) Restore(words []word.Word) error {
 	if m.StatsOnly() {
 		return nil
 	}
-	if len(words) != len(m.words) {
-		return fmt.Errorf("mem: snapshot has %d words, memory has %d", len(words), len(m.words))
+	if len(words) != m.size {
+		return fmt.Errorf("mem: snapshot has %d words, memory has %d", len(words), m.size)
 	}
-	copy(m.words, words)
+	clear(m.pages)
+	m.WriteBlock(0, words)
 	return nil
 }
 

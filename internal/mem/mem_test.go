@@ -304,3 +304,137 @@ func TestFlipOnPlainBumpPanics(t *testing.T) {
 	}()
 	NewBump(0, 10).Flip()
 }
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestUntouchedPageReadsZero(t *testing.T) {
+	m := New(DefaultLayout())
+	if res, total := m.Pages(); res != 0 || total != 2401 {
+		t.Fatalf("fresh memory has %d of %d pages resident, want 0 of 2401", res, total)
+	}
+	a := m.Bounds().HeapBase + 3*pageWords
+	if got := m.Read(a); got != 0 {
+		t.Errorf("untouched word reads %v", got)
+	}
+	// The bus reuses its fetch buffer, so a block read from an
+	// untouched page must overwrite stale contents.
+	dst := []word.Word{word.Int(1), word.Int(2), word.Int(3), word.Int(4)}
+	m.ReadBlock(a, dst)
+	for i, w := range dst {
+		if w != 0 {
+			t.Errorf("ReadBlock of an untouched page left dst[%d] = %v", i, w)
+		}
+	}
+	m.Write(a, 0)
+	m.WriteBlock(a, make([]word.Word, 8))
+	if res, _ := m.Pages(); res != 0 {
+		t.Errorf("storing zeros allocated %d pages", res)
+	}
+	m.Write(a, word.Int(5))
+	if res, _ := m.Pages(); res != 1 || m.Read(a) != word.Int(5) || m.Read(a+1) != 0 {
+		t.Errorf("after one write: %d pages resident, words %v %v", res, m.Read(a), m.Read(a+1))
+	}
+}
+
+func TestAccessPastSizePanics(t *testing.T) {
+	m := New(DefaultLayout()) // 9,830,416 words: the last page holds 16
+	end := word.Addr(m.Size())
+	if end%pageWords != 16 {
+		t.Fatalf("last page holds %d words, want 16", end%pageWords)
+	}
+	// Once untouched, once after the partial last page is allocated.
+	for _, label := range []string{"untouched", "resident"} {
+		mustPanic(t, label+" Read at Size", func() { m.Read(end) })
+		mustPanic(t, label+" Write at Size", func() { m.Write(end, word.Int(1)) })
+		mustPanic(t, label+" ReadBlock across Size", func() { m.ReadBlock(end-2, make([]word.Word, 4)) })
+		mustPanic(t, label+" WriteBlock across Size", func() { m.WriteBlock(end-2, make([]word.Word, 4)) })
+		mustPanic(t, label+" Read far past Size", func() { m.Read(end + 2*pageWords) })
+		m.Write(end-1, word.Int(9))
+	}
+	if got := m.Read(end - 1); got != word.Int(9) {
+		t.Errorf("last word reads %v", got)
+	}
+	s := NewStatsOnly(DefaultLayout())
+	if res, total := s.Pages(); res != 0 || total != 0 {
+		t.Errorf("stats-only memory has %d of %d pages", res, total)
+	}
+	mustPanic(t, "stats-only Read", func() { s.Read(s.Bounds().HeapBase) })
+	mustPanic(t, "stats-only ReadBlock", func() { s.ReadBlock(s.Bounds().HeapBase, make([]word.Word, 4)) })
+}
+
+// TestBlockSpanningPages round-trips blocks larger than a page (the
+// -block flag takes any power of two) and unaligned ones that cross a
+// page boundary, over resident and untouched pages.
+func TestBlockSpanningPages(t *testing.T) {
+	m := New(DefaultLayout())
+	base := (m.Bounds().HeapBase + 4*pageWords) &^ pageMask
+	m.Write(base+pageWords+7, word.Int(77)) // make the middle page resident
+	for _, c := range []struct {
+		base word.Addr
+		n    int
+	}{
+		{base, 2 * pageWords},
+		{base + pageWords - 3, 8},
+		{base + 100, 3 * pageWords},
+	} {
+		src := make([]word.Word, c.n)
+		for i := range src {
+			src[i] = word.Int(int64(i + 1))
+		}
+		m.WriteBlock(c.base, src)
+		dst := make([]word.Word, c.n)
+		m.ReadBlock(c.base, dst)
+		for i := range src {
+			if dst[i] != src[i] {
+				t.Fatalf("block at %#x+%d: word %d = %v, want %v", c.base, c.n, i, dst[i], src[i])
+			}
+		}
+		if got := m.Read(c.base + word.Addr(c.n) - 1); got != src[c.n-1] {
+			t.Fatalf("block at %#x+%d: last word reads %v", c.base, c.n, got)
+		}
+	}
+}
+
+// TestSnapshotRestoreSparse: a snapshot is the flat image, and
+// restoring it reproduces every word while allocating only the pages
+// that hold a nonzero word.
+func TestSnapshotRestoreSparse(t *testing.T) {
+	m := New(DefaultLayout())
+	b := m.Bounds()
+	m.Write(b.InstBase, word.Int(1))
+	m.Write(b.HeapBase+5*pageWords+9, word.Int(2))
+	m.Write(b.End-1, word.Int(3))
+	m.Write(b.GoalBase, word.Int(4))
+	m.Write(b.GoalBase, 0) // resident, but all zero again
+	snap := m.Snapshot()
+	if len(snap) != m.Size() {
+		t.Fatalf("snapshot has %d words, want %d", len(snap), m.Size())
+	}
+	r := New(DefaultLayout())
+	r.Write(b.SuspBase, word.Int(8)) // dropped by the restore
+	if err := r.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := r.Pages(); res != 3 {
+		t.Errorf("restored memory has %d pages resident, want 3", res)
+	}
+	for _, a := range []word.Addr{b.InstBase, b.HeapBase + 5*pageWords + 9, b.End - 1, b.GoalBase, b.SuspBase} {
+		if got, want := r.Read(a), m.Read(a); got != want {
+			t.Errorf("word %#x restored as %v, want %v", a, got, want)
+		}
+	}
+	if err := r.Restore(snap[1:]); err == nil {
+		t.Error("Restore accepted a short image")
+	}
+	if got := NewStatsOnly(DefaultLayout()).Snapshot(); got != nil {
+		t.Errorf("stats-only snapshot has %d words", len(got))
+	}
+}

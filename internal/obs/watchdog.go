@@ -116,9 +116,10 @@ func (d *Watchdog) Stop() {
 }
 
 // dump writes the stall diagnosis: what stalled, for how long, the
-// phase timers so far, and every goroutine's stack.
+// phase timers so far, and every goroutine's stack. It counts the dump
+// only once it is written, so a reader that sees Dumps() rise reads a
+// whole dump.
 func (d *Watchdog) dump(idle time.Duration) {
-	d.dumps.Add(1)
 	fmt.Fprintf(d.w, "\n=== watchdog: %s stalled for %s (no progress) ===\n", d.label, idle.Round(time.Millisecond))
 	if sum := d.phases.Summary(); len(sum) > 0 {
 		fmt.Fprintf(d.w, "--- phase timers ---\n")
@@ -136,4 +137,5 @@ func (d *Watchdog) dump(idle time.Duration) {
 		buf = make([]byte, 2*len(buf))
 	}
 	fmt.Fprintf(d.w, "--- goroutine stacks ---\n%s\n=== end watchdog dump ===\n", buf)
+	d.dumps.Add(1)
 }

@@ -52,6 +52,12 @@ func (t *Trace) Len() int { return len(t.Refs) }
 type Recorder struct {
 	trace  Trace
 	bounds mem.Bounds
+	// A stream recorder frames every full chunk to out, so trace.Refs
+	// holds only the references not yet written; err is out's first
+	// write error, reported by Close.
+	out *chunkWriter
+	at  io.WriterAt
+	err error
 }
 
 // NewRecorder makes a recorder for a machine with pes processors and the
@@ -73,8 +79,55 @@ func NewRecorderHint(pes int, layout mem.Layout, refsHint int) *Recorder {
 	return r
 }
 
-// Trace returns the recorded stream.
+// NewStreamRecorder makes a recorder that writes the trace to w as the
+// workload runs: each chunk of refsPerChunk references is framed into w
+// as soon as it fills, so recording holds one chunk however long the
+// stream. Close writes the last chunk and then the header, whose
+// reference count and checksum are known only at the end, at offset 0.
+// The bytes are those Trace.Write produces for the same stream.
+func NewStreamRecorder(w interface {
+	io.Writer
+	io.WriterAt
+}, pes int, layout mem.Layout) *Recorder {
+	r := NewRecorderHint(pes, layout, refsPerChunk)
+	r.out, r.at = newChunkWriter(w), w
+	_, r.err = w.Write(r.trace.prefix(0))
+	return r
+}
+
+// Trace returns the recorded stream. A stream recorder's holds only the
+// references not yet written.
 func (r *Recorder) Trace() *Trace { return &r.trace }
+
+// Len reports how many references have been recorded.
+func (r *Recorder) Len() int {
+	n := len(r.trace.Refs)
+	if r.out != nil {
+		n += r.out.refs
+	}
+	return n
+}
+
+// Close finishes a stream recorder's trace: it writes the pending chunk,
+// then the header at offset 0. It returns the first write error.
+func (r *Recorder) Close() error {
+	if len(r.trace.Refs) > 0 {
+		r.flush()
+	}
+	if r.err != nil {
+		return r.err
+	}
+	_, r.err = r.at.WriteAt(r.trace.prefix(uint64(r.out.refs)), 0)
+	return r.err
+}
+
+// flush frames the pending references into a stream recorder's output.
+func (r *Recorder) flush() {
+	if r.err == nil {
+		r.err = r.out.write(r.trace.Refs)
+	}
+	r.trace.Refs = r.trace.Refs[:0]
+}
 
 // Port wraps a PE's accessor so every successful operation is recorded
 // before being forwarded. Blocked LockReads are not recorded: the
@@ -90,7 +143,11 @@ type recordingPort struct {
 }
 
 func (p *recordingPort) add(op cache.Op, a word.Addr) {
-	p.rec.trace.Refs = append(p.rec.trace.Refs, Ref{PE: p.pe, Op: op, Area: p.rec.bounds.AreaOf(a), Addr: a})
+	r := p.rec
+	r.trace.Refs = append(r.trace.Refs, Ref{PE: p.pe, Op: op, Area: r.bounds.AreaOf(a), Addr: a})
+	if r.out != nil && len(r.trace.Refs) == refsPerChunk {
+		r.flush()
+	}
 }
 
 func (p *recordingPort) Read(a word.Addr) word.Word {
@@ -257,64 +314,67 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // type can never silently truncate traces on disk.
 func addrEncodable(a uint64) bool { return a <= 0xFFFFFFFF }
 
-// header assembles the fixed 32-byte header.
-func (t *Trace) header() []byte {
-	hdr := make([]byte, headerBytes)
+// prefix assembles the bytes before the first chunk of a trace of n
+// references: the magic, the fixed 32-byte header and its CRC32C.
+func (t *Trace) prefix(n uint64) []byte {
+	b := make([]byte, magicLen+headerBytes, magicLen+headerBytes+4)
+	copy(b, magicV3)
+	hdr := b[magicLen:]
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(t.PEs))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(t.Layout.InstWords))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(t.Layout.HeapWords))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(t.Layout.GoalWords))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(t.Layout.SuspWords))
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(t.Layout.CommWords))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(t.Refs)))
-	return hdr
+	binary.LittleEndian.PutUint64(hdr[24:], n)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(hdr, castagnoli))
 }
 
-// encodeRef appends one reference's 6 on-disk bytes to buf.
-func encodeRef(buf []byte, ref *Ref) []byte {
-	return append(buf, ref.PE, uint8(ref.Op),
-		byte(ref.Addr), byte(ref.Addr>>8), byte(ref.Addr>>16), byte(ref.Addr>>24))
+// chunkWriter frames reference chunks onto w: the one chunk encoder,
+// behind both Trace.Write and stream recorders.
+type chunkWriter struct {
+	w    io.Writer
+	buf  []byte // frame header in buf[:frameBytes], payload after it
+	refs int    // references written so far
+}
+
+func newChunkWriter(w io.Writer) *chunkWriter {
+	return &chunkWriter{w: w, buf: make([]byte, 0, frameBytes+refBytes*refsPerChunk)}
+}
+
+// write frames one chunk of at most refsPerChunk references and writes
+// it in one call. It fails — rather than corrupt the stream — if an
+// address exceeds the 32-bit on-disk format.
+func (cw *chunkWriter) write(refs []Ref) error {
+	buf := cw.buf[:frameBytes]
+	for j := range refs {
+		ref := &refs[j]
+		if !addrEncodable(uint64(ref.Addr)) {
+			return fmt.Errorf("trace: ref %d: address %#x exceeds the 32-bit on-disk format", cw.refs+j, uint64(ref.Addr))
+		}
+		buf = append(buf, ref.PE, uint8(ref.Op),
+			byte(ref.Addr), byte(ref.Addr>>8), byte(ref.Addr>>16), byte(ref.Addr>>24))
+	}
+	payload := buf[frameBytes:]
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
+	cw.refs += len(refs)
+	_, err := cw.w.Write(buf)
+	return err
 }
 
 // Write serializes the trace (PIMTRACE3: checksummed chunk framing).
 // It fails — rather than corrupt the stream — if any address exceeds
 // the 32-bit on-disk format.
 func (t *Trace) Write(w io.Writer) error {
-	if _, err := io.WriteString(w, magicV3); err != nil {
+	if _, err := w.Write(t.prefix(uint64(len(t.Refs)))); err != nil {
 		return err
 	}
-	hdr := t.header()
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(hdr, castagnoli))
-	if _, err := w.Write(crcb[:]); err != nil {
-		return err
-	}
-	// Each chunk is framed and written in one call: frame header in
-	// buf[:frameBytes], payload after it.
-	buf := make([]byte, frameBytes, frameBytes+refBytes*refsPerChunk)
-	for i := 0; i < len(t.Refs); {
-		k := len(t.Refs) - i
-		if k > refsPerChunk {
-			k = refsPerChunk
-		}
-		buf = buf[:frameBytes]
-		for j := i; j < i+k; j++ {
-			ref := &t.Refs[j]
-			if !addrEncodable(uint64(ref.Addr)) {
-				return fmt.Errorf("trace: ref %d: address %#x exceeds the 32-bit on-disk format", j, uint64(ref.Addr))
-			}
-			buf = encodeRef(buf, ref)
-		}
-		payload := buf[frameBytes:]
-		binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-		if _, err := w.Write(buf); err != nil {
+	cw := newChunkWriter(w)
+	for i := 0; i < len(t.Refs); i += refsPerChunk {
+		if err := cw.write(t.Refs[i:min(i+refsPerChunk, len(t.Refs))]); err != nil {
 			return err
 		}
-		i += k
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,6 +45,80 @@ func TestRecordingPortForwardsAndRecords(t *testing.T) {
 		if tr.Refs[i].Op != op {
 			t.Errorf("ref %d op = %v, want %v", i, tr.Refs[i].Op, op)
 		}
+	}
+}
+
+// driveRecorder sends n references through rec's ports: reads and
+// writes by three PEs over a heap span wider than one memory page.
+func driveRecorder(rec *Recorder, m *mem.Memory, n int) {
+	ports := []mem.Accessor{rec.Port(0, mem.DirectAccessor{M: m}), rec.Port(1, mem.DirectAccessor{M: m}), rec.Port(2, mem.DirectAccessor{M: m})}
+	base := m.Bounds().HeapBase
+	for i := 0; i < n; i++ {
+		a := base + word.Addr(i*7919%6000)
+		if i%3 == 0 {
+			ports[i%3].Write(a, word.Int(int64(i)))
+		} else {
+			ports[i%3].Read(a)
+		}
+	}
+}
+
+// TestStreamRecorderMatchesWrite: a stream recorder writes the bytes
+// Trace.Write produces for the same references — at chunk boundaries,
+// across them and for an empty stream — and reads back through Read.
+func TestStreamRecorderMatchesWrite(t *testing.T) {
+	layout := mem.Layout{InstWords: 64, HeapWords: 8192, GoalWords: 64, SuspWords: 32, CommWords: 32}
+	for _, n := range []int{0, 1, refsPerChunk - 1, refsPerChunk, refsPerChunk + 1, 3*refsPerChunk + 17} {
+		mem1, mem2 := mem.New(layout), mem.New(layout)
+		want := NewRecorder(3, layout)
+		driveRecorder(want, mem1, n)
+		var wantBytes bytes.Buffer
+		if err := want.Trace().Write(&wantBytes); err != nil {
+			t.Fatal(err)
+		}
+
+		f, err := os.Create(filepath.Join(t.TempDir(), "t.trc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := NewStreamRecorder(f, 3, layout)
+		driveRecorder(rec, mem2, n)
+		if len(rec.Trace().Refs) >= refsPerChunk {
+			t.Errorf("%d refs: the stream recorder holds %d references", n, len(rec.Trace().Refs))
+		}
+		if rec.Len() != n {
+			t.Errorf("Len = %d, want %d", rec.Len(), n)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		got, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes.Bytes()) {
+			t.Errorf("%d refs: stream recorder wrote %d bytes that differ from Trace.Write's %d", n, len(got), wantBytes.Len())
+		}
+		if tr, err := Read(bytes.NewReader(got)); err != nil || tr.Len() != n {
+			t.Errorf("%d refs: reading the streamed trace back: %v", n, err)
+		}
+	}
+}
+
+// TestStreamRecorderReportsWriteErrors: a failed chunk write is kept
+// and returned by Close, which then writes no header.
+func TestStreamRecorderReportsWriteErrors(t *testing.T) {
+	layout := mem.Layout{InstWords: 64, HeapWords: 8192, GoalWords: 64, SuspWords: 32, CommWords: 32}
+	f, err := os.Create(filepath.Join(t.TempDir(), "t.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewStreamRecorder(f, 3, layout)
+	f.Close() // every later write fails
+	driveRecorder(rec, mem.New(layout), 2*refsPerChunk)
+	if err := rec.Close(); err == nil {
+		t.Error("Close after failed writes returned nil")
 	}
 }
 
@@ -213,7 +289,7 @@ func traceCluster(t *testing.T, src string, pes int, opts cache.Options) (*machi
 	}
 	m := machine.New(mcfg)
 	img := compileSrc(t, src)
-	sh, err := emulator.NewShared(img, m.Memory(), pes, emulator.DefaultConfig())
+	sh, err := emulator.NewShared(img, m, emulator.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,8 +205,8 @@ func RunBenchmark(name string, scale int, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rd, _, err := bench.RunLiveTiming(b, scale, c.PEs, cc,
-		bus.Timing{MemCycles: c.MemCycles, WidthWords: c.BusWidthWords}, false)
+	rd, err := bench.RunLiveTiming(b, scale, c.PEs, cc,
+		bus.Timing{MemCycles: c.MemCycles, WidthWords: c.BusWidthWords}, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,10 +1,12 @@
 package pimcache
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"pimcache/internal/cache"
+	"pimcache/internal/kl1/emulator"
 )
 
 func smallConfig() Config {
@@ -69,6 +71,21 @@ func TestRunBenchmarkVerifies(t *testing.T) {
 func TestRunBenchmarkUnknown(t *testing.T) {
 	if _, err := RunBenchmark("nope", 0, smallConfig()); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestGoalOptsAtLargeBlocksRefused: the facade returns the runtime's
+// refusal of goal-area optimized commands at blocks larger than a goal
+// record, for programs and benchmarks alike (the benchmark run used to
+// panic).
+func TestGoalOptsAtLargeBlocksRefused(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BlockWords, cfg.Optimizations = 32, "goal"
+	if _, err := RunBenchmark("Tri", 2, cfg); !errors.Is(err, emulator.ErrMachineConfig) {
+		t.Errorf("RunBenchmark: err = %v, want ErrMachineConfig", err)
+	}
+	if _, err := Run("main :- true | true.", cfg, 0); !errors.Is(err, emulator.ErrMachineConfig) {
+		t.Errorf("Run: err = %v, want ErrMachineConfig", err)
 	}
 }
 
