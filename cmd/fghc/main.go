@@ -16,15 +16,11 @@ import (
 	"io"
 	"os"
 
-	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
 	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/emulator"
-	"pimcache/internal/kl1/parser"
-	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
-	"pimcache/internal/mem"
 )
 
 func main() {
@@ -41,18 +37,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: fghc [flags] program.fghc  (use - for stdin)")
 		os.Exit(2)
 	}
-	mcfg := machine.Config{
-		PEs: *pes,
-		Layout: mem.Layout{
-			InstWords: 64 << 10,
-			HeapWords: *heapWords,
-			GoalWords: 1 << 20,
-			SuspWords: 256 << 10,
-			CommWords: 64 << 10,
-		},
-		Cache:  cacheConfig(),
-		Timing: bus.DefaultTiming(),
-	}
+	mcfg := machine.DefaultConfig()
+	mcfg.PEs, mcfg.Layout.HeapWords = *pes, *heapWords
+	mcfg.Cache.Options = cache.OptionsAll()
 	if err := cliutil.FirstError(cliutil.ValidatePEs(*pes), mcfg.Validate()); err != nil {
 		fmt.Fprintln(os.Stderr, "fghc:", err)
 		os.Exit(2)
@@ -70,12 +57,7 @@ func main() {
 	}
 
 	if *dumpAsm {
-		prog, err := parser.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fghc:", err)
-			os.Exit(1)
-		}
-		im, err := compile.Compile(prog, word.NewTable())
+		im, err := compile.Source(string(src))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fghc:", err)
 			os.Exit(1)
@@ -119,10 +101,4 @@ func main() {
 				g.Collections, g.WordsCopied)
 		}
 	}
-}
-
-func cacheConfig() cache.Config {
-	cfg := cache.DefaultConfig()
-	cfg.Options = cache.OptionsAll()
-	return cfg
 }

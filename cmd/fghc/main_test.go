@@ -70,3 +70,17 @@ func TestMalformedFlagsExit2(t *testing.T) {
 		}
 	}
 }
+
+// TestDisassemblyErrorsMatchRun: -S compiles through the same front end
+// as a run, so a malformed program fails with the same labeled error.
+func TestDisassemblyErrorsMatchRun(t *testing.T) {
+	for _, src := range []string{"main :- |\n", "main :- true | ghost(1).\n"} {
+		_, runErr, runCode := fghc(t, src, "-")
+		_, asmErr, asmCode := fghc(t, src, "-S", "-")
+		if runCode != 1 || asmCode != 1 || asmErr != runErr ||
+			!(strings.HasPrefix(runErr, "fghc: parse: ") || strings.HasPrefix(runErr, "fghc: compile: ")) {
+			t.Errorf("%q: run exit %d %q, -S exit %d %q; want the same labeled fghc: parse:/compile: error, exit 1",
+				src, runCode, runErr, asmCode, asmErr)
+		}
+	}
+}

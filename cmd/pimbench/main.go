@@ -177,7 +177,7 @@ func writeManifest(man *obs.Manifest, path string, d *bench.Data, o bench.Option
 			PEs:   o.PEs,
 			Refs:  bd.Refs.TotalRefs(),
 		}
-		for _, v := range bench.OptVariants {
+		for _, v := range cache.OptionSets {
 			sec.Variants = append(sec.Variants, obs.VariantStats{
 				Variant: v.Name,
 				Cache:   bd.OptCache[v.Name],

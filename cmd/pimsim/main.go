@@ -104,21 +104,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	timing := bus.Timing{MemCycles: 8, WidthWords: *width}
-	if tel.On() {
-		if len(benches) > 1 {
-			fmt.Fprintln(os.Stderr, "pimsim: -events/-intervals/-hotspots need a single -bench entry (one machine, one timeline)")
-			os.Exit(2)
-		}
-		rd, err := runProbed(benches[0], *scale, *pes, ccfg, timing, *tel, ph)
-		if err != nil {
-			fail(err)
-		}
-		writeManifest(man, *manifest, rd, ccfg, timing, *optsName, ph)
-		return
+	if tel.On() && len(benches) > 1 {
+		fmt.Fprintln(os.Stderr, "pimsim: -events/-intervals/-hotspots need a single -bench entry (one machine, one timeline)")
+		os.Exit(2)
+	}
+	// The sink is nil unless a telemetry flag asked for a consumer.
+	probes, err := tel.Start(*pes, ccfg.BlockWords, mem.DefaultLayout().Bounds().AreaOf)
+	if err != nil {
+		fail(err)
 	}
 
 	// Fan the runs out, but buffer each report and print in list order.
+	timing := bus.Timing{MemCycles: 8, WidthWords: *width}
 	reports := make([]strings.Builder, len(benches))
 	results := make([]*bench.RunData, len(benches))
 	pool := par.NewCtx(ctx, *jobs)
@@ -130,7 +127,7 @@ func main() {
 				runScale = b.DefaultScale
 			}
 			sp := ph.Start("live/" + b.Name)
-			rd, err := bench.RunLiveTiming(b, runScale, *pes, ccfg, timing, nil, nil)
+			rd, err := bench.RunLiveTiming(b, runScale, *pes, ccfg, timing, nil, probes.Sink)
 			sp.End()
 			if err != nil {
 				return err
@@ -140,7 +137,7 @@ func main() {
 			return nil
 		})
 	}
-	err := pool.Wait()
+	err = pool.Wait()
 	for i := range reports {
 		if reports[i].Len() > 0 {
 			if i > 0 {
@@ -150,6 +147,9 @@ func main() {
 		}
 	}
 	if err != nil {
+		fail(err)
+	}
+	if err := probes.Report(os.Stdout); err != nil {
 		fail(err)
 	}
 	writeManifest(man, *manifest, results[0], ccfg, timing, *optsName, ph)
@@ -189,28 +189,6 @@ func writeManifest(man *obs.Manifest, path string, rd *bench.RunData, ccfg cache
 		fmt.Fprintln(os.Stderr, "pimsim:", err)
 		os.Exit(1)
 	}
-}
-
-// runProbed executes one benchmark with the probe layer attached,
-// prints the usual report plus the requested telemetry tables, and
-// writes the Perfetto export.
-func runProbed(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, spec cliutil.TelemetrySpec, ph *obs.Phases) (*bench.RunData, error) {
-	runScale := scale
-	if runScale == 0 {
-		runScale = b.DefaultScale
-	}
-	probes, err := spec.Start(pes, ccfg.BlockWords, bench.Layout().Bounds().AreaOf)
-	if err != nil {
-		return nil, err
-	}
-	sp := ph.Start("live/" + b.Name)
-	rd, err := bench.RunLiveTiming(b, runScale, pes, ccfg, timing, nil, probes.Sink)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	printReport(os.Stdout, b, rd, ccfg)
-	return rd, probes.Report(os.Stdout)
 }
 
 func printReport(w io.Writer, b programs.Benchmark, rd *bench.RunData, ccfg cache.Config) {

@@ -42,6 +42,7 @@ import (
 	"pimcache/internal/cliutil"
 	"pimcache/internal/kl1/emulator"
 	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/safeio"
 	"pimcache/internal/stats"
@@ -113,7 +114,7 @@ func record(args []string) {
 	var refs int
 	var runErr error
 	err := safeio.WriteFile(*out, func(w io.Writer) error {
-		rec := trace.NewStreamRecorder(w.(*os.File), *pes, bench.Layout())
+		rec := trace.NewStreamRecorder(w.(*os.File), *pes, mem.DefaultLayout())
 		_, runErr = bench.RunLiveTiming(b, *scale, *pes, bench.BaseCache(cache.OptionsAll()), bus.DefaultTiming(), rec, nil)
 		if runErr != nil {
 			return runErr
@@ -315,6 +316,7 @@ func replay(args []string) {
 	resume := fs.Bool("resume", false, "resume from the -checkpoint file if it exists (fresh start otherwise)")
 	chaosExitAfter := fs.Int("chaos-exit-after", 0, "exit with status 3 after N checkpoint writes (crash-injection hook for the resume tests; 0 disables)")
 	run := cliutil.TimeoutFlags(fs)
+	stall := fs.Duration("stall", 0, "dump goroutine stacks and phase timers after this long without progress (e.g. 2m; 0 = off)")
 	prof := cliutil.ProfileFlags(fs)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -411,7 +413,7 @@ func replay(args []string) {
 	}
 
 	hb := obs.NewHeartbeat(os.Stderr, "replay", *heartbeat, d.Len()).Start()
-	wd := run.Watchdog("replay "+fs.Arg(0), ph)
+	wd := obs.NewWatchdog(os.Stderr, "replay "+fs.Arg(0), *stall, ph).Start()
 	defer wd.Stop()
 	chunks := reg.Counter("trace.chunks")
 	// The hook runs on the replay's decoder goroutine: atomics only.

@@ -97,6 +97,21 @@ func TestMalformedFlagsExit2(t *testing.T) {
 	}
 }
 
+// TestReplayRunBounds: replay, the one command that pets a stall
+// watchdog, takes -stall next to the shared -timeout.
+func TestReplayRunBounds(t *testing.T) {
+	dir := t.TempDir()
+	tr := synthTrace(t, dir)
+	for _, args := range [][]string{
+		{"replay", "-stall", "1h", tr},
+		{"replay", "-timeout", "1h", tr},
+	} {
+		if _, stderr, code := pimtrace(t, dir, args...); code != 0 {
+			t.Errorf("pimtrace %v: exit %d, stderr %q; want exit 0", args, code, stderr)
+		}
+	}
+}
+
 // TestRecordStreamsTrace: record writes, chunk by chunk, the bytes of
 // the in-memory recording of the same live run, and an unwritable -o
 // fails without leaving a file.

@@ -19,8 +19,6 @@ import (
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/emulator"
-	"pimcache/internal/kl1/parser"
-	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 	"pimcache/internal/obs"
@@ -136,17 +134,6 @@ func (o Options) ScaleFor(b programs.Benchmark) int {
 	return b.DefaultScale
 }
 
-// Layout is the memory layout used by all benchmark runs.
-func Layout() mem.Layout {
-	return mem.Layout{
-		InstWords: 64 << 10,
-		HeapWords: 8 << 20,
-		GoalWords: 1 << 20,
-		SuspWords: 256 << 10,
-		CommWords: 64 << 10,
-	}
-}
-
 // BaseCache returns the paper's base cache (4Kword, 4-word blocks,
 // 4-way) with the given optimized-command options.
 func BaseCache(opts cache.Options) cache.Config {
@@ -179,7 +166,7 @@ type RunData struct {
 func RunLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, record bool) (*RunData, *trace.Trace, error) {
 	var rec *trace.Recorder
 	if record {
-		rec = trace.NewRecorderHint(pes, Layout(), refHint(b.Name, scale))
+		rec = trace.NewRecorderHint(pes, mem.DefaultLayout(), refHint(b.Name, scale))
 	}
 	data, err := RunLiveTiming(b, scale, pes, ccfg, bus.DefaultTiming(), rec, nil)
 	if err != nil || rec == nil {
@@ -188,16 +175,27 @@ func RunLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, record boo
 	return data, rec.Trace(), nil
 }
 
-// RunLiveTiming is RunLive with explicit bus timing. A non-nil rec, made
-// for pes PEs and Layout(), records the reference stream; closing a
-// stream recorder (trace.NewStreamRecorder) is the caller's. A non-nil
-// sink is attached to the whole cluster (bus, caches, machine,
-// scheduler) for the duration of the run and receives the full event
-// stream, scheduler events included.
+// RunLiveTiming is RunLive with explicit bus timing. The machine is
+// machine.DefaultConfig() with pes PEs, ccfg and timing. A non-nil rec,
+// made for pes PEs and mem.DefaultLayout(), records the reference
+// stream; closing a stream recorder (trace.NewStreamRecorder) is the
+// caller's. A non-nil sink is attached to the whole cluster (bus,
+// caches, machine, scheduler) for the duration of the run and receives
+// the full event stream, scheduler events included.
 func RunLiveTiming(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, rec *trace.Recorder, sink probe.Sink) (*RunData, error) {
-	cl, err := liveCluster(b, scale, pes, ccfg, timing, rec, sink)
+	im, err := compile.Source(b.Source(scale))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", b.Name, err)
+	}
+	mcfg := machine.DefaultConfig()
+	mcfg.PEs, mcfg.Cache, mcfg.Timing = pes, ccfg, timing
+	var wrap func(int, mem.Accessor) mem.Accessor
+	if rec != nil {
+		wrap = rec.Port
+	}
+	cl, err := emulator.NewCluster(im, mcfg, emulator.DefaultConfig(), wrap, sink)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	res := cl.Run(0)
 	if res.Failed {
@@ -215,49 +213,6 @@ func RunLiveTiming(b programs.Benchmark, scale, pes int, ccfg cache.Config, timi
 		Bus:    m.BusStats(),
 		Cache:  m.CacheStats(),
 	}, nil
-}
-
-// liveCluster compiles benchmark b and builds the cluster a live run
-// steps: a data-carrying machine with one engine per PE, whose ports rec
-// (when non-nil) records and whose events sink (when non-nil) receives.
-func liveCluster(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, rec *trace.Recorder, sink probe.Sink) (*emulator.Cluster, error) {
-	if ccfg.StatsOnly {
-		// machine.Run would panic anyway; fail with a benchmark-labelled
-		// error first so callers get a diagnosable message.
-		return nil, fmt.Errorf("%s: live run needs data values (unification reads them back): cache config is stats-only, which supports trace replay only", b.Name)
-	}
-	prog, err := parser.Parse(b.Source(scale))
-	if err != nil {
-		return nil, fmt.Errorf("%s: parse: %w", b.Name, err)
-	}
-	im, err := compile.Compile(prog, word.NewTable())
-	if err != nil {
-		return nil, fmt.Errorf("%s: compile: %w", b.Name, err)
-	}
-	mcfg := machine.Config{PEs: pes, Layout: Layout(), Cache: ccfg, Timing: timing}
-	m := machine.New(mcfg)
-	sh, err := emulator.NewShared(im, m, emulator.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	if sink != nil {
-		m.SetProbe(sink)
-		sh.SetProbe(sink, m.Bus().ProbeClock)
-	}
-	cl := &emulator.Cluster{Machine: m, Shared: sh}
-	for i := 0; i < pes; i++ {
-		port := mem.Accessor(m.Port(i))
-		if rec != nil {
-			port = rec.Port(i, port)
-		}
-		e, err := emulator.NewEngine(sh, i, port)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		cl.Engines = append(cl.Engines, e)
-		m.Attach(i, e)
-	}
-	return cl, nil
 }
 
 // ReplayConfig replays a recorded stream against a cache configuration
@@ -307,18 +262,6 @@ type SweepPoint struct {
 	DirectoryBits int
 }
 
-// OptVariants are the Table 4 columns in order.
-var OptVariants = []struct {
-	Name string
-	Opts cache.Options
-}{
-	{"None", cache.OptionsNone()},
-	{"Heap", cache.OptionsHeap()},
-	{"Goal", cache.OptionsGoal()},
-	{"Comm", cache.OptionsComm()},
-	{"All", cache.OptionsAll()},
-}
-
 // BenchData aggregates everything measured for one benchmark.
 type BenchData struct {
 	Name  string
@@ -333,8 +276,9 @@ type BenchData struct {
 	// across cache configurations.
 	Refs cache.Stats
 
-	// OptBus/OptCache hold replayed statistics per Table 4 variant
-	// ("None" is the paper's base configuration used by Tables 2 and 5).
+	// OptBus/OptCache hold replayed statistics per Table 4 column, keyed
+	// by cache.OptionSets name ("None" is the paper's base configuration
+	// used by Tables 2 and 5).
 	OptBus   map[string]bus.Stats
 	OptCache map[string]cache.Stats
 

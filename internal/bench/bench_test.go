@@ -45,7 +45,7 @@ func TestCollectStructure(t *testing.T) {
 			t.Errorf("missing live run for %d PEs", pes)
 		}
 	}
-	for _, v := range OptVariants {
+	for _, v := range cache.OptionSets {
 		if _, ok := bd.OptBus[v.Name]; !ok {
 			t.Errorf("missing replay %s", v.Name)
 		}
@@ -67,7 +67,7 @@ func TestTable4Invariants(t *testing.T) {
 		t.Errorf("All (%d) did not beat None (%d)", all, none)
 	}
 	// Each single-site optimization can only help.
-	for _, v := range OptVariants[1:4] {
+	for _, v := range cache.OptionSets[1:4] {
 		if bd.OptBus[v.Name].TotalCycles > none {
 			t.Errorf("%s increased traffic: %d > %d", v.Name, bd.OptBus[v.Name].TotalCycles, none)
 		}

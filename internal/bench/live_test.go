@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"pimcache/internal/bench/programs"
-	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/emulator"
+	"pimcache/internal/machine"
 )
 
 // TestLiveRunsTouchFewPages: the paged memory image holds only what a
@@ -23,7 +24,13 @@ func TestLiveRunsTouchFewPages(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dPE", name, pes), func(t *testing.T) {
 				t.Parallel()
 				scale := o.ScaleFor(b)
-				cl, err := liveCluster(b, scale, pes, BaseCache(cache.OptionsAll()), bus.DefaultTiming(), nil, nil)
+				im, err := compile.Source(b.Source(scale))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mcfg := machine.DefaultConfig()
+				mcfg.PEs, mcfg.Cache = pes, BaseCache(cache.OptionsAll())
+				cl, err := emulator.NewCluster(im, mcfg, emulator.DefaultConfig(), nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

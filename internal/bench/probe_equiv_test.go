@@ -9,6 +9,7 @@ import (
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
+	"pimcache/internal/mem"
 	"pimcache/internal/probe"
 	"pimcache/internal/trace"
 
@@ -42,7 +43,7 @@ func TestProbeDeterminism(t *testing.T) {
 			t.Parallel()
 			for _, pes := range pesList {
 				buf1, buf2 := &probe.Buffer{}, &probe.Buffer{}
-				rec := trace.NewRecorder(pes, Layout())
+				rec := trace.NewRecorder(pes, mem.DefaultLayout())
 				if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, rec, buf1); err != nil {
 					t.Fatalf("probed live run at %d PEs: %v", pes, err)
 				}
@@ -118,7 +119,7 @@ func TestPerfettoByteIdentity(t *testing.T) {
 		}
 		var rec *trace.Recorder
 		if record {
-			rec = trace.NewRecorder(pes, Layout())
+			rec = trace.NewRecorder(pes, mem.DefaultLayout())
 		}
 		if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, rec, sink); err != nil {
 			t.Fatal(err)
@@ -177,12 +178,12 @@ func TestPerfettoByteIdentity(t *testing.T) {
 func TestProbeDisabledZeroAlloc(t *testing.T) {
 	m := machine.New(machine.Config{
 		PEs:    2,
-		Layout: Layout(),
+		Layout: mem.DefaultLayout(),
 		Cache:  BaseCache(cache.OptionsAll()),
 		Timing: bus.DefaultTiming(),
 	})
 	p0, p1 := m.Port(0), m.Port(1)
-	heap := Layout().Bounds().HeapBase
+	heap := mem.DefaultLayout().Bounds().HeapBase
 	// Warm both caches and the lock directory.
 	p0.Write(heap, word.Word(1))
 	_ = p1.Read(heap)

@@ -70,7 +70,7 @@ func (o Options) replayJobs() []replayJob {
 		jobs = append(jobs, replayJob{label: label, replayKey: replayKey{cfg, timing}, store: store})
 	}
 	dt := bus.DefaultTiming()
-	for _, v := range OptVariants {
+	for _, v := range cache.OptionSets {
 		add(v.Name, o.baseCache(v.Opts), dt, func(bd *BenchData, bs bus.Stats, cs cache.Stats) {
 			bd.OptBus[v.Name], bd.OptCache[v.Name] = bs, cs
 		})

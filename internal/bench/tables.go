@@ -226,7 +226,7 @@ func Table4(d *Data) *stats.Table {
 	for _, bd := range d.Benches {
 		none := bd.OptBus["None"].TotalCycles
 		var cells []float64
-		for _, v := range OptVariants {
+		for _, v := range cache.OptionSets {
 			cells = append(cells, stats.Ratio(bd.OptBus[v.Name].TotalCycles, none))
 		}
 		t.AddFloats(bd.Name, "%.2f", cells...)

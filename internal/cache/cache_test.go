@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -759,6 +760,22 @@ func TestOptionsTable4Columns(t *testing.T) {
 	a := OptionsAll()
 	if !a.Enabled(mem.AreaHeap, OptDW) || !a.Enabled(mem.AreaGoal, OptER) || !a.Enabled(mem.AreaComm, OptRI) {
 		t.Error("All column wrong")
+	}
+}
+
+// TestOptionSetsAreTable4 pins the table the commands, the harness and
+// the facade read: Table 4's columns in order, each holding its
+// constructor's value.
+func TestOptionSetsAreTable4(t *testing.T) {
+	want := []OptionSet{
+		{"None", OptionsNone()},
+		{"Heap", OptionsHeap()},
+		{"Goal", OptionsGoal()},
+		{"Comm", OptionsComm()},
+		{"All", OptionsAll()},
+	}
+	if !slices.Equal(OptionSets, want) {
+		t.Errorf("OptionSets = %v, want %v", OptionSets, want)
 	}
 }
 

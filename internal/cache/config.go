@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"pimcache/internal/mem"
 )
@@ -97,6 +98,33 @@ func OptionsAll() Options {
 	o.PerArea[mem.AreaGoal] = OptER | OptRP | OptDW
 	o.PerArea[mem.AreaComm] = OptRI
 	return o
+}
+
+// OptionSet is one named column of the paper's Table 4.
+type OptionSet struct {
+	Name string
+	Opts Options
+}
+
+// OptionSets are Table 4's columns in order: the unoptimized cache, each
+// area's commands alone, and all of them together.
+var OptionSets = []OptionSet{
+	{"None", OptionsNone()},
+	{"Heap", OptionsHeap()},
+	{"Goal", OptionsGoal()},
+	{"Comm", OptionsComm()},
+	{"All", OptionsAll()},
+}
+
+// OptionsByName looks up an option set by its lower-case name ("none",
+// "heap", "goal", "comm" or "all"), the form command-line flags take.
+func OptionsByName(name string) (Options, bool) {
+	for _, s := range OptionSets {
+		if strings.ToLower(s.Name) == name {
+			return s.Opts, true
+		}
+	}
+	return Options{}, false
 }
 
 // Enabled reports whether opt is enabled for area.

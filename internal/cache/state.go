@@ -111,9 +111,6 @@ func (o Op) String() string {
 // IsWrite reports whether the operation stores to memory.
 func (o Op) IsWrite() bool { return o == OpW || o == OpUW || o == OpDW }
 
-// IsLockOp reports whether the operation touches the lock directory.
-func (o Op) IsLockOp() bool { return o == OpLR || o == OpUW || o == OpU }
-
 // LockState is a lock-directory entry state (Section 3.1).
 type LockState uint8
 

@@ -44,17 +44,6 @@ type Stats struct {
 	DWUpdateInvals  uint64 // applied DWs that had to invalidate live remote copies
 }
 
-// DataRefs sums non-instruction references (all areas but inst).
-func (s *Stats) DataRefs() uint64 {
-	var n uint64
-	for a := mem.AreaHeap; a <= mem.AreaComm; a++ {
-		for op := Op(0); op < NumOps; op++ {
-			n += s.Refs[a][op]
-		}
-	}
-	return n
-}
-
 // TotalRefs sums all references including instruction fetches.
 func (s *Stats) TotalRefs() uint64 {
 	var n uint64

@@ -1,5 +1,6 @@
 // Package cliutil holds the flag handling shared by the pimsim,
-// pimbench, pimtable and pimtrace commands: validation, profiles, run
+// pimbench, pimtable and pimtrace commands: validation, the cache
+// configuration builder (the pimcache facade's too), profiles, run
 // bounds, and the probe-layer telemetry flags. The simulator core
 // panics on malformed configurations (and some bad values used to slip
 // far deeper before surfacing); these helpers turn bad flag values into
@@ -58,23 +59,6 @@ func ValidateBusWidth(width int) error {
 	return nil
 }
 
-// ParseOptions maps an -opts flag value to the optimized-command set.
-func ParseOptions(name string) (cache.Options, error) {
-	switch name {
-	case "none":
-		return cache.OptionsNone(), nil
-	case "heap":
-		return cache.OptionsHeap(), nil
-	case "goal":
-		return cache.OptionsGoal(), nil
-	case "comm":
-		return cache.OptionsComm(), nil
-	case "all":
-		return cache.OptionsAll(), nil
-	}
-	return cache.Options{}, fmt.Errorf("unknown -opts %q (want none, heap, goal, comm, or all)", name)
-}
-
 // protocolList renders the registered protocol names as an English
 // alternation ("pim, illinois, ..., or adaptive") for help and error
 // text, so the flag surface tracks the cache package's registry.
@@ -104,26 +88,22 @@ func ParseProtocol(name string) (cache.Protocol, error) {
 
 // BuildCacheConfig assembles and validates a cache configuration from
 // the -cache/-block/-ways/-opts/-protocol flags every simulator command
-// shares. Geometry errors (non-power-of-two block or set count, sizes
-// that don't divide) come back as ordinary errors instead of panics
-// deep inside cache construction.
+// shares, on top of cache.DefaultConfig. -opts takes a cache.OptionSets
+// name in lower case. Geometry errors (non-power-of-two block or set
+// count, sizes that don't divide) come back as ordinary errors instead
+// of panics deep inside cache construction.
 func BuildCacheConfig(sizeWords, blockWords, ways int, optsName, protocolName string) (cache.Config, error) {
-	opts, err := ParseOptions(optsName)
-	if err != nil {
-		return cache.Config{}, err
+	opts, ok := cache.OptionsByName(optsName)
+	if !ok {
+		return cache.Config{}, fmt.Errorf("unknown -opts %q (want none, heap, goal, comm, or all)", optsName)
 	}
 	proto, err := ParseProtocol(protocolName)
 	if err != nil {
 		return cache.Config{}, err
 	}
-	cfg := cache.Config{
-		SizeWords:   sizeWords,
-		BlockWords:  blockWords,
-		Ways:        ways,
-		LockEntries: 4,
-		Options:     opts,
-		Protocol:    proto,
-	}
+	cfg := cache.DefaultConfig()
+	cfg.SizeWords, cfg.BlockWords, cfg.Ways = sizeWords, blockWords, ways
+	cfg.Options, cfg.Protocol = opts, proto
 	if err := cfg.Validate(); err != nil {
 		return cache.Config{}, err
 	}

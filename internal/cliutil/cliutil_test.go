@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"errors"
+	"flag"
 	"strings"
 	"testing"
 
@@ -59,22 +60,19 @@ func TestValidateBusWidth(t *testing.T) {
 	}
 }
 
-func TestParseOptions(t *testing.T) {
-	for name, want := range map[string]cache.Options{
-		"none": cache.OptionsNone(),
-		"heap": cache.OptionsHeap(),
-		"goal": cache.OptionsGoal(),
-		"comm": cache.OptionsComm(),
-		"all":  cache.OptionsAll(),
-	} {
-		got, err := ParseOptions(name)
-		if err != nil || got != want {
-			t.Errorf("ParseOptions(%q) = %v, %v", name, got, err)
+// TestBuildCacheConfigOptions: -opts takes every cache.OptionSets name
+// in lower case, and nothing else.
+func TestBuildCacheConfigOptions(t *testing.T) {
+	for _, set := range cache.OptionSets {
+		name := strings.ToLower(set.Name)
+		cfg, err := BuildCacheConfig(4<<10, 4, 4, name, "pim")
+		if err != nil || cfg.Options != set.Opts {
+			t.Errorf("BuildCacheConfig(-opts %q) = %v, %v; want %v", name, cfg.Options, err, set.Opts)
 		}
 	}
 	for _, name := range []string{"", "ALL", "everything", "heap,goal"} {
-		if _, err := ParseOptions(name); err == nil {
-			t.Errorf("ParseOptions(%q) = nil error, want error", name)
+		if _, err := BuildCacheConfig(4<<10, 4, 4, name, "pim"); err == nil || !strings.Contains(err.Error(), "-opts") {
+			t.Errorf("BuildCacheConfig(-opts %q) = %v, want an error naming -opts", name, err)
 		}
 	}
 }
@@ -159,5 +157,18 @@ func TestFirstError(t *testing.T) {
 	want := errors.New("boom")
 	if err := FirstError(nil, want, errors.New("later")); err != want {
 		t.Errorf("FirstError returned %v, want the first error", err)
+	}
+}
+
+// TestTimeoutFlagsDefinesTimeoutOnly: -timeout is the only run bound
+// every command shares; -stall belongs to the one command that pets a
+// watchdog (pimtrace replay).
+func TestTimeoutFlagsDefinesTimeoutOnly(t *testing.T) {
+	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	TimeoutFlags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if len(names) != 1 || names[0] != "timeout" {
+		t.Errorf("TimeoutFlags defines %v, want [timeout]", names)
 	}
 }

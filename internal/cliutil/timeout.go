@@ -10,23 +10,19 @@ import (
 	"runtime"
 	"syscall"
 	"time"
-
-	"pimcache/internal/obs"
 )
 
-// RunSpec holds the run-bounding flags shared by the simulator
-// commands: a wall-clock timeout and a stall window for the watchdog.
+// RunSpec holds the run-bounding flag shared by the simulator
+// commands: a wall-clock timeout.
 type RunSpec struct {
 	Timeout time.Duration // -timeout: cancel the run after this long (0: none)
-	Stall   time.Duration // -stall: dump stacks after this long without progress (0: off)
 }
 
-// TimeoutFlags registers -timeout and -stall on fs and returns the
-// spec they fill (valid after fs.Parse).
+// TimeoutFlags registers -timeout on fs and returns the spec it fills
+// (valid after fs.Parse).
 func TimeoutFlags(fs *flag.FlagSet) *RunSpec {
 	var s RunSpec
 	fs.DurationVar(&s.Timeout, "timeout", 0, "abort the run after this wall-clock duration (e.g. 10m; 0 = no limit)")
-	fs.DurationVar(&s.Stall, "stall", 0, "dump goroutine stacks and phase timers after this long without progress (e.g. 2m; 0 = off)")
 	return &s
 }
 
@@ -41,13 +37,6 @@ func (s RunSpec) Context() (context.Context, context.CancelFunc) {
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.Timeout)
 	return ctx, func() { cancel(); stop() }
-}
-
-// Watchdog builds the run's stall watchdog on stderr, started; nil
-// (a no-op) when -stall is unset. Callers Pet it on progress and defer
-// Stop.
-func (s RunSpec) Watchdog(label string, ph *obs.Phases) *obs.Watchdog {
-	return obs.NewWatchdog(os.Stderr, label, s.Stall, ph).Start()
 }
 
 // AbortOnDone is the hard backstop behind cooperative cancellation:

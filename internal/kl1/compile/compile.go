@@ -41,6 +41,21 @@ func (im *Image) ProcIndexOf(name string, arity int) (int, bool) {
 	return i, ok
 }
 
+// Source parses and compiles FGHC source text with a fresh atom table.
+// Its errors are labeled "parse:" or "compile:" by the stage that
+// refused the program.
+func Source(src string) (*Image, error) {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	im, err := Compile(prog, word.NewTable())
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	return im, nil
+}
+
 // Compile translates a parsed program. Atom names are interned into
 // atoms, which the emulator shares for rendering output.
 func Compile(prog *parser.Program, atoms *word.Table) (*Image, error) {

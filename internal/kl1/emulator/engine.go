@@ -69,9 +69,9 @@ type Engine struct {
 	maxInstrHit bool
 }
 
-// NewEngine builds PE pe's engine over its cache port and attaches per-PE
+// newEngine builds PE pe's engine over its cache port and attaches per-PE
 // allocators (free lists are initialized directly in memory: boot time).
-func NewEngine(sh *Shared, pe int, acc mem.Accessor) (*Engine, error) {
+func newEngine(sh *Shared, pe int, acc mem.Accessor) (*Engine, error) {
 	if err := sh.commCapacity(); err != nil {
 		return nil, err
 	}
@@ -105,9 +105,6 @@ func NewEngine(sh *Shared, pe int, acc mem.Accessor) (*Engine, error) {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// HeapUsed reports heap words allocated by this PE.
-func (e *Engine) HeapUsed() int { return e.heap.Used() }
 
 // Step implements machine.Processor.
 func (e *Engine) Step() machine.Status {

@@ -55,15 +55,6 @@ type gcState struct {
 	scanned map[word.Addr]bool // goal records already scanned
 }
 
-// EnableGC switches the cluster to semispace heaps (each PE's segment is
-// halved) with stop-and-copy collection. Must be called before engines
-// are created.
-func (sh *Shared) EnableGC(flush func(), checkLocks func() error) {
-	sh.gc.enabled = true
-	sh.gc.flushCaches = flush
-	sh.gc.checkLocks = checkLocks
-}
-
 // GCStats reports collector activity.
 func (sh *Shared) GCStats() GCStats { return sh.gc.stats }
 

@@ -104,19 +104,11 @@ type Shared struct {
 	out strings.Builder
 
 	// probe receives scheduler-level telemetry (goal steal / suspend /
-	// resume); now supplies the probe clock, normally the cluster bus's
-	// ProbeClock. Both nil unless SetProbe attached them.
+	// resume); now supplies the probe clock, the cluster bus's
+	// ProbeClock, so scheduler events share the memory system's
+	// timeline. Both nil unless NewCluster was given a sink.
 	probe probe.Sink
 	now   func() uint64
-}
-
-// SetProbe attaches the telemetry sink for scheduler events; now must
-// supply the probe clock (pass the cluster bus's ProbeClock so the
-// scheduler events share the memory system's timeline). Pass nil, nil
-// to detach.
-func (sh *Shared) SetProbe(s probe.Sink, now func() uint64) {
-	sh.probe = s
-	sh.now = now
 }
 
 // emitSched reports a scheduler event for pe; a no-op when no probe is
@@ -128,23 +120,15 @@ func (sh *Shared) emitSched(kind probe.Kind, pe int, addr word.Addr, arg uint64)
 	sh.probe.Emit(probe.Event{Kind: kind, Cycle: sh.now(), PE: int16(pe), Addr: addr, Arg: arg})
 }
 
-// ErrMachineConfig marks a machine configuration the runtime refuses
-// to run on. Commands report it as a usage error.
+// ErrMachineConfig marks a machine configuration NewCluster refuses:
+// one machine.New cannot build, or one the runtime cannot run on.
+// Commands report it as a usage error.
 var ErrMachineConfig = errors.New("emulator: unsupported machine configuration")
 
-// NewShared prepares the cluster state for machine m and loads the code
+// newShared prepares the cluster state for machine m and loads the code
 // image into the instruction area (system boot: written directly, not
-// through a cache). Every live run passes through it, so it refuses, with
-// an ErrMachineConfig error, a cache the runtime's records cannot use.
-func NewShared(im *compile.Image, m *machine.Machine, cfg Config) (*Shared, error) {
-	// Goal records are created with DW and consumed with ER/RP, each
-	// acting on a whole block. A block larger than a record would span
-	// its neighbour: a DW installs the block without fetching it, so the
-	// neighbour's free-list link is lost at write-back.
-	if c := m.Config().Cache; c.BlockWords > GoalRecordWords && c.Options.PerArea[mem.AreaGoal] != 0 {
-		return nil, fmt.Errorf("%w: goal-area optimized commands need blocks of at most %d words (one goal record), not %d",
-			ErrMachineConfig, GoalRecordWords, c.BlockWords)
-	}
+// through a cache).
+func newShared(im *compile.Image, m *machine.Machine, cfg Config) (*Shared, error) {
 	memory, numPEs := m.Memory(), m.Config().PEs
 	b := memory.Bounds()
 	instCap := int(b.HeapBase - b.InstBase)
@@ -194,9 +178,6 @@ func (sh *Shared) Output() string { return sh.out.String() }
 // Floating reports suspended goals that were never resumed (nonzero at
 // termination indicates the program deadlocked).
 func (sh *Shared) Floating() int64 { return sh.floating }
-
-// LiveGoals reports the queued/running/in-transit goal count.
-func (sh *Shared) LiveGoals() int64 { return sh.liveGoals }
 
 // --- per-PE area partitioning ---
 

@@ -109,10 +109,9 @@ func (b *Bump) Reset() { b.Next = b.Base }
 // block size, which lets the runtime create records with DW and consume
 // them with ER as described in Section 2.3 of the paper.
 type FreeList struct {
-	recordWords int
-	head        word.Addr // NilAddr when empty
-	free        int
-	capacity    int
+	head     word.Addr // NilAddr when empty
+	free     int
+	capacity int
 }
 
 // NewFreeList carves [base, limit) into records of recordWords words and
@@ -123,7 +122,7 @@ func NewFreeList(m *Memory, base, limit word.Addr, recordWords int) *FreeList {
 		panic(fmt.Sprintf("mem: record size %d too small", recordWords))
 	}
 	n := int(limit-base) / recordWords
-	fl := &FreeList{recordWords: recordWords, free: n, capacity: n}
+	fl := &FreeList{free: n, capacity: n}
 	fl.head = word.NilAddr
 	// Link records last-to-first so allocation proceeds from low
 	// addresses upward, which keeps early records block-contiguous.
@@ -134,9 +133,6 @@ func NewFreeList(m *Memory, base, limit word.Addr, recordWords int) *FreeList {
 	}
 	return fl
 }
-
-// RecordWords reports the record size.
-func (fl *FreeList) RecordWords() int { return fl.recordWords }
 
 // Free reports how many records are available.
 func (fl *FreeList) Free() int { return fl.free }

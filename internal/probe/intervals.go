@@ -47,11 +47,8 @@ func NewIntervals(width uint64) *Intervals {
 	return &Intervals{width: width, waitSince: make(map[int16]uint64)}
 }
 
-// Width returns the window width in cycles.
-func (iv *Intervals) Width() uint64 { return iv.width }
-
 // Buckets returns the collected windows; index i covers cycles
-// [i*Width, (i+1)*Width).
+// [i*width, (i+1)*width) for the window width given to NewIntervals.
 func (iv *Intervals) Buckets() []Interval { return iv.buckets }
 
 func (iv *Intervals) bucket(cycle uint64) *Interval {

@@ -11,7 +11,6 @@ import (
 	"pimcache/internal/cache"
 	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/emulator"
-	"pimcache/internal/kl1/parser"
 	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
 	"pimcache/internal/mem"
@@ -287,25 +286,16 @@ func traceCluster(t *testing.T, src string, pes int, opts cache.Options) (*machi
 			LockEntries: 4, Options: opts, VerifyDW: true},
 		Timing: bus.DefaultTiming(),
 	}
-	m := machine.New(mcfg)
-	img := compileSrc(t, src)
-	sh, err := emulator.NewShared(img, m, emulator.DefaultConfig())
+	rec := NewRecorder(pes, mcfg.Layout)
+	cl, err := emulator.NewCluster(compileSrc(t, src), mcfg, emulator.DefaultConfig(), rec.Port, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(pes, mcfg.Layout)
-	for i := 0; i < pes; i++ {
-		e, err := emulator.NewEngine(sh, i, rec.Port(i, m.Port(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Attach(i, e)
-	}
-	res := m.Run(10_000_000)
+	res := cl.Machine.Run(10_000_000)
 	if res.Failed || res.HitStepLimit {
 		t.Fatalf("live run failed: %+v", res)
 	}
-	return m, rec.Trace()
+	return cl.Machine, rec.Trace()
 }
 
 const testProgram = `
@@ -385,11 +375,7 @@ func TestReplayAcrossConfigs(t *testing.T) {
 
 func compileSrc(t *testing.T, src string) *compile.Image {
 	t.Helper()
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := compile.Compile(prog, word.NewTable())
+	img, err := compile.Source(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,9 @@ import (
 	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
+	"pimcache/internal/cliutil"
 	"pimcache/internal/kl1/compile"
 	"pimcache/internal/kl1/emulator"
-	"pimcache/internal/kl1/parser"
-	"pimcache/internal/kl1/word"
 	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 )
@@ -56,7 +55,8 @@ type Config struct {
 	// BusWidthWords and MemCycles set the bus timing (defaults 1 and 8).
 	BusWidthWords int
 	MemCycles     int
-	// HeapWords sizes the heap area (default 8M words).
+	// HeapWords sizes the heap area for Run (default 8M words);
+	// RunBenchmark uses the base layout.
 	HeapWords int
 	// EnableGC halves the heap into semispaces and runs the stop-and-copy
 	// collector when allocation fails (off by default).
@@ -104,45 +104,19 @@ func (c Config) fill() Config {
 	return c
 }
 
-func (c Config) cacheConfig() (cache.Config, error) {
-	var opts cache.Options
-	switch c.Optimizations {
-	case "none":
-		opts = cache.OptionsNone()
-	case "heap":
-		opts = cache.OptionsHeap()
-	case "goal":
-		opts = cache.OptionsGoal()
-	case "comm":
-		opts = cache.OptionsComm()
-	case "all":
-		opts = cache.OptionsAll()
-	default:
-		return cache.Config{}, fmt.Errorf("pimcache: unknown optimization set %q", c.Optimizations)
-	}
-	cfg := cache.Config{
-		SizeWords: c.CacheWords, BlockWords: c.BlockWords, Ways: c.Ways,
-		LockEntries: 4, Options: opts,
-	}
-	proto, ok := cache.ProtocolByName(c.Protocol)
-	if !ok {
-		return cache.Config{}, fmt.Errorf("pimcache: unknown protocol %q", c.Protocol)
-	}
-	cfg.Protocol = proto
-	return cfg, cfg.Validate()
-}
-
+// machineConfig is the machine c describes: the paper's base layout
+// with c's heap size, c's cache and c's bus timing. NewCluster validates
+// it when the run builds the machine.
 func (c Config) machineConfig() (machine.Config, error) {
-	cc, err := c.cacheConfig()
+	cc, err := cliutil.BuildCacheConfig(c.CacheWords, c.BlockWords, c.Ways, c.Optimizations, c.Protocol)
 	if err != nil {
-		return machine.Config{}, err
+		return machine.Config{}, fmt.Errorf("pimcache: %w", err)
 	}
+	layout := mem.DefaultLayout()
+	layout.HeapWords = c.HeapWords
 	return machine.Config{
-		PEs: c.PEs,
-		Layout: mem.Layout{
-			InstWords: 64 << 10, HeapWords: c.HeapWords,
-			GoalWords: 1 << 20, SuspWords: 256 << 10, CommWords: 64 << 10,
-		},
+		PEs:    c.PEs,
+		Layout: layout,
 		Cache:  cc,
 		Timing: bus.Timing{MemCycles: c.MemCycles, WidthWords: c.BusWidthWords},
 	}, nil
@@ -175,6 +149,8 @@ type Result struct {
 
 // Run compiles and executes an FGHC program (which must define main/0)
 // on the simulated cluster. maxSteps bounds execution (0 = unlimited).
+// A machine the configuration cannot build is refused with an error,
+// not a panic.
 func Run(source string, cfg Config, maxSteps uint64) (Result, error) {
 	mcfg, err := cfg.fill().machineConfig()
 	if err != nil {
@@ -186,12 +162,13 @@ func Run(source string, cfg Config, maxSteps uint64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return toResult(cl, res), nil
+	return toResult(res, cl.Machine.CacheStats(), cl.Machine.BusStats()), nil
 }
 
 // RunBenchmark runs one of the paper's benchmarks ("Tri", "Semi",
 // "Puzzle", "Pascal") at the given scale (0 = its default) and verifies
-// the answer against a native reference implementation.
+// the answer against a native reference implementation. Benchmarks run
+// on the paper's base layout whatever cfg.HeapWords says.
 func RunBenchmark(name string, scale int, cfg Config) (Result, error) {
 	b, ok := programs.ByName(name)
 	if !ok {
@@ -200,64 +177,43 @@ func RunBenchmark(name string, scale int, cfg Config) (Result, error) {
 	if scale == 0 {
 		scale = b.DefaultScale
 	}
-	c := cfg.fill()
-	cc, err := c.cacheConfig()
+	mcfg, err := cfg.fill().machineConfig()
 	if err != nil {
 		return Result{}, err
 	}
-	rd, err := bench.RunLiveTiming(b, scale, c.PEs, cc,
-		bus.Timing{MemCycles: c.MemCycles, WidthWords: c.BusWidthWords}, nil, nil)
+	rd, err := bench.RunLiveTiming(b, scale, mcfg.PEs, mcfg.Cache, mcfg.Timing, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	r := Result{
-		Output:       rd.Result.Output,
-		Reductions:   rd.Result.Emu.Reductions,
-		Suspensions:  rd.Result.Emu.Suspensions,
-		Instructions: rd.Result.Emu.Instructions,
-		GoalsMoved:   rd.Result.Emu.GoalsStolen,
-		MemoryRefs:   rd.Cache.TotalRefs(),
-		BusCycles:    rd.Bus.TotalCycles,
-	}
-	fillCacheMetrics(&r, &rd.Cache, &rd.Bus)
-	return r, nil
+	return toResult(rd.Result, rd.Cache, rd.Bus), nil
 }
 
-func toResult(cl *emulator.Cluster, res emulator.Result) Result {
-	cs := cl.Machine.CacheStats()
-	bs := cl.Machine.BusStats()
+// toResult summarizes a finished run and its machine's statistics.
+func toResult(res emulator.Result, cs cache.Stats, bs bus.Stats) Result {
 	r := Result{
-		Output:       res.Output,
-		Failed:       res.Failed,
-		FailReason:   res.FailReason,
-		Deadlocked:   res.Floating > 0,
-		Reductions:   res.Emu.Reductions,
-		Suspensions:  res.Emu.Suspensions,
-		Instructions: res.Emu.Instructions,
-		GoalsMoved:   res.Emu.GoalsStolen,
-		MemoryRefs:   cs.TotalRefs(),
-		BusCycles:    bs.TotalCycles,
+		Output:        res.Output,
+		Failed:        res.Failed,
+		FailReason:    res.FailReason,
+		Deadlocked:    res.Floating > 0,
+		Reductions:    res.Emu.Reductions,
+		Suspensions:   res.Emu.Suspensions,
+		Instructions:  res.Emu.Instructions,
+		GoalsMoved:    res.Emu.GoalsStolen,
+		MemoryRefs:    cs.TotalRefs(),
+		BusCycles:     bs.TotalCycles,
+		MemBusyCycles: bs.MemBusyCycles,
+		MissRatio:     cs.MissRatio(),
 	}
-	fillCacheMetrics(&r, &cs, &bs)
-	return r
-}
-
-func fillCacheMetrics(r *Result, cs *cache.Stats, bs *bus.Stats) {
-	r.MissRatio = cs.MissRatio()
-	r.MemBusyCycles = bs.MemBusyCycles
 	if total := cs.LRTotal(); total > 0 {
 		r.LRHitRatio = float64(cs.LRHits()) / float64(total)
 	}
+	return r
 }
 
 // Disassemble compiles an FGHC program and renders the abstract-machine
 // code the simulated PEs would fetch from the instruction area.
 func Disassemble(source string) (string, error) {
-	prog, err := parser.Parse(source)
-	if err != nil {
-		return "", err
-	}
-	im, err := compile.Compile(prog, word.NewTable())
+	im, err := compile.Source(source)
 	if err != nil {
 		return "", err
 	}

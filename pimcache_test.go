@@ -105,6 +105,37 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run("main :- true | true.", cfg, 0); err == nil {
 		t.Error("bad geometry accepted")
 	}
+
+	// A machine the simulator cannot build is refused with
+	// ErrMachineConfig by programs and benchmarks alike; these used to
+	// panic. Benchmarks run on the base layout, so HeapWords does not
+	// reach them.
+	for _, c := range []struct {
+		name  string
+		set   func(*Config)
+		bench bool
+	}{
+		{"65 PEs", func(c *Config) { c.PEs = 65 }, true},
+		{"-1 PEs", func(c *Config) { c.PEs = -1 }, true},
+		{"bus width -1", func(c *Config) { c.BusWidthWords = -1 }, true},
+		{"memory cycles -8", func(c *Config) { c.MemCycles = -8 }, true},
+		{"heap -5 words", func(c *Config) { c.HeapWords = -5 }, false},
+	} {
+		cfg := smallConfig()
+		c.set(&cfg)
+		t.Run("Run/"+c.name, func(t *testing.T) {
+			if _, err := Run("main :- true | true.", cfg, 0); !errors.Is(err, emulator.ErrMachineConfig) {
+				t.Errorf("err = %v, want ErrMachineConfig", err)
+			}
+		})
+		if c.bench {
+			t.Run("RunBenchmark/"+c.name, func(t *testing.T) {
+				if _, err := RunBenchmark("Tri", 2, cfg); !errors.Is(err, emulator.ErrMachineConfig) {
+					t.Errorf("err = %v, want ErrMachineConfig", err)
+				}
+			})
+		}
+	}
 }
 
 func TestOptimizationsReduceTraffic(t *testing.T) {
