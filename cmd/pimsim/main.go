@@ -40,6 +40,7 @@ import (
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
 	"pimcache/internal/kl1/emulator"
+	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/par"
@@ -108,14 +109,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pimsim: -events/-intervals/-hotspots need a single -bench entry (one machine, one timeline)")
 		os.Exit(2)
 	}
+	mcfg := machine.DefaultConfig()
+	mcfg.PEs, mcfg.Cache, mcfg.Timing = *pes, ccfg, bus.Timing{MemCycles: 8, WidthWords: *width}
 	// The sink is nil unless a telemetry flag asked for a consumer.
-	probes, err := tel.Start(*pes, ccfg.BlockWords, mem.DefaultLayout().Bounds().AreaOf)
+	probes, err := tel.Start(*pes, ccfg.BlockWords, mcfg.Layout.Bounds().AreaOf)
 	if err != nil {
 		fail(err)
 	}
+	defer probes.Discard()
 
 	// Fan the runs out, but buffer each report and print in list order.
-	timing := bus.Timing{MemCycles: 8, WidthWords: *width}
 	reports := make([]strings.Builder, len(benches))
 	results := make([]*bench.RunData, len(benches))
 	pool := par.NewCtx(ctx, *jobs)
@@ -127,7 +130,7 @@ func main() {
 				runScale = b.DefaultScale
 			}
 			sp := ph.Start("live/" + b.Name)
-			rd, err := bench.RunLiveTiming(b, runScale, *pes, ccfg, timing, nil, probes.Sink)
+			rd, err := bench.RunLiveTiming(b, runScale, mcfg, nil, probes.Sink)
 			sp.End()
 			if err != nil {
 				return err
@@ -147,12 +150,13 @@ func main() {
 		}
 	}
 	if err != nil {
+		probes.Discard() // fail exits without running deferred calls
 		fail(err)
 	}
 	if err := probes.Report(os.Stdout); err != nil {
 		fail(err)
 	}
-	writeManifest(man, *manifest, results[0], ccfg, timing, *optsName, ph)
+	writeManifest(man, *manifest, results[0], ccfg, mcfg.Timing, *optsName, ph)
 }
 
 // fail reports a failed run and exits: with status 2 when the runtime

@@ -42,7 +42,6 @@ import (
 	"pimcache/internal/cliutil"
 	"pimcache/internal/kl1/emulator"
 	"pimcache/internal/machine"
-	"pimcache/internal/mem"
 	"pimcache/internal/obs"
 	"pimcache/internal/safeio"
 	"pimcache/internal/stats"
@@ -111,11 +110,13 @@ func record(args []string) {
 	// chunk by chunk, so recording holds one chunk at a time. An
 	// unwritable -o fails before the run starts; a failed run leaves no
 	// file.
+	mcfg := machine.DefaultConfig()
+	mcfg.PEs, mcfg.Cache = *pes, bench.BaseCache(cache.OptionsAll())
 	var refs int
 	var runErr error
 	err := safeio.WriteFile(*out, func(w io.Writer) error {
-		rec := trace.NewStreamRecorder(w.(*os.File), *pes, mem.DefaultLayout())
-		_, runErr = bench.RunLiveTiming(b, *scale, *pes, bench.BaseCache(cache.OptionsAll()), bus.DefaultTiming(), rec, nil)
+		rec := trace.NewStreamRecorder(w.(*os.File), *pes, mcfg.Layout)
+		_, runErr = bench.RunLiveTiming(b, *scale, mcfg, rec, nil)
 		if runErr != nil {
 			return runErr
 		}
@@ -192,8 +193,8 @@ func info(args []string) {
 	for {
 		n, err := d.Next(buf)
 		for _, r := range buf[:n] {
-			byOp[r.Op]++
-			byPE[r.PE]++
+			byOp[r.Op()]++
+			byPE[r.PE()]++
 		}
 		total += uint64(n)
 		if err == io.EOF {
@@ -394,6 +395,13 @@ func replay(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	// A failed run discards the unfinished -events timeline (fatal exits
+	// without running deferred calls), keeping an earlier file as it was.
+	defer probes.Discard()
+	fail := func(err error) {
+		probes.Discard()
+		fatal(err)
+	}
 
 	// Resume: restore the checkpointed machine and seek, when the
 	// checkpoint file exists; a missing file is a fresh start so one
@@ -408,7 +416,7 @@ func replay(args []string) {
 		case os.IsNotExist(err):
 			fmt.Fprintf(os.Stderr, "pimtrace: no checkpoint at %s, starting fresh\n", *ckptPath)
 		default:
-			fatal(err)
+			fail(err)
 		}
 	}
 
@@ -450,13 +458,13 @@ func replay(args []string) {
 		err = fmt.Errorf("%s: %w", *ckptPath, err)
 	}
 	if err != nil {
-		fatal(err)
+		fail(err)
 	}
 	bs, cs, refs := out.Bus, out.Cache, out.Refs
 	reg.Counter("trace.decode_ns").Add(uint64(out.DecodeTime))
 	reg.Counter("replay.stall_ns").Add(uint64(out.StallTime))
 	if err := stopProfiles(); err != nil {
-		fatal(err)
+		fail(err)
 	}
 	fmt.Printf("replayed %d references: %d bus cycles, miss ratio %.4f, mem busy %d\n",
 		refs, bs.TotalCycles, cs.MissRatio(), bs.MemBusyCycles)
@@ -466,7 +474,7 @@ func replay(args []string) {
 		}
 	}
 	if err := probes.Report(os.Stdout); err != nil {
-		fatal(err)
+		fail(err)
 	}
 	if wantManifest {
 		man.Config = obs.NewRunConfig(pes, ccfg, timing, *optsName, mode)
@@ -481,7 +489,7 @@ func replay(args []string) {
 		man.Timing.Profiles = prof.Paths()
 		man.FinishTiming(ph, reg, refs, workSeconds)
 		if err := man.WriteFile(*manifestPath); err != nil {
-			fatal(err)
+			fail(err)
 		}
 	}
 }

@@ -296,6 +296,64 @@ func TestChaosTrailingData(t *testing.T) {
 	}
 }
 
+// TestFailedReplayKeepsEvents pins that a replay failing partway keeps
+// -events from leaving a torn timeline: no file where there was none,
+// and an earlier timeline byte for byte. The trace's last chunk has one
+// payload byte flipped, so the replay streams events before its checksum
+// fails.
+func TestFailedReplayKeepsEvents(t *testing.T) {
+	dir := t.TempDir()
+	tr := synthTrace(t, dir)
+	raw, err := os.ReadFile(filepath.Join(dir, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-10] ^= 0x40
+	if err := os.WriteFile(filepath.Join(dir, "corrupt.trc"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, tr)); err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		t.Helper()
+		_, stderr, code := pimtrace(t, dir, "replay", "-events", "c.json", "corrupt.trc")
+		if code != 1 || !strings.Contains(stderr, "chunk checksum mismatch") {
+			t.Fatalf("replay of a corrupt trace: exit %d, stderr %q; want exit 1 with a checksum error", code, stderr)
+		}
+	}
+	replay()
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, []string{"corrupt.trc"}) {
+		t.Errorf("failed replay left %v, want only corrupt.trc", got)
+	}
+
+	earlier := []byte("{\"traceEvents\":[]}\n")
+	if err := os.WriteFile(filepath.Join(dir, "c.json"), earlier, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay()
+	if got, err := os.ReadFile(filepath.Join(dir, "c.json")); err != nil || !bytes.Equal(got, earlier) {
+		t.Errorf("failed replay changed the earlier c.json (%d bytes, %v)", len(got), err)
+	}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, []string{"c.json", "corrupt.trc"}) {
+		t.Errorf("failed replay left %v, want c.json and corrupt.trc", got)
+	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 // TestReplayRefusesLockMisuse pins that a trace whose lock references no
 // live run produces passes verify (its framing is sound) but fails replay
 // with exit 1 and a labeled error naming the reference, never a panic.
@@ -303,13 +361,14 @@ func TestReplayRefusesLockMisuse(t *testing.T) {
 	dir := t.TempDir()
 	layout := mem.DefaultLayout()
 	a := layout.Bounds().HeapBase
-	lr := func(addr word.Addr) trace.Ref { return trace.Ref{Op: cache.OpLR, Addr: addr} }
+	ref := func(op cache.Op, addr word.Addr) trace.Ref { return trace.MakeRef(0, op, mem.AreaHeap, addr) }
+	lr := func(addr word.Addr) trace.Ref { return ref(cache.OpLR, addr) }
 	for _, tc := range []struct {
 		name string
 		refs []trace.Ref
 		want string
 	}{
-		{"unlock.trc", []trace.Ref{{Op: cache.OpR, Addr: a}, {Op: cache.OpU, Addr: a}},
+		{"unlock.trc", []trace.Ref{ref(cache.OpR, a), ref(cache.OpU, a)},
 			"trace: ref 1 (PE 0): cache: unlock of unheld address"},
 		{"relock.trc", []trace.Ref{lr(a), lr(a)},
 			"trace: ref 1 (PE 0): cache: re-locking"},

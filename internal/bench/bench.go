@@ -164,31 +164,32 @@ type RunData struct {
 // reference stream. Output is verified against the benchmark's Go
 // reference implementation.
 func RunLive(b programs.Benchmark, scale, pes int, ccfg cache.Config, record bool) (*RunData, *trace.Trace, error) {
+	mcfg := machine.DefaultConfig()
+	mcfg.PEs, mcfg.Cache = pes, ccfg
 	var rec *trace.Recorder
 	if record {
-		rec = trace.NewRecorderHint(pes, mem.DefaultLayout(), refHint(b.Name, scale))
+		rec = trace.NewRecorderHint(pes, mcfg.Layout, refHint(b.Name, scale))
 	}
-	data, err := RunLiveTiming(b, scale, pes, ccfg, bus.DefaultTiming(), rec, nil)
+	data, err := RunLiveTiming(b, scale, mcfg, rec, nil)
 	if err != nil || rec == nil {
 		return data, nil, err
 	}
 	return data, rec.Trace(), nil
 }
 
-// RunLiveTiming is RunLive with explicit bus timing. The machine is
-// machine.DefaultConfig() with pes PEs, ccfg and timing. A non-nil rec,
-// made for pes PEs and mem.DefaultLayout(), records the reference
-// stream; closing a stream recorder (trace.NewStreamRecorder) is the
-// caller's. A non-nil sink is attached to the whole cluster (bus,
-// caches, machine, scheduler) for the duration of the run and receives
-// the full event stream, scheduler events included.
-func RunLiveTiming(b programs.Benchmark, scale, pes int, ccfg cache.Config, timing bus.Timing, rec *trace.Recorder, sink probe.Sink) (*RunData, error) {
+// RunLiveTiming is RunLive on the machine mcfg describes: its PEs,
+// layout, cache and bus timing. A machine mcfg cannot build is an error
+// wrapping emulator.ErrMachineConfig. A non-nil rec, made for mcfg's PEs
+// and layout, records the reference stream; closing a stream recorder
+// (trace.NewStreamRecorder) is the caller's. A non-nil sink is attached
+// to the whole cluster (bus, caches, machine, scheduler) for the
+// duration of the run and receives the full event stream, scheduler
+// events included.
+func RunLiveTiming(b programs.Benchmark, scale int, mcfg machine.Config, rec *trace.Recorder, sink probe.Sink) (*RunData, error) {
 	im, err := compile.Source(b.Source(scale))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	mcfg := machine.DefaultConfig()
-	mcfg.PEs, mcfg.Cache, mcfg.Timing = pes, ccfg, timing
 	var wrap func(int, mem.Accessor) mem.Accessor
 	if rec != nil {
 		wrap = rec.Port
@@ -207,7 +208,7 @@ func RunLiveTiming(b programs.Benchmark, scale, pes int, ccfg cache.Config, timi
 	m := cl.Machine
 	return &RunData{
 		Bench:  b.Name,
-		PEs:    pes,
+		PEs:    mcfg.PEs,
 		Scale:  scale,
 		Result: res,
 		Bus:    m.BusStats(),

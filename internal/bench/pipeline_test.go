@@ -90,13 +90,12 @@ func (g *lateReadGuard) Read(p []byte) (int, error) {
 // spliced in at ref at: PE 0 takes the lock, PE 1 then blocks on it.
 func blockedLRTrace(t *testing.T, w *trace.Trace, at int) *trace.Trace {
 	t.Helper()
-	a := w.Refs[at].Addr
-	area := w.Layout.Bounds().AreaOf(a)
+	a, area := w.Refs[at].Addr(), w.Refs[at].Area()
 	tr := &trace.Trace{PEs: w.PEs, Layout: w.Layout}
 	tr.Refs = append(tr.Refs, w.Refs[:at]...)
 	tr.Refs = append(tr.Refs,
-		trace.Ref{PE: 0, Op: cache.OpLR, Area: area, Addr: a},
-		trace.Ref{PE: 1, Op: cache.OpLR, Area: area, Addr: a})
+		trace.MakeRef(0, cache.OpLR, area, a),
+		trace.MakeRef(1, cache.OpLR, area, a))
 	tr.Refs = append(tr.Refs, w.Refs[at:]...)
 	return tr
 }
@@ -263,7 +262,8 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	edited := &trace.Trace{PEs: tr.PEs, Layout: tr.Layout, Refs: append([]trace.Ref(nil), tr.Refs...)}
-	edited.Refs[100].PE = (edited.Refs[100].PE + 1) % uint8(tr.PEs)
+	r := edited.Refs[100]
+	edited.Refs[100] = trace.MakeRef((r.PE()+1)%uint8(tr.PEs), r.Op(), r.Area(), r.Addr())
 	var same bytes.Buffer
 	if err := edited.Write(&same); err != nil {
 		t.Fatal(err)

@@ -43,12 +43,14 @@ func TestProbeDeterminism(t *testing.T) {
 			t.Parallel()
 			for _, pes := range pesList {
 				buf1, buf2 := &probe.Buffer{}, &probe.Buffer{}
-				rec := trace.NewRecorder(pes, mem.DefaultLayout())
-				if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, rec, buf1); err != nil {
+				mcfg := machine.DefaultConfig()
+				mcfg.PEs, mcfg.Cache, mcfg.Timing = pes, ccfg, timing
+				rec := trace.NewRecorder(pes, mcfg.Layout)
+				if _, err := RunLiveTiming(b, scale, mcfg, rec, buf1); err != nil {
 					t.Fatalf("probed live run at %d PEs: %v", pes, err)
 				}
 				tr := rec.Trace()
-				if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, nil, buf2); err != nil {
+				if _, err := RunLiveTiming(b, scale, mcfg, nil, buf2); err != nil {
 					t.Fatalf("second probed live run at %d PEs: %v", pes, err)
 				}
 				if len(buf1.Events) == 0 {
@@ -117,11 +119,13 @@ func TestPerfettoByteIdentity(t *testing.T) {
 		if memOnly {
 			sink = probe.MemoryOnly(pf)
 		}
+		mcfg := machine.DefaultConfig()
+		mcfg.PEs, mcfg.Cache, mcfg.Timing = pes, ccfg, timing
 		var rec *trace.Recorder
 		if record {
-			rec = trace.NewRecorder(pes, mem.DefaultLayout())
+			rec = trace.NewRecorder(pes, mcfg.Layout)
 		}
-		if _, err := RunLiveTiming(b, scale, pes, ccfg, timing, rec, sink); err != nil {
+		if _, err := RunLiveTiming(b, scale, mcfg, rec, sink); err != nil {
 			t.Fatal(err)
 		}
 		if err := pf.Close(); err != nil {

@@ -262,8 +262,8 @@ func TestRefAreaClassified(t *testing.T) {
 		}
 		b := layout.Bounds()
 		for i, r := range refs {
-			if want := b.AreaOf(r.Addr); r.Area != want {
-				t.Fatalf("%s: ref %d at %#x has area %v, want %v", label, i, r.Addr, r.Area, want)
+			if want := b.AreaOf(r.Addr()); r.Area() != want {
+				t.Fatalf("%s: ref %d at %#x has area %v, want %v", label, i, r.Addr(), r.Area(), want)
 			}
 		}
 	}

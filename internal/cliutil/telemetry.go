@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"pimcache/internal/kl1/word"
 	"pimcache/internal/mem"
@@ -56,26 +55,28 @@ type Telemetry struct {
 	// consumer was requested, so an untelemetered run pays nothing.
 	Sink probe.Sink
 
-	spec       TelemetrySpec
-	eventsFile *os.File
-	pf         *probe.Perfetto
-	iv         *probe.Intervals
-	hs         *probe.HotSpots
+	spec   TelemetrySpec
+	events *safeio.File
+	pf     *probe.Perfetto
+	iv     *probe.Intervals
+	hs     *probe.HotSpots
 }
 
 // Start builds the consumers the spec requests for a machine of pes
 // processors with blockWords-word blocks; areaOf classifies a block for
-// the hot-spot tables. The -events file is created here, because the
-// timeline streams to it while the run executes.
+// the hot-spot tables. The -events timeline streams into a temporary
+// file beside its target while the run executes; Report renames it into
+// place, and Discard removes it, so a failed run leaves no timeline and
+// keeps an earlier file at the path as it was.
 func (t TelemetrySpec) Start(pes, blockWords int, areaOf func(word.Addr) mem.Area) (*Telemetry, error) {
 	tel := &Telemetry{spec: t}
 	var sinks []probe.Sink
 	if t.Events != "" {
-		f, err := os.Create(t.Events)
+		f, err := safeio.Create(t.Events)
 		if err != nil {
 			return nil, err
 		}
-		tel.eventsFile = f
+		tel.events = f
 		tel.pf = probe.NewPerfetto(f, pes)
 		sinks = append(sinks, tel.pf)
 	}
@@ -92,9 +93,11 @@ func (t TelemetrySpec) Start(pes, blockWords int, areaOf func(word.Addr) mem.Are
 }
 
 // Report prints the interval table (and writes its -csv file) and the
-// hot-spot tables to w, then finishes the -events timeline. Call it once
-// the run is over.
+// hot-spot tables to w, then finishes the -events timeline and renames it
+// into place. Call it once the run is over. If it fails, the timeline is
+// discarded.
 func (tel *Telemetry) Report(w io.Writer) error {
+	defer tel.Discard()
 	if tel.iv != nil {
 		fmt.Fprintln(w, tel.iv.Table())
 		if tel.spec.CSV != "" {
@@ -113,10 +116,20 @@ func (tel *Telemetry) Report(w io.Writer) error {
 		if err := tel.pf.Close(); err != nil {
 			return fmt.Errorf("writing %s: %w", tel.spec.Events, err)
 		}
-		if err := tel.eventsFile.Close(); err != nil {
+		if err := tel.events.Commit(); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s — open it at https://ui.perfetto.dev\n", tel.spec.Events)
 	}
 	return nil
+}
+
+// Discard removes an unfinished -events timeline, leaving any earlier
+// file at its path as it was. It is a no-op once Report has written the
+// timeline: a command defers it, and calls it before exiting on a failed
+// run (os.Exit skips deferred calls).
+func (tel *Telemetry) Discard() {
+	if tel.events != nil {
+		tel.events.Discard()
+	}
 }

@@ -22,29 +22,30 @@ func smallSynthLayout() mem.Layout {
 
 // applyRef drives one recorded reference through its PE's cache.
 func applyRef(c *cache.Cache, r trace.Ref) error {
-	switch r.Op {
+	a := r.Addr()
+	switch r.Op() {
 	case cache.OpR:
-		c.Read(r.Addr)
+		c.Read(a)
 	case cache.OpW:
-		c.Write(r.Addr, 0)
+		c.Write(a, 0)
 	case cache.OpLR:
-		if _, ok := c.LockRead(r.Addr); !ok {
-			return fmt.Errorf("LR %#x blocked", r.Addr)
+		if _, ok := c.LockRead(a); !ok {
+			return fmt.Errorf("LR %#x blocked", a)
 		}
 	case cache.OpUW:
-		c.UnlockWrite(r.Addr, 0)
+		c.UnlockWrite(a, 0)
 	case cache.OpU:
-		c.Unlock(r.Addr)
+		c.Unlock(a)
 	case cache.OpDW:
-		c.DirectWrite(r.Addr, 0)
+		c.DirectWrite(a, 0)
 	case cache.OpER:
-		c.ExclusiveRead(r.Addr)
+		c.ExclusiveRead(a)
 	case cache.OpRP:
-		c.ReadPurge(r.Addr)
+		c.ReadPurge(a)
 	case cache.OpRI:
-		c.ReadInvalidate(r.Addr)
+		c.ReadInvalidate(a)
 	default:
-		return fmt.Errorf("unknown op %d", r.Op)
+		return fmt.Errorf("unknown op %d", r.Op())
 	}
 	return nil
 }
@@ -92,15 +93,15 @@ func TestFilterBookkeepingUnderEvictionPressure(t *testing.T) {
 			seen := map[word.Addr]bool{}
 			var bases []word.Addr
 			for i, ref := range tr.Refs {
-				if err := applyRef(m.Cache(int(ref.PE)), ref); err != nil {
+				if err := applyRef(m.Cache(int(ref.PE())), ref); err != nil {
 					t.Fatalf("ref %d: %v", i, err)
 				}
-				if base := ref.Addr &^ 3; !seen[base] {
+				if base := ref.Addr() &^ 3; !seen[base] {
 					seen[base] = true
 					bases = append(bases, base)
 				}
-				if err := m.CheckInvariants([]word.Addr{ref.Addr}); err != nil {
-					t.Fatalf("ref %d (%v %#x): %v", i, ref.Op, ref.Addr, err)
+				if err := m.CheckInvariants([]word.Addr{ref.Addr()}); err != nil {
+					t.Fatalf("ref %d (%v): %v", i, ref, err)
 				}
 				// Conflict evictions drop blocks other than the touched
 				// one; sweep every block the stream has ever referenced.
@@ -123,7 +124,7 @@ func TestFilterBookkeepingUnderEvictionPressure(t *testing.T) {
 				Timing: bus.DefaultTiming(),
 			})
 			for i, ref := range tr.Refs {
-				if err := applyRef(twin.Cache(int(ref.PE)), ref); err != nil {
+				if err := applyRef(twin.Cache(int(ref.PE())), ref); err != nil {
 					t.Fatalf("twin ref %d: %v", i, err)
 				}
 			}

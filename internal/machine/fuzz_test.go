@@ -57,7 +57,7 @@ func editSnapshot(t *testing.T, tr *trace.Trace, seed, data []byte) []byte {
 		at := func(n int) int { return (idx<<8 | int(val)) % n }
 		// An address the rest of the replay touches, so edited locks and
 		// frames meet real references.
-		addr := tr.Refs[at(len(tr.Refs))].Addr
+		addr := tr.Refs[at(len(tr.Refs))].Addr()
 		switch kind {
 		case 0:
 			if len(c.States) > 0 {

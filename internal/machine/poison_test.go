@@ -61,14 +61,14 @@ func TestPoisonModeIsObservationallyEquivalent(t *testing.T) {
 						Timing: bus.DefaultTiming(),
 					})
 					for i, ref := range tr.Refs {
-						if err := applyRef(m.Cache(int(ref.PE)), ref); err != nil {
+						if err := applyRef(m.Cache(int(ref.PE())), ref); err != nil {
 							t.Fatalf("ref %d: %v", i, err)
 						}
 					}
 					m.FlushAll()
 					img := make(map[word.Addr]word.Word)
 					for _, ref := range tr.Refs {
-						base := ref.Addr &^ 3
+						base := ref.Addr() &^ 3
 						for i := word.Addr(0); i < 4; i++ {
 							img[base+i] = m.Memory().Read(base + i)
 						}

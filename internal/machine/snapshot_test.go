@@ -146,7 +146,7 @@ func checkResume(t *testing.T, tr *trace.Trace, ccfg cache.Config, k int) {
 func traceAddrs(tr *trace.Trace) []word.Addr {
 	addrs := make([]word.Addr, len(tr.Refs))
 	for i, r := range tr.Refs {
-		addrs[i] = r.Addr
+		addrs[i] = r.Addr()
 	}
 	return addrs
 }

@@ -99,3 +99,49 @@ func TestWriteFileRefusesNonRegularTarget(t *testing.T) {
 		t.Errorf("writing over a directory: %v, want a refusal", err)
 	}
 }
+
+// TestFileCommitAndDiscard pins the streaming seam: bytes written to a
+// File reach the path only on Commit, and a Discard — also one deferred
+// after a Commit — leaves the path as it was and no temporary sibling.
+func TestFileCommitAndDiscard(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "timeline.json")
+	if err := WriteFileBytes(path, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(f, "half")
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("content %q while streaming, want %q", got, "old")
+	}
+	f.Discard()
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("content %q after Discard, want %q", got, "old")
+	}
+	if err := f.Commit(); err == nil {
+		t.Error("Commit after Discard succeeded")
+	}
+
+	f, err = Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(f, "new")
+	if err := f.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	f.Discard()
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("content %q after Commit, want %q", got, "new")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Errorf("directory holds %d entries, want only %s", len(ents), filepath.Base(path))
+	}
+}

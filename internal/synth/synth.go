@@ -59,7 +59,10 @@ func DefaultConfig() Config {
 // builder accumulates a trace while tracking per-PE allocation frontiers
 // so direct writes stay on fresh blocks.
 type builder struct {
-	tr     trace.Trace
+	// refs is the stream so far; a field of its own rather than tr.Refs
+	// keeps emit within the compiler's inlining budget.
+	refs   []trace.Ref
+	tr     trace.Trace // PEs and Layout; done adds refs
 	bounds mem.Bounds
 	heap   []word.Addr // per-PE bump pointers
 	heapHi []word.Addr
@@ -71,7 +74,8 @@ func newBuilder(c Config) *builder {
 	b := &builder{
 		// Each generator stops within one step of Events; the largest
 		// step is a message-ring round of 5 refs per PE.
-		tr:     trace.Trace{PEs: c.PEs, Layout: c.Layout, Refs: make([]trace.Ref, 0, c.Events+5*c.PEs)},
+		refs:   make([]trace.Ref, 0, c.Events+5*c.PEs),
+		tr:     trace.Trace{PEs: c.PEs, Layout: c.Layout},
 		bounds: c.Layout.Bounds(),
 	}
 	heapBase := b.bounds.HeapBase
@@ -86,7 +90,13 @@ func newBuilder(c Config) *builder {
 }
 
 func (b *builder) emit(pe int, op cache.Op, a word.Addr) {
-	b.tr.Refs = append(b.tr.Refs, trace.Ref{PE: uint8(pe), Op: op, Area: b.bounds.AreaOf(a), Addr: a})
+	b.refs = append(b.refs, trace.MakeRef(uint8(pe), op, b.bounds.AreaOf(a), a))
+}
+
+// done returns the finished trace.
+func (b *builder) done() *trace.Trace {
+	b.tr.Refs = b.refs
+	return &b.tr
 }
 
 // alloc reserves n heap words for pe, wrapping to the segment base when
@@ -141,7 +151,7 @@ func SeqProlog(c Config) *trace.Trace {
 	envTop := b.bounds.GoalBase // use the goal area as the WAM local stack
 	var choicePoints []word.Addr
 
-	for len(b.tr.Refs) < c.Events {
+	for len(b.refs) < c.Events {
 		switch r := rng.Intn(100); {
 		case r < 35: // build a structure
 			n := 2 + rng.Intn(5)
@@ -195,7 +205,7 @@ func SeqProlog(c Config) *trace.Trace {
 			}
 		}
 	}
-	return &b.tr
+	return b.done()
 }
 
 // ORParallel generates an Aurora-like multi-worker stream: a shared
@@ -208,7 +218,7 @@ func ORParallel(c Config) *trace.Trace {
 	programWords := word.Addr(c.Layout.InstWords)
 	queue := b.bounds.GoalBase // task queue: lock word + entries
 
-	for len(b.tr.Refs) < c.Events {
+	for len(b.refs) < c.Events {
 		pe := rng.Intn(c.PEs)
 		switch r := rng.Intn(100); {
 		case r < 40: // clause lookup: shared read-mostly area
@@ -233,7 +243,7 @@ func ORParallel(c Config) *trace.Trace {
 			}
 		}
 	}
-	return &b.tr
+	return b.done()
 }
 
 // MessageRing generates PEs passing two-word messages around a ring
@@ -244,7 +254,7 @@ func MessageRing(c Config) *trace.Trace {
 	slot := func(pe int) word.Addr {
 		return b.bounds.CommBase + word.Addr(pe*4)
 	}
-	for len(b.tr.Refs) < c.Events {
+	for len(b.refs) < c.Events {
 		for pe := 0; pe < c.PEs; pe++ {
 			next := (pe + 1) % c.PEs
 			// Send: write payload then status into the next PE's slot.
@@ -257,5 +267,5 @@ func MessageRing(c Config) *trace.Trace {
 			b.emit(next, cache.OpW, slot(next))
 		}
 	}
-	return &b.tr
+	return b.done()
 }

@@ -168,8 +168,8 @@ func TestSeqPrologStaysInLayout(t *testing.T) {
 	tr := SeqProlog(c)
 	end := c.Layout.Bounds().End
 	for i, r := range tr.Refs {
-		if r.Addr >= end {
-			t.Fatalf("ref %d: address %#x at or past the layout end %#x", i, r.Addr, end)
+		if r.Addr() >= end {
+			t.Fatalf("ref %d: address %#x at or past the layout end %#x", i, r.Addr(), end)
 		}
 	}
 	var buf bytes.Buffer
@@ -205,3 +205,22 @@ func TestSeqPrologStreamsUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// benchmarkSynth measures one generator producing a 2M-reference
+// stream, so the producers' per-reference cost (area classification and
+// packing every trace.Ref) stays visible beside the trace package's
+// BenchmarkTraceEncode and BenchmarkTraceDecode.
+func benchmarkSynth(b *testing.B, gen func(Config) *trace.Trace) {
+	c := DefaultConfig()
+	c.Events = 2_000_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if tr := gen(c); tr.Len() < c.Events {
+			b.Fatalf("generated %d refs, want at least %d", tr.Len(), c.Events)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Events), "ns/ref")
+}
+
+func BenchmarkSynthRing(b *testing.B)       { benchmarkSynth(b, MessageRing) }
+func BenchmarkSynthORParallel(b *testing.B) { benchmarkSynth(b, ORParallel) }

@@ -19,7 +19,9 @@ import (
 // reframe set, the input is read as a header (PE count and five layout
 // sizes, 24 bytes) followed by raw 6-byte references, and serialized by
 // Trace.Write, so the stream carries valid chunk frames and CRCs and
-// the fuzzer reaches the per-reference validation behind them. skip is
+// the fuzzer reaches the per-reference validation behind them (a Ref
+// keeps the op byte's low nibble, so ops 9-15 stand for every unknown
+// op there). skip is
 // a SkipTo target, and dst sizes the buffer Next decodes into.
 //
 // Properties: no panic; every error is labeled "trace:"; every
@@ -70,8 +72,8 @@ func FuzzReader(f *testing.F) {
 		for {
 			n, err := d.Next(refs)
 			for _, r := range refs[:n] {
-				if int(r.PE) >= d.PEs() || r.Op >= cache.NumOps || r.Addr >= bounds.End || r.Area != bounds.AreaOf(r.Addr) {
-					t.Fatalf("ref %d delivered out of range: %+v (PEs %d, layout ends at %#x)", got, r, d.PEs(), bounds.End)
+				if int(r.PE()) >= d.PEs() || r.Op() >= cache.NumOps || r.Addr() >= bounds.End || r.Area() != bounds.AreaOf(r.Addr()) {
+					t.Fatalf("ref %d delivered out of range: %v (PEs %d, layout ends at %#x)", got, r, d.PEs(), bounds.End)
 				}
 				got++
 			}
@@ -104,7 +106,7 @@ func reframed(t *testing.T, data []byte) []byte {
 	}}
 	if len(data) > len(h) {
 		for p := data[len(h):]; len(p) >= 6; p = p[6:] {
-			tr.Refs = append(tr.Refs, trace.Ref{PE: p[0], Op: cache.Op(p[1]), Addr: word.Addr(binary.LittleEndian.Uint32(p[2:6]))})
+			tr.Refs = append(tr.Refs, trace.MakeRef(p[0], cache.Op(p[1]), mem.AreaNone, word.Addr(binary.LittleEndian.Uint32(p[2:6]))))
 		}
 	}
 	var buf bytes.Buffer

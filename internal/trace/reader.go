@@ -267,7 +267,7 @@ func (d *Reader) decodeRefs(raw []byte, dst []Ref, byteOff int64) error {
 		if int(b[0]) >= pes || cache.Op(b[1]) >= cache.NumOps || a >= bounds.End {
 			return d.refError(b, d.read+uint64(j), byteOff+int64(j*refBytes))
 		}
-		dst[j] = Ref{PE: b[0], Op: cache.Op(b[1]), Area: bounds.AreaOf(a), Addr: a}
+		dst[j] = MakeRef(b[0], cache.Op(b[1]), bounds.AreaOf(a), a)
 	}
 	return nil
 }

@@ -82,11 +82,7 @@ func readErr(t *testing.T, label string, raw []byte, want string) {
 func smallTrace() *Trace {
 	tr := &Trace{PEs: 4, Layout: mem.Layout{InstWords: 16, HeapWords: 256, GoalWords: 16, SuspWords: 8, CommWords: 8}}
 	for i := 0; i < 100; i++ {
-		tr.Refs = append(tr.Refs, Ref{
-			PE:   uint8(i % 4),
-			Op:   cache.Op(i % int(cache.NumOps)),
-			Addr: word.Addr(i * 3),
-		})
+		tr.Refs = append(tr.Refs, MakeRef(uint8(i%4), cache.Op(i%int(cache.NumOps)), mem.AreaNone, word.Addr(i*3)))
 	}
 	return withAreas(tr)
 }
@@ -137,13 +133,13 @@ func TestReaderRejectsCorruptRefs(t *testing.T) {
 func TestReaderRejectsOutOfLayoutAddress(t *testing.T) {
 	tr := smallTrace()
 	end := tr.Layout.Bounds().End
-	tr.Refs[41].Addr = end - 1 // last word: legal
+	tr.Refs[41] = MakeRef(tr.Refs[41].PE(), tr.Refs[41].Op(), mem.AreaNone, end-1) // last word: legal
 	withAreas(tr)
 	if _, err := Read(bytes.NewReader(encodeTrace(t, tr))); err != nil {
 		t.Fatalf("address end-1 rejected: %v", err)
 	}
 
-	tr.Refs[42].Addr = end
+	tr.Refs[42] = MakeRef(tr.Refs[42].PE(), tr.Refs[42].Op(), mem.AreaNone, end)
 	raw := encodeTrace(t, tr)
 	want := fmt.Sprintf("ref 42 (byte offset %d)", chunk0+frameBytes+42*refBytes)
 	readErr(t, "address at layout end", raw, want)
@@ -537,7 +533,7 @@ func TestResumeIdentityChain(t *testing.T) {
 	}
 
 	edited := largeSyntheticTrace(tr.Len())
-	edited.Refs[refsPerChunk+7].PE ^= 1
+	edited.Refs[refsPerChunk+7].pe ^= 1
 	other := chains(encodeTrace(t, edited))
 	for k := range got {
 		if same := other[k] == got[k]; same != (k < 2) {

@@ -16,30 +16,31 @@ import (
 // accessor method classifies its own address.
 func replayGenericRefs(refs []Ref, ports []mem.Accessor) error {
 	for i, ref := range refs {
-		port := ports[ref.PE]
-		switch ref.Op {
+		port := ports[ref.PE()]
+		a := ref.Addr()
+		switch ref.Op() {
 		case cache.OpR:
-			port.Read(ref.Addr)
+			port.Read(a)
 		case cache.OpW:
-			port.Write(ref.Addr, 0)
+			port.Write(a, 0)
 		case cache.OpLR:
-			if _, ok := port.LockRead(ref.Addr); !ok {
-				return fmt.Errorf("ref %d: LR %#x blocked during replay", i, ref.Addr)
+			if _, ok := port.LockRead(a); !ok {
+				return fmt.Errorf("ref %d: LR %#x blocked during replay", i, a)
 			}
 		case cache.OpUW:
-			port.UnlockWrite(ref.Addr, 0)
+			port.UnlockWrite(a, 0)
 		case cache.OpU:
-			port.Unlock(ref.Addr)
+			port.Unlock(a)
 		case cache.OpDW:
-			port.DirectWrite(ref.Addr, 0)
+			port.DirectWrite(a, 0)
 		case cache.OpER:
-			port.ExclusiveRead(ref.Addr)
+			port.ExclusiveRead(a)
 		case cache.OpRP:
-			port.ReadPurge(ref.Addr)
+			port.ReadPurge(a)
 		case cache.OpRI:
-			port.ReadInvalidate(ref.Addr)
+			port.ReadInvalidate(a)
 		default:
-			return fmt.Errorf("ref %d: unknown op %d", i, ref.Op)
+			return fmt.Errorf("ref %d: unknown op %d", i, ref.Op())
 		}
 	}
 	return nil

@@ -22,16 +22,41 @@ import (
 	"pimcache/internal/mem"
 )
 
-// Ref is one recorded memory reference. Area is the address's storage
-// area under the trace's layout. It depends only on Addr and the layout,
-// so every producer (Recorder, the decoder, synth) classifies it once and
-// each of the many replays of a sweep reuses it; it occupies the struct's
-// padding byte and is not stored on disk.
+// Ref is one recorded memory reference, six bytes: its on-disk record
+// (PE, op, 32-bit little-endian address) with the address's storage area
+// under the trace's layout packed into the op byte's high nibble. The area
+// depends only on the address and the layout, so every producer (Recorder,
+// the decoder, synth) classifies it once and each of the many replays of a
+// sweep reuses it; it is not stored on disk. The address is two 16-bit
+// halves rather than a byte array so that a Ref stays a plain value the
+// compiler keeps in registers and moves with wide loads and stores.
 type Ref struct {
-	PE   uint8
-	Op   cache.Op
-	Area mem.Area
-	Addr word.Addr
+	pe, opArea uint8
+	lo, hi     uint16
+}
+
+// MakeRef builds the reference of PE pe performing op on address a, whose
+// area is area. op and area each fit in a nibble (cache.NumOps and
+// mem.NumAreas are at most 16).
+func MakeRef(pe uint8, op cache.Op, area mem.Area, a word.Addr) Ref {
+	return Ref{pe: pe, opArea: uint8(op) | uint8(area)<<4, lo: uint16(a), hi: uint16(a >> 16)}
+}
+
+// PE reports the issuing processor.
+func (r Ref) PE() uint8 { return r.pe }
+
+// Op reports the memory operation.
+func (r Ref) Op() cache.Op { return cache.Op(r.opArea & 15) }
+
+// Area reports the address's storage area.
+func (r Ref) Area() mem.Area { return mem.Area(r.opArea >> 4) }
+
+// Addr reports the referenced word address.
+func (r Ref) Addr() word.Addr { return word.Addr(r.lo) | word.Addr(r.hi)<<16 }
+
+// String formats the reference for test failures and debugging.
+func (r Ref) String() string {
+	return fmt.Sprintf("{PE %d %v %#x %v}", r.pe, r.Op(), r.Addr(), r.Area())
 }
 
 // Trace is a recorded reference stream. Layout records the memory-area
@@ -144,7 +169,7 @@ type recordingPort struct {
 
 func (p *recordingPort) add(op cache.Op, a word.Addr) {
 	r := p.rec
-	r.trace.Refs = append(r.trace.Refs, Ref{PE: p.pe, Op: op, Area: r.bounds.AreaOf(a), Addr: a})
+	r.trace.Refs = append(r.trace.Refs, MakeRef(p.pe, op, r.bounds.AreaOf(a), a))
 	if r.out != nil && len(r.trace.Refs) == refsPerChunk {
 		r.flush()
 	}
@@ -260,11 +285,11 @@ func NewChunkReplayer(pes int, ports []mem.Accessor) (*ChunkReplayer, error) {
 func (cr *ChunkReplayer) Replay(refs []Ref, base int) error {
 	for i := range refs {
 		r := &refs[i]
-		if ok, err := cr.caches[r.PE].Apply(r.Op, r.Addr, r.Area); !ok {
+		if ok, err := cr.caches[r.pe].Apply(cache.Op(r.opArea&15), word.Addr(r.lo)|word.Addr(r.hi)<<16, mem.Area(r.opArea>>4)); !ok {
 			if err == nil {
-				err = fmt.Errorf("LR %#x blocked during replay", r.Addr)
+				err = fmt.Errorf("LR %#x blocked during replay", r.Addr())
 			}
-			return fmt.Errorf("trace: ref %d (PE %d): %w", base+i, r.PE, err)
+			return fmt.Errorf("trace: ref %d (PE %d): %w", base+i, r.pe, err)
 		}
 	}
 	return nil
@@ -308,11 +333,9 @@ const headerBytes = 32
 // the platforms the replay host runs on.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// addrEncodable reports whether a fits in the four address bytes of the
-// on-disk ref format. word.Addr is currently 32 bits wide, so every value
-// fits, but the check goes through uint64 so that widening the address
-// type can never silently truncate traces on disk.
-func addrEncodable(a uint64) bool { return a <= 0xFFFFFFFF }
+// A Ref holds a 32-bit address, as the on-disk record does: widening
+// word.Addr must fail to compile here rather than truncate addresses.
+const _ = uint32(^word.Addr(0))
 
 // prefix assembles the bytes before the first chunk of a trace of n
 // references: the magic, the fixed 32-byte header and its CRC32C.
@@ -343,17 +366,18 @@ func newChunkWriter(w io.Writer) *chunkWriter {
 }
 
 // write frames one chunk of at most refsPerChunk references and writes
-// it in one call. It fails — rather than corrupt the stream — if an
-// address exceeds the 32-bit on-disk format.
+// it in one call.
 func (cw *chunkWriter) write(refs []Ref) error {
 	buf := cw.buf[:frameBytes]
-	for j := range refs {
-		ref := &refs[j]
-		if !addrEncodable(uint64(ref.Addr)) {
-			return fmt.Errorf("trace: ref %d: address %#x exceeds the 32-bit on-disk format", cw.refs+j, uint64(ref.Addr))
-		}
-		buf = append(buf, ref.PE, uint8(ref.Op),
-			byte(ref.Addr), byte(ref.Addr>>8), byte(ref.Addr>>16), byte(ref.Addr>>24))
+	for _, r := range refs {
+		// PE and op byte move in one 16-bit load and store, the address
+		// in one 32-bit load and store. Subtracting the area nibble
+		// clears it as a mask would, but a mask lets the compiler split
+		// the 16-bit store into two byte stores.
+		peOp := uint16(r.pe) | uint16(r.opArea)<<8
+		peOp -= peOp & 0xF000
+		a := uint32(r.lo) | uint32(r.hi)<<16
+		buf = append(buf, byte(peOp), byte(peOp>>8), byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
 	}
 	payload := buf[frameBytes:]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
@@ -364,8 +388,6 @@ func (cw *chunkWriter) write(refs []Ref) error {
 }
 
 // Write serializes the trace (PIMTRACE3: checksummed chunk framing).
-// It fails — rather than corrupt the stream — if any address exceeds
-// the 32-bit on-disk format.
 func (t *Trace) Write(w io.Writer) error {
 	if _, err := w.Write(t.prefix(uint64(len(t.Refs)))); err != nil {
 		return err

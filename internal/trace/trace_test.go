@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
@@ -15,6 +16,45 @@ import (
 	"pimcache/internal/machine"
 	"pimcache/internal/mem"
 )
+
+// TestRefPacking pins the in-memory reference: six bytes, its on-disk
+// record with the area in the op byte's high nibble, which holds only
+// while every op and every area fits in a nibble. MakeRef and the
+// accessors must round-trip every op and area with the extreme PEs and
+// the addresses around each 16-bit half's boundary, and the encoder
+// must drop the area from the op byte it writes.
+func TestRefPacking(t *testing.T) {
+	if size := unsafe.Sizeof(Ref{}); size != refBytes {
+		t.Errorf("a Ref takes %d bytes, want %d", size, refBytes)
+	}
+	if cache.NumOps > 16 || mem.NumAreas > 16 {
+		t.Fatalf("%d ops and %d areas: each must fit in a nibble", cache.NumOps, mem.NumAreas)
+	}
+	layout := mem.Layout{InstWords: 1, HeapWords: 1, GoalWords: 1, SuspWords: 1, CommWords: 1}
+	for op := cache.Op(0); op < cache.NumOps; op++ {
+		for area := mem.Area(0); area < mem.NumAreas; area++ {
+			for _, pe := range []uint8{0, 1, 63} {
+				for _, a := range []word.Addr{0, 1, 0xFFFF, 0x10000, 0xFFFFFFFF} {
+					r := MakeRef(pe, op, area, a)
+					if r.PE() != pe || r.Op() != op || r.Area() != area || r.Addr() != a {
+						t.Fatalf("MakeRef(%d, %v, %v, %#x) = %v", pe, op, area, a, r)
+					}
+					var buf bytes.Buffer
+					if err := (&Trace{PEs: 64, Layout: layout, Refs: []Ref{r}}).Write(&buf); err != nil {
+						t.Fatal(err)
+					}
+					rec := buf.Bytes()[buf.Len()-refBytes:]
+					if want := []byte{pe, byte(op), byte(a), byte(a >> 8), byte(a >> 16), byte(a >> 24)}; !bytes.Equal(rec, want) {
+						t.Fatalf("%v is written as % x, want % x", r, rec, want)
+					}
+				}
+			}
+		}
+	}
+	if got, want := MakeRef(3, cache.OpLR, mem.AreaHeap, 0x12345).String(), "{PE 3 LR 0x12345 heap}"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
 
 func TestRecordingPortForwardsAndRecords(t *testing.T) {
 	layout := mem.Layout{InstWords: 64, HeapWords: 256, GoalWords: 64, SuspWords: 32, CommWords: 32}
@@ -41,8 +81,8 @@ func TestRecordingPortForwardsAndRecords(t *testing.T) {
 		t.Fatalf("recorded %d refs, want %d", tr.Len(), len(wantOps))
 	}
 	for i, op := range wantOps {
-		if tr.Refs[i].Op != op {
-			t.Errorf("ref %d op = %v, want %v", i, tr.Refs[i].Op, op)
+		if tr.Refs[i].Op() != op {
+			t.Errorf("ref %d op = %v, want %v", i, tr.Refs[i].Op(), op)
 		}
 	}
 }
@@ -126,8 +166,8 @@ func TestStreamRecorderReportsWriteErrors(t *testing.T) {
 // test traces go through it so decoded streams compare equal to them.
 func withAreas(tr *Trace) *Trace {
 	b := tr.Layout.Bounds()
-	for i := range tr.Refs {
-		tr.Refs[i].Area = b.AreaOf(tr.Refs[i].Addr)
+	for i, r := range tr.Refs {
+		tr.Refs[i] = MakeRef(r.PE(), r.Op(), b.AreaOf(r.Addr()), r.Addr())
 	}
 	return tr
 }
@@ -135,11 +175,7 @@ func withAreas(tr *Trace) *Trace {
 func TestSerializationRoundTrip(t *testing.T) {
 	tr := &Trace{PEs: 4, Layout: mem.Layout{InstWords: 100, HeapWords: 20000, GoalWords: 3000, SuspWords: 4000, CommWords: 10000}}
 	for i := 0; i < 1000; i++ {
-		tr.Refs = append(tr.Refs, Ref{
-			PE:   uint8(i % 4),
-			Op:   cache.Op(i % int(cache.NumOps)),
-			Addr: word.Addr(i * 37),
-		})
+		tr.Refs = append(tr.Refs, MakeRef(uint8(i%4), cache.Op(i%int(cache.NumOps)), mem.AreaNone, word.Addr(i*37)))
 	}
 	withAreas(tr)
 	var buf bytes.Buffer
@@ -155,7 +191,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	for i := range tr.Refs {
 		if got.Refs[i] != tr.Refs[i] {
-			t.Fatalf("ref %d: %+v != %+v", i, got.Refs[i], tr.Refs[i])
+			t.Fatalf("ref %d: %v != %v", i, got.Refs[i], tr.Refs[i])
 		}
 	}
 }
@@ -173,11 +209,8 @@ func largeSyntheticTrace(refs int) *Trace {
 	tr := &Trace{PEs: 16, Layout: mem.Layout{InstWords: 1, HeapWords: 2, GoalWords: 3, SuspWords: 4, CommWords: 1 << 31}}
 	tr.Refs = make([]Ref, refs)
 	for i := range tr.Refs {
-		tr.Refs[i] = Ref{
-			PE:   uint8(i % 16),
-			Op:   cache.Op(i % int(cache.NumOps)),
-			Addr: word.Addr(uint32(i)*2654435761) >> 1, // Fibonacci hashing: hits every byte
-		}
+		// Fibonacci hashing puts addresses on every byte.
+		tr.Refs[i] = MakeRef(uint8(i%16), cache.Op(i%int(cache.NumOps)), mem.AreaNone, word.Addr(uint32(i)*2654435761)>>1)
 	}
 	return withAreas(tr)
 }
@@ -200,7 +233,7 @@ func TestLargeSerializationRoundTrip(t *testing.T) {
 	}
 	for i := range tr.Refs {
 		if got.Refs[i] != tr.Refs[i] {
-			t.Fatalf("ref %d: %+v != %+v", i, got.Refs[i], tr.Refs[i])
+			t.Fatalf("ref %d: %v != %v", i, got.Refs[i], tr.Refs[i])
 		}
 	}
 }
@@ -216,26 +249,6 @@ func TestReadRejectsTruncatedStream(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-3]
 	if _, err := Read(bytes.NewReader(cut)); err == nil {
 		t.Error("truncated stream accepted")
-	}
-}
-
-// TestAddrEncodable pins the Write-side truncation guard: refs are stored
-// as four address bytes, so anything above 32 bits must be rejected, not
-// silently wrapped. word.Addr is currently 32 bits wide — no legal Addr
-// can trip the guard — so the boundary is tested on the helper directly;
-// Write routes every address through it.
-func TestAddrEncodable(t *testing.T) {
-	if !addrEncodable(0) || !addrEncodable(0xFFFFFFFF) {
-		t.Error("in-range address rejected")
-	}
-	if addrEncodable(1 << 32) {
-		t.Error("33-bit address accepted: Write would truncate it on disk")
-	}
-	if addrEncodable(^uint64(0)) {
-		t.Error("64-bit address accepted")
-	}
-	if !addrEncodable(uint64(word.Addr(0)) - 0) { // the conversion Write uses
-		t.Error("zero Addr rejected")
 	}
 }
 
@@ -390,7 +403,7 @@ func compileSrc(t *testing.T, src string) *compile.Image {
 func TestReplayRefusesLockMisuse(t *testing.T) {
 	layout := mem.DefaultLayout()
 	a := layout.Bounds().HeapBase
-	ref := func(op cache.Op, addr word.Addr) Ref { return Ref{PE: 1, Op: op, Addr: addr} }
+	ref := func(op cache.Op, addr word.Addr) Ref { return MakeRef(1, op, mem.AreaNone, addr) }
 	for _, tc := range []struct {
 		name string
 		refs []Ref

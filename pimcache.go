@@ -55,8 +55,8 @@ type Config struct {
 	// BusWidthWords and MemCycles set the bus timing (defaults 1 and 8).
 	BusWidthWords int
 	MemCycles     int
-	// HeapWords sizes the heap area for Run (default 8M words);
-	// RunBenchmark uses the base layout.
+	// HeapWords sizes the heap area (default 8M words, the base
+	// layout's).
 	HeapWords int
 	// EnableGC halves the heap into semispaces and runs the stop-and-copy
 	// collector when allocation fails (off by default).
@@ -167,8 +167,8 @@ func Run(source string, cfg Config, maxSteps uint64) (Result, error) {
 
 // RunBenchmark runs one of the paper's benchmarks ("Tri", "Semi",
 // "Puzzle", "Pascal") at the given scale (0 = its default) and verifies
-// the answer against a native reference implementation. Benchmarks run
-// on the paper's base layout whatever cfg.HeapWords says.
+// the answer against a native reference implementation. Like Run, it
+// refuses a machine the configuration cannot build with an error.
 func RunBenchmark(name string, scale int, cfg Config) (Result, error) {
 	b, ok := programs.ByName(name)
 	if !ok {
@@ -181,7 +181,7 @@ func RunBenchmark(name string, scale int, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rd, err := bench.RunLiveTiming(b, scale, mcfg.PEs, mcfg.Cache, mcfg.Timing, nil, nil)
+	rd, err := bench.RunLiveTiming(b, scale, mcfg, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}

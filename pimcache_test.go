@@ -108,18 +108,16 @@ func TestConfigValidation(t *testing.T) {
 
 	// A machine the simulator cannot build is refused with
 	// ErrMachineConfig by programs and benchmarks alike; these used to
-	// panic. Benchmarks run on the base layout, so HeapWords does not
-	// reach them.
+	// panic (and a benchmark used to ignore HeapWords).
 	for _, c := range []struct {
-		name  string
-		set   func(*Config)
-		bench bool
+		name string
+		set  func(*Config)
 	}{
-		{"65 PEs", func(c *Config) { c.PEs = 65 }, true},
-		{"-1 PEs", func(c *Config) { c.PEs = -1 }, true},
-		{"bus width -1", func(c *Config) { c.BusWidthWords = -1 }, true},
-		{"memory cycles -8", func(c *Config) { c.MemCycles = -8 }, true},
-		{"heap -5 words", func(c *Config) { c.HeapWords = -5 }, false},
+		{"65 PEs", func(c *Config) { c.PEs = 65 }},
+		{"-1 PEs", func(c *Config) { c.PEs = -1 }},
+		{"bus width -1", func(c *Config) { c.BusWidthWords = -1 }},
+		{"memory cycles -8", func(c *Config) { c.MemCycles = -8 }},
+		{"heap -5 words", func(c *Config) { c.HeapWords = -5 }},
 	} {
 		cfg := smallConfig()
 		c.set(&cfg)
@@ -128,14 +126,22 @@ func TestConfigValidation(t *testing.T) {
 				t.Errorf("err = %v, want ErrMachineConfig", err)
 			}
 		})
-		if c.bench {
-			t.Run("RunBenchmark/"+c.name, func(t *testing.T) {
-				if _, err := RunBenchmark("Tri", 2, cfg); !errors.Is(err, emulator.ErrMachineConfig) {
-					t.Errorf("err = %v, want ErrMachineConfig", err)
-				}
-			})
-		}
+		t.Run("RunBenchmark/"+c.name, func(t *testing.T) {
+			if _, err := RunBenchmark("Tri", 2, cfg); !errors.Is(err, emulator.ErrMachineConfig) {
+				t.Errorf("err = %v, want ErrMachineConfig", err)
+			}
+		})
 	}
+
+	// A benchmark runs on the heap HeapWords sizes: Tri at scale 2 needs
+	// more than 256 words of it.
+	t.Run("RunBenchmark/heap 256 words", func(t *testing.T) {
+		cfg := smallConfig()
+		cfg.HeapWords = 256
+		if _, err := RunBenchmark("Tri", 2, cfg); err == nil || !strings.Contains(err.Error(), "heap exhausted") {
+			t.Errorf("err = %v, want the run to exhaust its 256-word heap", err)
+		}
+	})
 }
 
 func TestOptimizationsReduceTraffic(t *testing.T) {
