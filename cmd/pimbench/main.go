@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"pimcache/internal/bench"
+	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
@@ -40,7 +41,7 @@ func main() {
 		table    = flag.Int("table", 0, "regenerate only table N (1-5)")
 		figure   = flag.Int("figure", 0, "regenerate only figure N (1-3)")
 		extra    = flag.String("extra", "", "in-text experiment: "+strings.Join(extras, ", "))
-		benches  = flag.String("bench", "", "comma-separated benchmark subset (Tri,Semi,Puzzle,Pascal)")
+		benches  = flag.String("bench", "", "comma-separated benchmark subset (Tri, Semi, Puzzle, Pascal, BUP, PuzzleVec)")
 		verbose  = flag.Bool("v", false, "print progress")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores, 1 = serial)")
 		manifest = flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
@@ -49,9 +50,17 @@ func main() {
 	prof := cliutil.ProfileFlags(flag.CommandLine)
 	run := cliutil.TimeoutFlags(flag.CommandLine)
 	flag.Parse()
+	var names []string
+	if *benches != "" {
+		for _, name := range strings.Split(*benches, ",") {
+			names = append(names, strings.TrimSpace(name))
+		}
+	}
 	if err := cliutil.FirstError(
 		cliutil.ValidateCount("-jobs", *jobs),
+		cliutil.ValidateDuration("-timeout", run.Timeout),
 		validateSelection(*table, *figure, *extra),
+		validateBenches(names),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "pimbench:", err)
 		os.Exit(2)
@@ -81,11 +90,7 @@ func main() {
 	o.Jobs = *jobs
 	o.Phases = ph
 	o.Metrics = reg
-	if *benches != "" {
-		for _, name := range strings.Split(*benches, ",") {
-			o.Benchmarks = append(o.Benchmarks, strings.TrimSpace(name))
-		}
-	}
+	o.Benchmarks = names
 	if *verbose {
 		o.Progress = os.Stderr
 	}
@@ -156,6 +161,18 @@ func validateSelection(table, figure int, extra string) error {
 	}
 	if extra != "" && !slices.Contains(extras, extra) {
 		return fmt.Errorf("unknown -extra %q (want %s)", extra, strings.Join(extras, ", "))
+	}
+	return nil
+}
+
+// validateBenches checks the -bench names against the benchmark
+// registry, so an unknown one is a malformed command line (exit 2) rather
+// than a failed run.
+func validateBenches(names []string) error {
+	for _, name := range names {
+		if _, ok := programs.ByName(name); !ok {
+			return fmt.Errorf("unknown -bench %q (want Tri, Semi, Puzzle, Pascal, BUP or PuzzleVec)", name)
+		}
 	}
 	return nil
 }

@@ -79,6 +79,7 @@ func main() {
 		cliutil.ValidateCount("-scale", *scale),
 		cliutil.ValidateBlock(*block),
 		cliutil.ValidateBusWidth(*width),
+		cliutil.ValidateDuration("-timeout", run.Timeout),
 		tel.Validate(),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "pimsim:", err)

@@ -98,3 +98,21 @@ func TestEventsTimeline(t *testing.T) {
 		t.Errorf("refused run left %v, want no file", got)
 	}
 }
+
+// TestMalformedFlagsExit2: a negative -timeout and an unknown -bench are
+// malformed command lines (exit 2, naming the flag or the name), refused
+// before anything runs.
+func TestMalformedFlagsExit2(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "Tri", "-scale", "2", "-timeout", "-1s"}, "-timeout must be non-negative (got -1s)"},
+		{[]string{"-bench", "Nope"}, `"Nope"`},
+	} {
+		stdout, stderr, code := pimsim(t, t.TempDir(), c.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("pimsim %v: exit %d, stdout %q, stderr %q; want exit 2 with %q", c.args, code, stdout, stderr, c.want)
+		}
+	}
+}

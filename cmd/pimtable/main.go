@@ -53,6 +53,10 @@ func main() {
 	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
 	run := cliutil.TimeoutFlags(flag.CommandLine)
 	flag.Parse()
+	if err := cliutil.ValidateDuration("-timeout", run.Timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "pimtable:", err)
+		os.Exit(2)
+	}
 	ctx, stopSignals := run.Context()
 	defer stopSignals()
 	cliutil.AbortOnDone(ctx, 30*time.Second, os.Stderr)

@@ -324,7 +324,13 @@ func replay(args []string) {
 		usageErr(fmt.Errorf("replay: one trace file expected"))
 	}
 	checkpointing := *ckptEvery > 0 || *resume
-	if err := cliutil.FirstError(cliutil.ValidateBusWidth(*width), tel.Validate()); err != nil {
+	if err := cliutil.FirstError(
+		cliutil.ValidateBusWidth(*width),
+		cliutil.ValidateDuration("-timeout", run.Timeout),
+		cliutil.ValidateDuration("-heartbeat", *heartbeat),
+		cliutil.ValidateDuration("-stall", *stall),
+		tel.Validate(),
+	); err != nil {
 		usageErr(fmt.Errorf("replay: %w", err))
 	}
 	if checkpointing && tel.On() {

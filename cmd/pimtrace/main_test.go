@@ -86,6 +86,9 @@ func TestMalformedFlagsExit2(t *testing.T) {
 		{"-buswidth", []string{"replay", "-buswidth", "-1", tr}},
 		{"-hotspots", []string{"replay", "-hotspots", "-1", tr}},
 		{"-csv", []string{"replay", "-csv", "iv.csv", tr}},
+		{"-timeout", []string{"replay", "-timeout", "-1s", tr}},
+		{"-heartbeat", []string{"replay", "-heartbeat", "-1s", tr}},
+		{"-stall", []string{"replay", "-stall", "-1s", tr}},
 	} {
 		_, stderr, code := pimtrace(t, dir, c.args...)
 		if code != 2 || strings.Contains(stderr, "panic:") || !strings.Contains(stderr, c.flag) {

@@ -46,22 +46,9 @@ const (
 	NumCommands
 )
 
-var commandNames = [NumCommands]string{"F", "FI", "I", "H", "LK", "UL", "LH", "UP"}
-
-func init() {
-	// Register the authoritative name tables with the telemetry layer
-	// (probe cannot import this package).
-	probe.SetCmdNames(commandNames[:])
-	probe.SetPatternNames(patternNames[:])
-}
-
-// String returns the paper's mnemonic for the command.
-func (c Command) String() string {
-	if int(c) < len(commandNames) {
-		return commandNames[c]
-	}
-	return fmt.Sprintf("cmd(%d)", uint8(c))
-}
+// String returns the paper's mnemonic for the command (probe's table,
+// so events and statistics render alike).
+func (c Command) String() string { return probe.CmdName(uint8(c)) }
 
 // Pattern enumerates the bus access patterns of Section 4.2. Each bus
 // transaction is accounted under exactly one pattern.
@@ -99,18 +86,8 @@ const (
 	NumPatterns
 )
 
-var patternNames = [NumPatterns]string{
-	"swapin-mem", "swapin-mem+swapout", "c2c", "c2c+swapout",
-	"swapout-only", "invalidate", "unlock", "word-write", "update",
-}
-
-// String names the pattern.
-func (p Pattern) String() string {
-	if int(p) < len(patternNames) {
-		return patternNames[p]
-	}
-	return fmt.Sprintf("pattern(%d)", uint8(p))
-}
+// String names the pattern (probe's table).
+func (p Pattern) String() string { return probe.PatternName(uint8(p)) }
 
 // Timing holds the bus and memory timing parameters.
 type Timing struct {
@@ -245,19 +222,24 @@ type LockUnit interface {
 
 // FetchResult describes the outcome of a Fetch transaction.
 type FetchResult struct {
-	// LockHit is true when a remote lock directory responded LH; the
-	// transaction was aborted with no state changes and the requester
-	// must busy-wait for the matching UL.
+	// LockHit is true when a remote lock directory responded LH. For an
+	// LR (withLock) the transaction was aborted with no state changes,
+	// the rest of the result is zero, and the requester must busy-wait
+	// for the matching UL. For any other fetch the bus has accounted the
+	// aborted attempt and run the retry that follows the UL, which the
+	// rest of the result describes; the requester only counts its busy
+	// wait.
 	LockHit bool
-	// Data is the fetched block (nil when LockHit). It aliases a buffer
-	// owned by the bus and is valid only until the start of the next bus
-	// transaction: callers must copy out what they keep (which models
-	// the hardware — the data exists on the bus wires only for the
-	// transfer cycles). It DOES stay valid across the same transaction's
-	// hidden victim write-back (SwapOutHidden), which models the fetched
-	// block sitting latched on the bus while the victim drains behind
-	// it. Config.PoisonFetchData enforces this contract by scribbling
-	// the buffer at the start of every transaction.
+	// Data is the fetched block (nil after an LR's LH). It aliases a
+	// buffer owned by the bus and is valid only until the start of the
+	// next bus transaction: callers must copy out what they keep (which
+	// models the hardware — the data exists on the bus wires only for
+	// the transfer cycles). It DOES stay valid across the same
+	// transaction's hidden victim write-back (SwapOutHidden), which
+	// models the fetched block sitting latched on the bus while the
+	// victim drains behind it. Config.PoisonFetchData enforces this
+	// contract by scribbling the buffer at the start of every
+	// transaction.
 	Data []word.Word
 	// FromCache reports a cache-to-cache transfer.
 	FromCache bool
@@ -612,17 +594,6 @@ func (b *Bus) emitEnd(requester int, addr word.Addr, cmd, pat uint8, holders, cy
 	})
 }
 
-// emitAborted reports a transaction that drew LH: begin, the lock
-// conflict, and the end of the aborted (address-broadcast-only)
-// transaction.
-func (b *Bus) emitAborted(requester int, addr word.Addr, cmd uint8, withLock bool, holders, cy uint64) {
-	b.emitBegin(requester, addr, cmd, holders, withLock)
-	b.probe.Emit(probe.Event{
-		Kind: probe.KindLockConflict, Cycle: b.ProbeClock(), PE: int16(requester), Addr: addr,
-	})
-	b.emitEnd(requester, addr, cmd, uint8(PatInval), holders, cy)
-}
-
 func (b *Bus) account(p Pattern, a word.Addr) uint64 {
 	cy := b.cycleTab[p]
 	b.stats.TotalCycles += cy
@@ -686,6 +657,40 @@ func (b *Bus) lockedBlockElsewhere(requester int, addr word.Addr) bool {
 	return false
 }
 
+// open begins a transaction of command cmd for addr on behalf of
+// requester. It counts the LK that rides with an LR (withLock) and polls
+// the remote lock directories. On LH (Section 3.3: the requester
+// busy-waits, then retries after the UL) the address broadcast is
+// accounted as an invalidate-pattern transaction and reported as begin,
+// lock conflict and end. An LR stops there; for any other command the
+// retry follows at once, and open begins its transaction. lockHit
+// reports whether LH was drawn.
+func (b *Bus) open(requester int, addr word.Addr, cmd Command, withLock bool) (lockHit bool) {
+	b.beginTransaction()
+	if withLock {
+		b.stats.Commands[CmdLK]++
+	}
+	if !b.lockHit(requester, addr) {
+		return false
+	}
+	var holders uint64
+	if b.probe != nil {
+		holders = b.actualHolders(requester, addr)
+	}
+	cy := b.account(PatInval, addr)
+	if b.probe != nil {
+		b.emitBegin(requester, addr, uint8(cmd), holders, withLock)
+		b.probe.Emit(probe.Event{
+			Kind: probe.KindLockConflict, Cycle: b.ProbeClock(), PE: int16(requester), Addr: addr,
+		})
+		b.emitEnd(requester, addr, uint8(cmd), uint8(PatInval), holders, cy)
+	}
+	if !withLock {
+		b.beginTransaction()
+	}
+	return true
+}
+
 // Fetch performs an F (inval=false) or FI (inval=true) transaction for
 // the block containing addr, on behalf of requester. victimDirty reports
 // whether the requester must also write back a dirty victim, which
@@ -693,43 +698,13 @@ func (b *Bus) lockedBlockElsewhere(requester int, addr word.Addr) bool {
 // LR operation). The returned data aliases a bus-owned buffer valid only
 // until the next transaction (see FetchResult.Data).
 func (b *Bus) Fetch(requester int, addr word.Addr, inval, victimDirty, withLock bool) FetchResult {
-	b.beginTransaction()
-	if withLock {
-		b.stats.Commands[CmdLK]++
-	}
-	if b.lockHit(requester, addr) {
-		// Transaction aborted: LH response, requester busy-waits. The
-		// address broadcast still consumed bus cycles.
-		var holders uint64
-		if b.probe != nil {
-			holders = b.actualHolders(requester, addr)
-		}
-		cy := b.account(PatInval, addr)
-		if b.probe != nil {
-			cmd := CmdF
-			if inval {
-				cmd = CmdFI
-			}
-			b.emitAborted(requester, addr, uint8(cmd), withLock, holders, cy)
-		}
-		return FetchResult{LockHit: true}
-	}
-	return b.fetch(requester, addr, inval, victimDirty, withLock)
-}
-
-// FetchForced performs a fetch without polling remote lock directories.
-// The cache uses it to complete a plain R/W whose first attempt drew LH:
-// the busy wait has been accounted and the retry proceeds as it would
-// after the unlock broadcast.
-func (b *Bus) FetchForced(requester int, addr word.Addr, inval, victimDirty bool) FetchResult {
-	b.beginTransaction()
-	return b.fetch(requester, addr, inval, victimDirty, false)
-}
-
-func (b *Bus) fetch(requester int, addr word.Addr, inval, victimDirty, withLock bool) FetchResult {
 	cmd := CmdF
 	if inval {
 		cmd = CmdFI
+	}
+	var res FetchResult
+	if res.LockHit = b.open(requester, addr, cmd, withLock); res.LockHit && withLock {
+		return res
 	}
 	b.stats.Commands[cmd]++
 
@@ -741,7 +716,6 @@ func (b *Bus) fetch(requester int, addr word.Addr, inval, victimDirty, withLock 
 		holders = b.actualHolders(requester, addr)
 		b.emitBegin(requester, addr, uint8(cmd), holders, withLock)
 	}
-	var res FetchResult
 	// Whether some cache supplied the block. Tracked explicitly — not as
 	// res.Data != nil — so the stats-only mode, which never materializes
 	// Data, selects the identical pattern and command counts.
@@ -841,39 +815,17 @@ func (b *Bus) RemoteHolder(requester int, addr word.Addr) bool {
 }
 
 // Invalidate performs an I transaction for the block containing addr
-// (write hit on a shared block, or LR taking ownership with LK). ok is
-// false when a remote lock directory responded LH, in which case no
-// copies were invalidated. dirtyKilled reports that an invalidated
-// remote copy was modified: the requester's own copy is now the only
-// one holding that data, so a requester that stays clean after the
-// upgrade would silently lose it — it must take write-back ownership.
-func (b *Bus) Invalidate(requester int, addr word.Addr, withLock bool) (ok, dirtyKilled bool) {
-	b.beginTransaction()
-	if withLock {
-		b.stats.Commands[CmdLK]++
+// (write hit on a shared block, or LR taking ownership with LK).
+// lockHit reports that a remote lock directory responded LH: an LR
+// (withLock) then invalidated nothing and must busy-wait, while any other
+// caller's retry has already run. dirtyKilled reports that an invalidated
+// remote copy was modified: the requester's own copy is now the only one
+// holding that data, so a requester that stays clean after the upgrade
+// would silently lose it — it must take write-back ownership.
+func (b *Bus) Invalidate(requester int, addr word.Addr, withLock bool) (lockHit, dirtyKilled bool) {
+	if lockHit = b.open(requester, addr, CmdI, withLock); lockHit && withLock {
+		return true, false
 	}
-	if b.lockHit(requester, addr) {
-		var holders uint64
-		if b.probe != nil {
-			holders = b.actualHolders(requester, addr)
-		}
-		cy := b.account(PatInval, addr)
-		if b.probe != nil {
-			b.emitAborted(requester, addr, uint8(CmdI), withLock, holders, cy)
-		}
-		return false, false
-	}
-	return true, b.invalidate(requester, addr, withLock)
-}
-
-// ForceInvalidate invalidates without the lock poll; see FetchForced.
-// Like Invalidate it reports whether a remote modified copy died.
-func (b *Bus) ForceInvalidate(requester int, addr word.Addr) (dirtyKilled bool) {
-	b.beginTransaction()
-	return b.invalidate(requester, addr, false)
-}
-
-func (b *Bus) invalidate(requester int, addr word.Addr, withLock bool) (dirtyKilled bool) {
 	b.stats.Commands[CmdI]++
 	var holders uint64
 	if b.probe != nil {
@@ -893,41 +845,20 @@ func (b *Bus) invalidate(requester int, addr word.Addr, withLock bool) (dirtyKil
 	if b.probe != nil {
 		b.emitEnd(requester, addr, uint8(CmdI), uint8(PatInval), holders, cy)
 	}
-	return dirtyKilled
+	return lockHit, dirtyKilled
 }
 
 // Update performs a UP transaction for addr on behalf of requester: the
 // written word w is broadcast to every other holder of addr's block (the
 // write-update protocols' alternative to Invalidate). Memory is not
-// written — the requester owns the eventual write-back. ok is false when
-// a remote lock directory responded LH (locks keep their invalidate-era
-// semantics: a store to a remotely locked word busy-waits), in which
-// case no copies were updated. shared reports that at least one remote
-// holder retained a copy after the broadcast, so the writer must settle
-// in its dirty-shared state.
-func (b *Bus) Update(requester int, addr word.Addr, w word.Word) (ok, shared bool) {
-	b.beginTransaction()
-	if b.lockHit(requester, addr) {
-		var holders uint64
-		if b.probe != nil {
-			holders = b.actualHolders(requester, addr)
-		}
-		cy := b.account(PatInval, addr)
-		if b.probe != nil {
-			b.emitAborted(requester, addr, uint8(CmdUP), false, holders, cy)
-		}
-		return false, false
-	}
-	return true, b.update(requester, addr, w)
-}
-
-// ForceUpdate updates without the lock poll; see FetchForced.
-func (b *Bus) ForceUpdate(requester int, addr word.Addr, w word.Word) (shared bool) {
-	b.beginTransaction()
-	return b.update(requester, addr, w)
-}
-
-func (b *Bus) update(requester int, addr word.Addr, w word.Word) (shared bool) {
+// written — the requester owns the eventual write-back. lockHit reports
+// that a remote lock directory responded LH (locks keep their
+// invalidate-era semantics: a store to a remotely locked word
+// busy-waits); the broadcast then ran as the retry after the unlock.
+// shared reports that at least one remote holder retained a copy after
+// the broadcast, so the writer must settle in its dirty-shared state.
+func (b *Bus) Update(requester int, addr word.Addr, w word.Word) (lockHit, shared bool) {
+	lockHit = b.open(requester, addr, CmdUP, false)
 	b.stats.Commands[CmdUP]++
 	var holders uint64
 	if b.probe != nil {
@@ -953,7 +884,7 @@ func (b *Bus) update(requester int, addr word.Addr, w word.Word) (shared bool) {
 	if b.probe != nil {
 		b.emitEnd(requester, addr, uint8(CmdUP), uint8(PatUpdate), holders, cy)
 	}
-	return shared
+	return lockHit, shared
 }
 
 // SwapOut writes requester's dirty victim block back to shared memory

@@ -240,12 +240,15 @@ func TestFetchWithVictimSwapOutPattern(t *testing.T) {
 	}
 }
 
+// TestLockHitAbortsFetch: an LR's fetch of a remotely locked word draws
+// LH and aborts before any snoop; a plain fetch draws LH too, and the bus
+// runs its retry at once, without a second lock poll.
 func TestLockHitAbortsFetch(t *testing.T) {
 	b, snoops, locks := newTestBus(t, 2)
 	base := b.Memory().Bounds().HeapBase
 	locks[1].locked[base+2] = true
 	snoops[1].holds = true
-	res := b.Fetch(0, base+2, false, false, false)
+	res := b.Fetch(0, base+2, true, false, true)
 	if !res.LockHit || res.Data != nil {
 		t.Fatalf("expected aborted fetch, got %+v", res)
 	}
@@ -255,13 +258,20 @@ func TestLockHitAbortsFetch(t *testing.T) {
 	if locks[1].waiters != 1 {
 		t.Error("waiter not registered (LCK -> LWAIT)")
 	}
-	if b.Stats().Commands[CmdLH] != 1 {
-		t.Error("LH not counted")
+	st := b.Stats()
+	if st.Commands[CmdLH] != 1 || st.Commands[CmdLK] != 1 || st.Commands[CmdFI] != 0 || st.CountByPattern[PatInval] != 1 {
+		t.Errorf("aborted LR fetch: commands %v, patterns %v", st.Commands, st.CountByPattern)
 	}
-	// FetchForced bypasses the lock poll.
-	res = b.FetchForced(0, base+2, false, false)
-	if res.LockHit || res.Data == nil {
-		t.Fatalf("forced fetch failed: %+v", res)
+	res = b.Fetch(0, base+2, false, false, false)
+	if !res.LockHit || !res.FromCache {
+		t.Fatalf("plain fetch of a locked word: %+v, want LockHit and the retry's transfer", res)
+	}
+	if snoops[1].snoopCount != 1 || locks[1].waiters != 2 {
+		t.Errorf("retry snooped %d times and polled to %d waiters, want 1 and 2", snoops[1].snoopCount, locks[1].waiters)
+	}
+	st = b.Stats()
+	if st.Commands[CmdLH] != 2 || st.Commands[CmdF] != 1 || st.CountByPattern[PatInval] != 2 || st.CountByPattern[PatC2C] != 1 {
+		t.Errorf("plain fetch after LH: commands %v, patterns %v", st.Commands, st.CountByPattern)
 	}
 }
 
@@ -296,8 +306,8 @@ func TestInvalidate(t *testing.T) {
 	base := b.Memory().Bounds().HeapBase
 	snoops[1].holds = true
 	snoops[2].holds = true
-	if ok, _ := b.Invalidate(0, base, false); !ok {
-		t.Fatal("invalidate aborted unexpectedly")
+	if hit, _ := b.Invalidate(0, base, false); hit {
+		t.Fatal("invalidate drew LH unexpectedly")
 	}
 	if snoops[1].invalCount != 1 || snoops[2].invalCount != 1 {
 		t.Error("not all snoopers invalidated")
@@ -306,12 +316,18 @@ func TestInvalidate(t *testing.T) {
 	if st.TotalCycles != 2 || st.CountByPattern[PatInval] != 1 {
 		t.Errorf("stats %+v", st)
 	}
-	// A locked word blocks the invalidation.
+	// A locked word aborts an LR's invalidation; a plain one draws LH
+	// and then invalidates as the retry.
 	locks[1].locked[base+8] = true
-	if ok, _ := b.Invalidate(0, base+8, true); ok {
-		t.Error("invalidate of locked word succeeded")
+	if hit, _ := b.Invalidate(0, base+8, true); !hit || snoops[1].invalCount != 1 {
+		t.Errorf("LR invalidate of a locked word: hit %v, %d invalidations; want an abort", hit, snoops[1].invalCount)
 	}
-	b.ForceInvalidate(0, base+8) // must not consult locks
+	if hit, _ := b.Invalidate(0, base+8, false); !hit || snoops[1].invalCount != 2 {
+		t.Errorf("plain invalidate of a locked word: hit %v, %d invalidations; want LH and the retry", hit, snoops[1].invalCount)
+	}
+	if st := b.Stats(); st.Commands[CmdLH] != 2 || st.Commands[CmdI] != 2 || st.CountByPattern[PatInval] != 4 {
+		t.Errorf("commands %v, patterns %v", st.Commands, st.CountByPattern)
+	}
 }
 
 func TestSwapOutWritesMemory(t *testing.T) {

@@ -151,7 +151,7 @@ func TestFilteredInvalidateVisitsOnlyHolders(t *testing.T) {
 	snoops[2].install(base, block4(10), false)
 	snoops[6].install(base, block4(10), false)
 
-	if ok, _ := b.Invalidate(1, base, false); !ok {
+	if hit, _ := b.Invalidate(1, base, false); hit {
 		t.Fatal("invalidate reported lock hit on lock-free system")
 	}
 	for i, s := range snoops {

@@ -19,9 +19,9 @@ import (
 // (set*ways + way). The hot path — lookup, LRU touch, victim choice —
 // scans a packed tag plane where a default-geometry set is half a host
 // cache line, so a reference costs one or two lines of host memory
-// instead of chasing pointers into per-line structs. The state and
-// base planes back the coherence bookkeeping, and the data plane is
-// one flat word slice (frame f's block at f*BlockWords).
+// instead of chasing pointers into per-line structs. The tag plane is
+// the whole directory entry (block base and state in one word), and the
+// data plane is one flat word slice (frame f's block at f*BlockWords).
 //
 // A block occupies at most one frame: every install goes through a miss
 // (lookup failed) or a restored snapshot that Restore has checked, and the
@@ -42,17 +42,14 @@ type Cache struct {
 	// when the cache runs stats-only (noData): coherence never reads it,
 	// so dropping it removes the block copies and DW zero-fills from the
 	// replay hot path without changing any statistic.
-	states []State
-	bases  []word.Addr
 	data   []word.Word
 	noData bool
 
-	// tags is the hot directory plane: frame f's packed tag is
-	// base<<8|state for a valid frame, invalidTag (zero) otherwise, so a
-	// lookup compares one word per way and a whole default-geometry set
-	// is half a host cache line. The entries mirror states+bases; the
-	// three mutation points (install, setState, drop) keep them
-	// coherent. LRU clocks live in their own plane, touched only on
+	// tags is the directory: frame f's entry is base<<8|state for a
+	// valid frame, invalidTag (zero) otherwise, so a lookup compares one
+	// word per way and a whole default-geometry set is half a host cache
+	// line. state and base unpack an entry; install, setState and drop
+	// each write one. LRU clocks live in their own plane, touched only on
 	// hits, installs and victim search.
 	tags []uint64
 	lru  []uint64
@@ -70,6 +67,10 @@ type Cache struct {
 	// applied UP broadcast, reset by any local touch, and the frame is
 	// dropped when a count reaches updLimit.
 	updCounts []uint8
+
+	// opts enables the optimized commands per area: cfg.Options, or none
+	// under write-through (see New).
+	opts Options
 
 	ways    int
 	bw      int // block words (frame stride in the data plane)
@@ -124,8 +125,6 @@ func New(cfg Config, pe int, b *bus.Bus) *Cache {
 		pe:         pe,
 		bus:        b,
 		bounds:     b.Memory().Bounds(),
-		states:     make([]State, frames),
-		bases:      make([]word.Addr, frames),
 		tags:       make([]uint64, frames),
 		lru:        make([]uint64, frames),
 		data:       data,
@@ -141,6 +140,12 @@ func New(cfg Config, pe int, b *bus.Bus) *Cache {
 	c.proto = cfg.Protocol.Impl()
 	c.isWT = c.proto.WriteThrough()
 	c.isUpdate = c.proto.WriteUpdate()
+	// The WriteThrough hook's contract: the optimized commands degrade
+	// to R/W. DW exists to avoid the fetch-on-write of a copy-back
+	// cache, and write-through has no fetch-on-write to avoid.
+	if !c.isWT {
+		c.opts = cfg.Options
+	}
 	c.updLimit = c.proto.UpdateSelfInvalidate()
 	if c.updLimit > 0 {
 		c.updCounts = make([]uint8, frames)
@@ -218,6 +223,13 @@ func frameTag(base word.Addr, st State) uint64 {
 	return uint64(base)<<8 | uint64(st)
 }
 
+// state returns frame f's state (INV for an invalid frame).
+func (c *Cache) state(f int) State { return State(c.tags[f]) }
+
+// base returns the base address of the block frame f holds (0 for an
+// invalid frame).
+func (c *Cache) base(f int) word.Addr { return word.Addr(c.tags[f] >> 8) }
+
 // lookup returns the frame holding a, or -1. This is the hot path: it
 // reads the ways of one set from the packed tag plane only. A frame
 // matches iff tag^want is a valid (nonzero) state, i.e. in 1..numStates-1
@@ -293,11 +305,10 @@ func (c *Cache) emitState(base word.Addr, from, to State, reason uint64) {
 // Only valid→valid transitions go through it; INV crossings use install
 // and drop, which also maintain the bus presence filter.
 func (c *Cache) setState(f int, to State, reason uint64) {
-	if c.probe != nil && c.states[f] != to {
-		c.emitState(c.bases[f], c.states[f], to, reason)
+	if c.probe != nil && c.state(f) != to {
+		c.emitState(c.base(f), c.state(f), to, reason)
 	}
-	c.states[f] = to
-	c.tags[f] = frameTag(c.bases[f], to)
+	c.tags[f] = frameTag(c.base(f), to)
 }
 
 // install marks frame f as holding the block based at base in state st
@@ -305,8 +316,6 @@ func (c *Cache) setState(f int, to State, reason uint64) {
 // go through it (the filter's exactness is what makes filtered snooping
 // equivalent to the full scan).
 func (c *Cache) install(f int, base word.Addr, st State, reason uint64) {
-	c.bases[f] = base
-	c.states[f] = st
 	c.tags[f] = frameTag(base, st)
 	c.bus.BlockInstalled(c.pe, base)
 	if c.probe != nil {
@@ -317,16 +326,15 @@ func (c *Cache) install(f int, base word.Addr, st State, reason uint64) {
 // drop invalidates frame f, notifying the bus presence filter. It is a
 // no-op on an already-invalid frame.
 func (c *Cache) drop(f int, reason uint64) {
-	if c.states[f] != INV {
+	if st := c.state(f); st != INV {
 		skipFilter := Faults.SkipFilterDrop ||
 			(Faults.AdaptiveDropSkipFilter && reason == probe.ReasonAdaptiveDrop)
 		if !skipFilter {
-			c.bus.BlockDropped(c.pe, c.bases[f])
+			c.bus.BlockDropped(c.pe, c.base(f))
 		}
 		if c.probe != nil {
-			c.emitState(c.bases[f], c.states[f], INV, reason)
+			c.emitState(c.base(f), st, INV, reason)
 		}
-		c.states[f] = INV
 		c.tags[f] = invalidTag
 	}
 }
@@ -335,8 +343,8 @@ func (c *Cache) drop(f int, reason uint64) {
 // bus cost is folded into the with-swap-out fetch pattern chosen by the
 // caller).
 func (c *Cache) evictHidden(f int) {
-	if c.states[f].Dirty() && !(Faults.MOESIDropOwnedWriteBack && c.states[f] == O) {
-		c.bus.SwapOutHidden(c.bases[f], c.frameData(f))
+	if c.state(f).Dirty() && !(Faults.MOESIDropOwnedWriteBack && c.state(f) == O) {
+		c.bus.SwapOutHidden(c.base(f), c.frameData(f))
 		c.stats.SwapOuts++
 	}
 	c.drop(f, probe.ReasonEvict)
@@ -354,22 +362,19 @@ func (c *Cache) miss(a word.Addr, op Op) {
 }
 
 // fetchInto performs the bus fetch for a (F when inval is false, FI when
-// true), handling the victim write-back and the busy-wait-then-proceed
-// simplification for non-lock operations, and installs the block. It
+// true), handling the victim write-back, and installs the block. It
 // returns the installed frame.
 //
-// Plain R/W operations that hit a remotely locked word are modelled as
-// one aborted (LH) attempt followed by the post-unlock retry: the retry's
-// traffic is the fetch we issue here. This is safe functionally because
-// KL1 data is single-assignment — the value observable before the lock's
-// UW is the consistent pre-state.
+// A plain operation that hits a remotely locked word busy-waits and
+// retries after the unlock: the bus runs both the aborted (LH) attempt
+// and the retry, and the cache counts the busy wait. This is safe
+// functionally because KL1 data is single-assignment — the value
+// observable before the lock's UW is the consistent pre-state.
 func (c *Cache) fetchInto(a word.Addr, inval bool) int {
 	victim := c.victimFor(a)
-	vdirty := c.states[victim].Dirty()
-	res := c.bus.Fetch(c.pe, a, inval, vdirty, false)
+	res := c.bus.Fetch(c.pe, a, inval, c.state(victim).Dirty(), false)
 	if res.LockHit {
 		c.stats.BusyWaits++
-		res = c.bus.FetchForced(c.pe, a, inval, vdirty)
 	}
 	c.evictHidden(victim)
 	copy(c.frameData(victim), res.Data)
@@ -425,7 +430,7 @@ func (c *Cache) writeInternal(a word.Addr, w word.Word, op Op) {
 		// Write-update miss: fetch without invalidating; if the grant
 		// was shared, broadcast the word to the other holders.
 		f := c.fetchInto(a, false)
-		if !c.states[f].Exclusive() {
+		if !c.state(f).Exclusive() {
 			c.updateShared(f, a, w)
 		} else {
 			c.setState(f, EM, probe.ReasonWrite)
@@ -435,7 +440,7 @@ func (c *Cache) writeInternal(a word.Addr, w word.Word, op Op) {
 	}
 	f := c.fetchInto(a, true) // fetch-on-write, invalidating other copies
 	// A lock-forced non-exclusive grant keeps the writer dirty-shared.
-	locked := !c.states[f].Exclusive() && !Faults.GrantEMOverRemoteLock
+	locked := !c.state(f).Exclusive() && !Faults.GrantEMOverRemoteLock
 	c.setState(f, c.proto.WriteOwnState(locked), probe.ReasonWrite)
 	c.storeWord(f, a, w)
 }
@@ -445,7 +450,7 @@ func (c *Cache) writeInternal(a word.Addr, w word.Word, op Op) {
 func (c *Cache) writeHit(f int, a word.Addr, w word.Word, op Op) {
 	c.stats.Hits[op]++
 	c.touch(f)
-	switch st := c.states[f]; {
+	switch st := c.state(f); {
 	case st == EC:
 		c.setState(f, EM, probe.ReasonWrite)
 	case !st.Exclusive():
@@ -459,9 +464,8 @@ func (c *Cache) writeHit(f int, a word.Addr, w word.Word, op Op) {
 			c.updateShared(f, a, w)
 			break
 		}
-		if ok, _ := c.bus.Invalidate(c.pe, a, false); !ok {
+		if hit, _ := c.bus.Invalidate(c.pe, a, false); hit {
 			c.stats.BusyWaits++
-			c.bus.ForceInvalidate(c.pe, a)
 		}
 		locked := c.bus.RemoteLockInBlock(c.pe, a) && !Faults.GrantEMOverRemoteLock
 		c.setState(f, c.proto.WriteOwnState(locked), probe.ReasonWrite)
@@ -477,10 +481,9 @@ func (c *Cache) writeHit(f int, a word.Addr, w word.Word, op Op) {
 // write-back, which preserves the clean-copies-match-memory invariant
 // the differential checker pins.
 func (c *Cache) updateShared(f int, a word.Addr, w word.Word) {
-	ok, shared := c.bus.Update(c.pe, a, w)
-	if !ok {
+	hit, shared := c.bus.Update(c.pe, a, w)
+	if hit {
 		c.stats.BusyWaits++
-		shared = c.bus.ForceUpdate(c.pe, a, w)
 	}
 	if shared || c.bus.RemoteLockInBlock(c.pe, a) {
 		c.setState(f, SM, probe.ReasonWrite)
@@ -540,14 +543,7 @@ func (c *Cache) DirectWrite(a word.Addr, w word.Word) {
 }
 
 func (c *Cache) directWrite(a word.Addr, w word.Word, area mem.Area) {
-	if c.isWT {
-		// DW exists to avoid the fetch-on-write of a copy-back cache;
-		// write-through has no fetch-on-write to avoid.
-		c.stats.DWDegraded++
-		c.writeInternal(a, w, OpDW)
-		return
-	}
-	if !c.cfg.Options.Enabled(area, OptDW) || a&c.offMask != 0 {
+	if !c.opts.Enabled(area, OptDW) || a&c.offMask != 0 {
 		c.stats.DWDegraded++
 		c.writeInternal(a, w, OpDW)
 		return
@@ -573,9 +569,8 @@ func (c *Cache) directWrite(a word.Addr, w word.Word, area mem.Area) {
 		// under the update protocols too). A killed dirty copy needs no
 		// ownership hand-off: DW replaces the whole block's content.
 		c.stats.DWUpdateInvals++
-		if ok, _ := c.bus.Invalidate(c.pe, a, false); !ok {
+		if hit, _ := c.bus.Invalidate(c.pe, a, false); hit {
 			c.stats.BusyWaits++
-			c.bus.ForceInvalidate(c.pe, a)
 		}
 	}
 	if c.cfg.VerifyDW && c.bus.RemoteHolder(c.pe, a) {
@@ -584,10 +579,10 @@ func (c *Cache) directWrite(a word.Addr, w word.Word, area mem.Area) {
 	c.stats.DWApplied++
 	c.miss(a, OpDW)
 	victim := c.victimFor(a)
-	if c.states[victim].Dirty() {
+	if c.state(victim).Dirty() {
 		// The only bus activity a direct write can cause: the lone
 		// swap-out pattern (five cycles at base parameters).
-		c.bus.SwapOut(c.pe, c.bases[victim], c.frameData(victim))
+		c.bus.SwapOut(c.pe, c.base(victim), c.frameData(victim))
 		c.stats.SwapOuts++
 	}
 	c.drop(victim, probe.ReasonEvict)
@@ -613,11 +608,7 @@ func (c *Cache) ExclusiveRead(a word.Addr) word.Word {
 }
 
 func (c *Cache) exclusiveRead(a word.Addr, area mem.Area) word.Word {
-	if c.isWT {
-		c.stats.ERDegraded++
-		return c.readInternal(a, OpER)
-	}
-	if !c.cfg.Options.Enabled(area, OptER) {
+	if !c.opts.Enabled(area, OptER) {
 		c.stats.ERDegraded++
 		return c.readInternal(a, OpER)
 	}
@@ -628,7 +619,7 @@ func (c *Cache) exclusiveRead(a word.Addr, area mem.Area) word.Word {
 			// Case (ii): the block is dead after this read; discard it
 			// even if modified — that is the whole point (the data is
 			// write-once/read-once, so the swap-out would be useless).
-			if c.states[f].Dirty() {
+			if c.state(f).Dirty() {
 				c.stats.PurgedDirty++
 			}
 			c.drop(f, probe.ReasonPurge)
@@ -661,18 +652,14 @@ func (c *Cache) ReadPurge(a word.Addr) word.Word {
 }
 
 func (c *Cache) readPurge(a word.Addr, area mem.Area) word.Word {
-	if c.isWT {
-		c.stats.RPDegraded++
-		return c.readInternal(a, OpRP)
-	}
-	if !c.cfg.Options.Enabled(area, OptRP) {
+	if !c.opts.Enabled(area, OptRP) {
 		c.stats.RPDegraded++
 		return c.readInternal(a, OpRP)
 	}
 	if f := c.lookup(a); f >= 0 {
 		c.stats.Hits[OpRP]++
 		v := c.loadWord(f, a)
-		if c.states[f].Dirty() {
+		if c.state(f).Dirty() {
 			c.stats.PurgedDirty++
 		}
 		c.drop(f, probe.ReasonPurge)
@@ -684,7 +671,6 @@ func (c *Cache) readPurge(a word.Addr, area mem.Area) word.Word {
 		res := c.bus.Fetch(c.pe, a, true, false, false)
 		if res.LockHit {
 			c.stats.BusyWaits++
-			res = c.bus.FetchForced(c.pe, a, true, false)
 		}
 		c.stats.RPApplied++
 		if c.noData {
@@ -708,11 +694,7 @@ func (c *Cache) ReadInvalidate(a word.Addr) word.Word {
 }
 
 func (c *Cache) readInvalidate(a word.Addr, area mem.Area) word.Word {
-	if c.isWT {
-		c.stats.RIDegraded++
-		return c.readInternal(a, OpRI)
-	}
-	if !c.cfg.Options.Enabled(area, OptRI) {
+	if !c.opts.Enabled(area, OptRI) {
 		c.stats.RIDegraded++
 		return c.readInternal(a, OpRI)
 	}
@@ -753,7 +735,7 @@ func (c *Cache) lockRead(a word.Addr) (word.Word, bool) {
 	if f := c.lookup(a); f >= 0 {
 		c.stats.Hits[OpLR]++
 		c.touch(f)
-		if c.states[f].Exclusive() {
+		if c.state(f).Exclusive() {
 			// No other cache can hold the block, hence no other PE can
 			// hold a lock on it: acquire with zero bus cycles.
 			c.stats.LRHitExclusive++
@@ -770,13 +752,13 @@ func (c *Cache) lockRead(a word.Addr) (word.Word, bool) {
 		// and must take over write-back ownership — upgrading to EC here
 		// would silently revert the block to stale memory on eviction.
 		// Found by the internal/check differential fuzzer.
-		ok, dirtyKilled := c.bus.Invalidate(c.pe, a, true)
-		if !ok {
+		hit, dirtyKilled := c.bus.Invalidate(c.pe, a, true)
+		if hit {
 			c.beginBusyWait(a)
 			return 0, false
 		}
 		locked := c.bus.RemoteLockInBlock(c.pe, a)
-		if st := c.proto.LockUpgradeState(c.states[f], dirtyKilled, locked); st != c.states[f] {
+		if st := c.proto.LockUpgradeState(c.state(f), dirtyKilled, locked); st != c.state(f) {
 			c.setState(f, st, probe.ReasonLock)
 		}
 		c.acquireLock(a)
@@ -784,8 +766,7 @@ func (c *Cache) lockRead(a word.Addr) (word.Word, bool) {
 	}
 	c.miss(a, OpLR)
 	victim := c.victimFor(a)
-	vdirty := c.states[victim].Dirty()
-	res := c.bus.Fetch(c.pe, a, true, vdirty, true)
+	res := c.bus.Fetch(c.pe, a, true, c.state(victim).Dirty(), true)
 	if res.LockHit {
 		c.beginBusyWait(a)
 		return 0, false
@@ -930,22 +911,22 @@ func (c *Cache) SnoopFetch(a word.Addr, inval bool) (data []word.Word, held, sup
 		return nil, false, false, false, false
 	}
 	data = c.frameData(f)
-	wasDirty := c.states[f].Dirty()
+	wasDirty := c.state(f).Dirty()
 	supplies = wasDirty || c.proto.CleanSupplies()
 	if inval {
 		reportDirty, copyBack := c.proto.SnoopInvalTransfer(wasDirty)
 		if copyBack {
-			c.bus.MemoryWriteBack(c.bases[f], data)
+			c.bus.MemoryWriteBack(c.base(f), data)
 		}
 		c.drop(f, probe.ReasonSnoopInval)
 		c.stats.Invalidations++
 		return data, true, supplies, reportDirty, false
 	}
-	st, copyBack, reportDirty := c.proto.SnoopShareState(c.states[f])
+	st, copyBack, reportDirty := c.proto.SnoopShareState(c.state(f))
 	if copyBack {
-		c.bus.MemoryWriteBack(c.bases[f], data)
+		c.bus.MemoryWriteBack(c.base(f), data)
 	}
-	if st != c.states[f] {
+	if st != c.state(f) {
 		c.setState(f, st, probe.ReasonSnoopShare)
 	}
 	return data, true, supplies, reportDirty, true
@@ -967,7 +948,7 @@ func (c *Cache) SnoopUpdate(a word.Addr, w word.Word) (held, retained bool) {
 	if !Faults.SkipSnoopUpdate {
 		c.storeWord(f, a, w)
 	}
-	if c.states[f].Dirty() {
+	if c.state(f).Dirty() {
 		// The broadcasting writer becomes the block's dirty owner; this
 		// previous owner's copy — now identical to the writer's —
 		// downgrades to plain shared, keeping write-back ownership
@@ -998,7 +979,7 @@ func (c *Cache) SnoopInvalidate(a word.Addr) bool {
 	if f < 0 {
 		return false
 	}
-	dirty := c.states[f].Dirty()
+	dirty := c.state(f).Dirty()
 	c.drop(f, probe.ReasonSnoopInval)
 	c.stats.Invalidations++
 	return dirty
@@ -1030,9 +1011,9 @@ func (c *Cache) ObserveUnlock(a word.Addr) {
 // cache. It is used around garbage collection and for end-of-run
 // verification; it costs no simulated cycles.
 func (c *Cache) Flush() {
-	for f := range c.states {
-		if c.states[f].Dirty() && !c.noData {
-			c.bus.Memory().WriteBlock(c.bases[f], c.frameData(f))
+	for f := range c.tags {
+		if c.state(f).Dirty() && !c.noData {
+			c.bus.Memory().WriteBlock(c.base(f), c.frameData(f))
 		}
 		c.drop(f, probe.ReasonFlush)
 	}
@@ -1042,7 +1023,7 @@ func (c *Cache) Flush() {
 // Exposed for tests and the protocol-walkthrough example.
 func (c *Cache) StateOf(a word.Addr) State {
 	if f := c.lookup(a); f >= 0 {
-		return c.states[f]
+		return c.state(f)
 	}
 	return INV
 }

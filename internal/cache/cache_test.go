@@ -795,6 +795,11 @@ func TestStateStrings(t *testing.T) {
 	if LCK.String() != "LCK" || LWAIT.String() != "LWAIT" || EMP.String() != "EMP" {
 		t.Error("lock state names")
 	}
+	// An unregistered protocol renders like the other enums' unknown
+	// values, so a %+v of a bad config names no real protocol.
+	if ProtocolDragon.String() != "dragon" || Protocol(9).String() != "protocol(9)" {
+		t.Errorf("protocol names %q, %q; want dragon, protocol(9)", ProtocolDragon, Protocol(9))
+	}
 }
 
 func TestWriteThroughProtocol(t *testing.T) {

@@ -35,7 +35,7 @@ func (p Protocol) String() string {
 	if int(p) < len(protocolRegistry) {
 		return protocolRegistry[p].Name()
 	}
-	return "pim"
+	return fmt.Sprintf("protocol(%d)", uint8(p))
 }
 
 // Opt is a bitmask of the optimized memory commands.
@@ -147,7 +147,8 @@ type Config struct {
 	LockEntries int
 	// Options enables the optimized commands per area.
 	Options Options
-	// Protocol selects PIM or the Illinois baseline.
+	// Protocol selects the coherence protocol: the paper's PIM protocol
+	// or one of the registered baselines (see ProtocolNames).
 	Protocol Protocol
 	// VerifyDW, when set, checks the direct-write software contract (no
 	// remote cache holds the target block) on every applied DW and

@@ -76,7 +76,7 @@ func TestLRUOracleEveryWay(t *testing.T) {
 			}
 			s := int(blk/blockWords) % sets
 			for w := 0; w < ways; w++ {
-				if f := s*ways + w; c.states[f] != INV && c.bases[f] == blk {
+				if f := s*ways + w; c.state(f) != INV && c.base(f) == blk {
 					wayHits[w]++
 				}
 			}
@@ -100,18 +100,18 @@ func TestLRUOracleEveryWay(t *testing.T) {
 }
 
 // residentByRecency lists the blocks valid in set s, most recently used
-// first, read straight from the directory planes (not through lookup).
+// first, read straight from the tag and LRU planes (not through lookup).
 func residentByRecency(c *Cache, s int) []word.Addr {
 	frames := make([]int, 0, c.ways)
 	for f := s * c.ways; f < (s+1)*c.ways; f++ {
-		if c.states[f] != INV {
+		if c.state(f) != INV {
 			frames = append(frames, f)
 		}
 	}
 	slices.SortFunc(frames, func(x, y int) int { return cmp.Compare(c.lru[y], c.lru[x]) })
 	blocks := make([]word.Addr, len(frames))
 	for i, f := range frames {
-		blocks[i] = c.bases[f]
+		blocks[i] = c.base(f)
 	}
 	return blocks
 }

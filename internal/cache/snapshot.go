@@ -16,11 +16,13 @@ type LockEntrySnapshot struct {
 }
 
 // Snapshot is a complete, self-contained copy of a cache's mutable state:
-// the four SoA planes, the LRU clock, the lock directory, the busy-wait
-// latch and the statistics. It contains everything needed to make Restore
-// followed by replaying refs [k, n) bit-identical to an uninterrupted
-// replay of refs [0, n) — including probe event streams, because the
-// probe clock lives on the bus and is captured by bus.Snapshot.
+// the directory (each frame's state and block base, unpacked from the tag
+// plane; an invalid frame's base is 0), the LRU and data planes, the LRU
+// clock, the lock directory, the busy-wait latch and the statistics. It
+// contains everything needed to make Restore followed by replaying refs
+// [k, n) bit-identical to an uninterrupted replay of refs [0, n) —
+// including probe event streams, because the probe clock lives on the bus
+// and is captured by bus.Snapshot.
 //
 // All fields are exported and of serializable types so the machine-level
 // checkpoint can gob-encode snapshots directly.
@@ -47,8 +49,8 @@ type Snapshot struct {
 // Config (the machine-level checkpoint records and checks it).
 func (c *Cache) Snapshot() *Snapshot {
 	s := &Snapshot{
-		States:    append([]State(nil), c.states...),
-		Bases:     append([]word.Addr(nil), c.bases...),
+		States:    make([]State, len(c.tags)),
+		Bases:     make([]word.Addr, len(c.tags)),
 		LRU:       append([]uint64(nil), c.lru...),
 		Data:      append([]word.Word(nil), c.data...),
 		LRUClock:  c.lruClock,
@@ -57,6 +59,9 @@ func (c *Cache) Snapshot() *Snapshot {
 		Blocked:   c.blocked,
 		BlockedOn: c.blockedOn,
 		Stats:     c.stats,
+	}
+	for f := range c.tags {
+		s.States[f], s.Bases[f] = c.state(f), c.base(f)
 	}
 	for i, e := range c.dir.entries {
 		s.Locks[i] = LockEntrySnapshot{Addr: e.addr, State: e.state}
@@ -77,13 +82,11 @@ func (c *Cache) Restore(s *Snapshot) error {
 		return err
 	}
 	c.announce(false)
-	copy(c.states, s.States)
-	copy(c.bases, s.Bases)
-	for f, st := range c.states {
+	for f, st := range s.States {
 		if st == INV {
 			c.tags[f] = invalidTag
 		} else {
-			c.tags[f] = frameTag(c.bases[f], st)
+			c.tags[f] = frameTag(s.Bases[f], st)
 		}
 	}
 	copy(c.lru, s.LRU)
@@ -104,13 +107,13 @@ func (c *Cache) Restore(s *Snapshot) error {
 // bus filters: as installs and acquisitions when join is true, as drops
 // and releases when it is false.
 func (c *Cache) announce(join bool) {
-	for f, st := range c.states {
+	for f := range c.tags {
 		switch {
-		case st == INV:
+		case c.state(f) == INV:
 		case join:
-			c.bus.BlockInstalled(c.pe, c.bases[f])
+			c.bus.BlockInstalled(c.pe, c.base(f))
 		default:
-			c.bus.BlockDropped(c.pe, c.bases[f])
+			c.bus.BlockDropped(c.pe, c.base(f))
 		}
 	}
 	for _, e := range c.dir.entries {
@@ -133,7 +136,7 @@ func (c *Cache) announce(join bool) {
 // (find would see only the first entry, so the second could never be
 // released).
 func (c *Cache) checkSnapshot(s *Snapshot) error {
-	frames := len(c.states)
+	frames := len(c.tags)
 	if len(s.States) != frames || len(s.Bases) != frames || len(s.LRU) != frames ||
 		!c.noData && len(s.Data) != len(c.data) {
 		return fmt.Errorf("cache: snapshot geometry %d states/%d bases/%d LRU clocks/%d words does not match cache %d frames/%d words",

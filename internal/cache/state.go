@@ -7,9 +7,14 @@
 // read/write exactly as specified when their preconditions fail or when
 // they are disabled for a storage area.
 //
-// An Illinois-protocol baseline (four states, copy-back to memory on
-// every dirty transfer) is selectable through Config.Protocol for the
-// Section 3.1 comparison.
+// Config.Protocol selects the coherence protocol from a registry of six
+// (protocol.go): the paper's PIM protocol, the Illinois baseline of its
+// Section 3.1 comparison (copy-back to memory on every dirty transfer),
+// write-through, MOESI, and the write-update protocols dragon and
+// adaptive. Each frame's directory entry, block base and state, is one
+// word of the tag plane. Lock conflicts are the bus's: an LR that draws
+// LH blocks until the unlock, and any other operation's retry has run by
+// the time the bus returns.
 package cache
 
 import (
@@ -17,13 +22,6 @@ import (
 
 	"pimcache/internal/probe"
 )
-
-func init() {
-	// Register the authoritative name tables with the telemetry layer
-	// (probe cannot import this package).
-	probe.SetStateNames(stateNames[:])
-	probe.SetOpNames(opNames[:])
-}
 
 // State is a cache block state.
 type State uint8
@@ -52,15 +50,8 @@ const (
 	numStates
 )
 
-var stateNames = [numStates]string{"INV", "S", "SM", "EC", "EM", "O"}
-
-// String names the state as in the paper.
-func (s State) String() string {
-	if int(s) < len(stateNames) {
-		return stateNames[s]
-	}
-	return fmt.Sprintf("state(%d)", uint8(s))
-}
+// String names the state as in the paper (probe's table).
+func (s State) String() string { return probe.StateName(uint8(s)) }
 
 // Dirty reports whether the state obliges a swap-out on eviction.
 func (s State) Dirty() bool { return s == EM || s == SM || s == O }
@@ -98,15 +89,8 @@ const (
 	NumOps
 )
 
-var opNames = [NumOps]string{"R", "W", "LR", "UW", "U", "DW", "ER", "RP", "RI"}
-
-// String returns the paper's mnemonic.
-func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
+// String returns the paper's mnemonic (probe's table).
+func (o Op) String() string { return probe.OpName(uint8(o)) }
 
 // IsWrite reports whether the operation stores to memory.
 func (o Op) IsWrite() bool { return o == OpW || o == OpUW || o == OpDW }

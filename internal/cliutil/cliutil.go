@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
@@ -37,6 +38,16 @@ func ValidatePEs(pes int) error {
 func ValidateCount(name string, n int) error {
 	if n < 0 {
 		return fmt.Errorf("%s must be non-negative (got %d)", name, n)
+	}
+	return nil
+}
+
+// ValidateDuration checks a duration flag such as -timeout, -heartbeat or
+// -stall: non-negative. Zero keeps the meaning its flag gives it (no
+// bound, no report).
+func ValidateDuration(name string, d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("%s must be non-negative (got %s)", name, d)
 	}
 	return nil
 }

@@ -87,11 +87,11 @@ func (iv *Intervals) Emit(e Event) {
 		iv.spread(e.Cycle-uint64(e.N), e.Cycle, func(b *Interval) *uint64 { return &b.BusCycles })
 	case KindLockSpin:
 		// Only the cache-side spin event starts a wait window. The bus's
-		// KindLockConflict also fires for plain R/W fetches that draw LH,
-		// but those retry immediately (FetchForced) without ever
-		// acquiring a lock — counting them opened a window that stayed
-		// open until the PE's next unrelated KindLockAcquire, charging
-		// arbitrary spans of normal execution as lock-wait time.
+		// KindLockConflict also fires for plain operations that draw LH,
+		// but the bus retries those at once, without ever acquiring a
+		// lock — counting them opened a window that stayed open until
+		// the PE's next unrelated KindLockAcquire, charging arbitrary
+		// spans of normal execution as lock-wait time.
 		if _, pending := iv.waitSince[e.PE]; !pending {
 			iv.waitSince[e.PE] = e.Cycle
 		}

@@ -80,8 +80,8 @@ func TestIntervalsLockWait(t *testing.T) {
 
 // TestIntervalsConflictAloneIsNotAWait pins the fix for an accounting
 // bug: the bus emits KindLockConflict for every transaction that draws
-// LH, including plain R/W fetches that retry immediately via
-// FetchForced and never acquire a lock. Treating the conflict as the
+// LH, including plain operations that the bus retries at once and that
+// never acquire a lock. Treating the conflict as the
 // start of a wait left the window open until the PE's next unrelated
 // lock acquisition, charging normal execution as lock-wait time. Only
 // the cache-side KindLockSpin — the actual start of a busy wait —

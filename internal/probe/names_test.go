@@ -1,12 +1,14 @@
 package probe_test
 
-// The probe package cannot import bus, cache or machine (they import
-// probe), so it carries its own name tables and numeric mirrors for
-// the enum bytes that ride in events. These tests pin the two sides
-// together: if an enum is renamed, renumbered or extended, they fail
-// until the probe copies are updated.
+// The probe package owns the name tables of the enum bytes that ride in
+// events (bus commands and patterns, cache states and ops) and mirrors
+// a few enum values it needs itself. It cannot import bus, cache or
+// machine (they import probe), so these tests pin each table and mirror
+// to its enum: if an enum is renamed, renumbered or extended, they fail
+// until probe is updated.
 
 import (
+	"fmt"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -15,39 +17,45 @@ import (
 	"pimcache/internal/probe"
 )
 
-func TestCmdNamesMatchBus(t *testing.T) {
-	for c := bus.Command(0); c < bus.NumCommands; c++ {
-		if got, want := probe.CmdName(uint8(c)), c.String(); got != want {
-			t.Errorf("CmdName(%d) = %q, bus says %q", c, got, want)
+// checkCoversEnum checks that name, one of probe's tables, names every
+// value of its enum below n and renders n itself as unknown, so a value
+// added to an enum without a name, or a name left over after one is
+// removed, fails.
+func checkCoversEnum(t *testing.T, table string, n int, name func(uint8) string, unknown string) {
+	t.Helper()
+	for v := 0; v < n; v++ {
+		if got := name(uint8(v)); got == "" || got == fmt.Sprintf(unknown, v) {
+			t.Errorf("%s(%d) = %q: value of the enum without a name", table, v, got)
 		}
 	}
+	if got, want := name(uint8(n)), fmt.Sprintf(unknown, n); got != want {
+		t.Errorf("%s(%d) = %q, want %q: name past the end of the enum", table, n, got, want)
+	}
+}
+
+func TestCmdNamesMatchBus(t *testing.T) {
+	checkCoversEnum(t, "CmdName", int(bus.NumCommands), probe.CmdName, "cmd(%d)")
 }
 
 func TestPatternNamesMatchBus(t *testing.T) {
-	for p := bus.Pattern(0); p < bus.NumPatterns; p++ {
-		if got, want := probe.PatternName(uint8(p)), p.String(); got != want {
-			t.Errorf("PatternName(%d) = %q, bus says %q", p, got, want)
-		}
-	}
+	checkCoversEnum(t, "PatternName", int(bus.NumPatterns), probe.PatternName, "pattern(%d)")
 }
 
+// TestStateNamesMatchCache: O (MOESI's owned state) is the last state.
 func TestStateNamesMatchCache(t *testing.T) {
-	for s := cache.INV; s <= cache.O; s++ {
-		if got, want := probe.StateName(uint8(s)), s.String(); got != want {
-			t.Errorf("StateName(%d) = %q, cache says %q", s, got, want)
-		}
+	checkCoversEnum(t, "StateName", int(cache.O)+1, probe.StateName, "state(%d)")
+}
+
+func TestOpNamesMatchCache(t *testing.T) {
+	if probe.OpU != uint8(cache.OpU) {
+		t.Errorf("probe.OpU = %d, cache.OpU = %d", probe.OpU, uint8(cache.OpU))
 	}
-	// Both sides format unknown values identically, so O+1 matching
-	// confirms O (MOESI's owned state) really is the last state.
-	if got, want := probe.StateName(uint8(cache.O)+1), (cache.O + 1).String(); got != want {
-		t.Errorf("state beyond O: probe %q, cache %q", got, want)
-	}
+	checkCoversEnum(t, "OpName", int(cache.NumOps), probe.OpName, "op(%d)")
 }
 
 // TestNewProtocolNamesRender pins the names the MOESI and write-update
 // protocols introduced: a probe event carrying the UP command, the
-// update bus pattern, or the O state renders symbolically, and the
-// bus/cache enum values agree with the registered tables.
+// update bus pattern, or the O state renders symbolically.
 func TestNewProtocolNamesRender(t *testing.T) {
 	if got := probe.CmdName(uint8(bus.CmdUP)); got != "UP" {
 		t.Errorf("CmdName(CmdUP) = %q, want UP", got)
@@ -57,20 +65,6 @@ func TestNewProtocolNamesRender(t *testing.T) {
 	}
 	if got := probe.StateName(uint8(cache.O)); got != "O" {
 		t.Errorf("StateName(O) = %q, want O", got)
-	}
-}
-
-func TestOpNamesMatchCache(t *testing.T) {
-	if probe.NumOps != int(cache.NumOps) {
-		t.Fatalf("probe.NumOps = %d, cache.NumOps = %d", probe.NumOps, cache.NumOps)
-	}
-	if probe.OpU != uint8(cache.OpU) {
-		t.Fatalf("probe.OpU = %d, cache.OpU = %d", probe.OpU, uint8(cache.OpU))
-	}
-	for o := cache.Op(0); o < cache.NumOps; o++ {
-		if got, want := probe.OpName(uint8(o)), o.String(); got != want {
-			t.Errorf("OpName(%d) = %q, cache says %q", o, got, want)
-		}
 	}
 }
 

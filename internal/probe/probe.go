@@ -192,39 +192,21 @@ func StatusName(s uint8) string {
 	return fmt.Sprintf("status(%d)", s)
 }
 
-// Name tables for enum values carried in events as raw bytes. The
-// probe layer cannot import bus or cache (they import probe), so it
-// carries fallback copies and lets those packages register the
-// authoritative tables from their init functions (SetCmdNames and
-// friends below); cross-package tests assert the registered tables
-// agree with bus.Command, bus.Pattern, cache.State and cache.Op.
+// Name tables for the enum values carried in events as raw bytes: bus
+// commands and access patterns, cache states and memory operations.
+// They live here, below bus and cache, so every event consumer can
+// render them; the String methods of bus.Command, bus.Pattern,
+// cache.State and cache.Op return these names, and names_test.go pins
+// each table to its enum's length.
 var (
-	cmdNames     = []string{"F", "FI", "I", "H", "LK", "UL", "LH", "UP"}
-	patternNames = []string{
+	cmdNames     = [...]string{"F", "FI", "I", "H", "LK", "UL", "LH", "UP"}
+	patternNames = [...]string{
 		"swapin-mem", "swapin-mem+swapout", "c2c", "c2c+swapout",
 		"swapout-only", "invalidate", "unlock", "word-write", "update",
 	}
-	stateNames = []string{"INV", "S", "SM", "EC", "EM", "O"}
-	opNames    = []string{"R", "W", "LR", "UW", "U", "DW", "ER", "RP", "RI"}
+	stateNames = [...]string{"INV", "S", "SM", "EC", "EM", "O"}
+	opNames    = [...]string{"R", "W", "LR", "UW", "U", "DW", "ER", "RP", "RI"}
 )
-
-// SetCmdNames registers the authoritative bus-command name table
-// (called from the bus package's init so the probe renders whatever
-// commands the bus actually defines).
-func SetCmdNames(names []string) { cmdNames = names }
-
-// SetPatternNames registers the authoritative bus access-pattern name
-// table (called from the bus package's init).
-func SetPatternNames(names []string) { patternNames = names }
-
-// SetStateNames registers the authoritative cache-state name table
-// (called from the cache package's init so every registered protocol's
-// states render).
-func SetStateNames(names []string) { stateNames = names }
-
-// SetOpNames registers the authoritative memory-operation name table
-// (called from the cache package's init).
-func SetOpNames(names []string) { opNames = names }
 
 // CmdName names a bus command byte (CmdNone for command-less
 // transactions).
@@ -261,9 +243,6 @@ func OpName(o uint8) string {
 	}
 	return fmt.Sprintf("op(%d)", o)
 }
-
-// NumOps is the number of memory operations (mirrors cache.NumOps).
-const NumOps = 9
 
 // OpU is the unlock operation's byte value (mirrors cache.OpU); the
 // interval collector excludes it from lookup counts because U touches
