@@ -219,7 +219,7 @@ func BenchmarkExtraIllinois(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ratio = 0
 		for _, bd := range d.Benches {
-			ratio += float64(bd.Illinois.MemBusyCycles) / float64(bd.OptBus["None"].MemBusyCycles)
+			ratio += float64(bd.ProtoBus[cache.ProtocolIllinois].MemBusyCycles) / float64(bd.OptBus["None"].MemBusyCycles)
 		}
 		ratio /= float64(len(d.Benches))
 	}
@@ -338,7 +338,7 @@ func BenchmarkExtraProtocols(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ratio = 0
 		for _, bd := range d.Benches {
-			ratio += float64(bd.WriteThrough.TotalCycles) / float64(bd.OptBus["None"].TotalCycles)
+			ratio += float64(bd.ProtoBus[cache.ProtocolWriteThrough].TotalCycles) / float64(bd.OptBus["None"].TotalCycles)
 		}
 		ratio /= float64(len(d.Benches))
 	}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"pimcache/internal/bench"
-	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
@@ -41,7 +40,7 @@ func main() {
 		table    = flag.Int("table", 0, "regenerate only table N (1-5)")
 		figure   = flag.Int("figure", 0, "regenerate only figure N (1-3)")
 		extra    = flag.String("extra", "", "in-text experiment: "+strings.Join(extras, ", "))
-		benches  = flag.String("bench", "", "comma-separated benchmark subset (Tri, Semi, Puzzle, Pascal, BUP, PuzzleVec)")
+		benches  = flag.String("bench", "", "comma-separated benchmark subset ("+cliutil.BenchList()+")")
 		verbose  = flag.Bool("v", false, "print progress")
 		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores, 1 = serial)")
 		manifest = flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
@@ -170,8 +169,8 @@ func validateSelection(table, figure int, extra string) error {
 // than a failed run.
 func validateBenches(names []string) error {
 	for _, name := range names {
-		if _, ok := programs.ByName(name); !ok {
-			return fmt.Errorf("unknown -bench %q (want Tri, Semi, Puzzle, Pascal, BUP or PuzzleVec)", name)
+		if _, err := cliutil.ParseBench(name); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -13,6 +13,9 @@
 // cache/bus statistics must equal the baseline's bit for bit — any
 // stat mismatch between same-config manifests is a determinism
 // violation and a hard error regardless of tolerance.
+//
+// A malformed command line exits 2; a stats mismatch, a failed gate or
+// an unreadable manifest exits 1.
 package main
 
 import (
@@ -53,11 +56,17 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// badUsage refuses a malformed command line.
+func badUsage(err error) {
+	fmt.Fprintln(os.Stderr, "pimreport:", err)
+	os.Exit(2)
+}
+
 func diff(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		fatal(fmt.Errorf("diff: want exactly two manifests, got %d", fs.NArg()))
+		badUsage(fmt.Errorf("diff: want exactly two manifests, got %d", fs.NArg()))
 	}
 	ms, err := report.Load(fs.Args())
 	if err != nil {
@@ -78,7 +87,7 @@ func median(args []string) {
 	out := fs.String("o", "-", "output manifest path (- for stdout)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		fatal(fmt.Errorf("median: no input manifests"))
+		badUsage(fmt.Errorf("median: no input manifests"))
 	}
 	ms, err := report.Load(fs.Args())
 	if err != nil {
@@ -99,11 +108,11 @@ func check(args []string) {
 	tolStr := fs.String("tolerance", "20%", "allowed throughput regression (e.g. 20%)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		fatal(fmt.Errorf("check: no run manifests"))
+		badUsage(fmt.Errorf("check: no run manifests"))
 	}
 	tol, err := parseTolerance(*tolStr)
 	if err != nil {
-		fatal(err)
+		badUsage(err)
 	}
 	baselines, err := report.LoadDir(*baseDir)
 	if err != nil {
@@ -127,7 +136,7 @@ func table(args []string) {
 	fs := flag.NewFlagSet("table", flag.ExitOnError)
 	fs.Parse(args)
 	if fs.NArg() == 0 {
-		fatal(fmt.Errorf("table: no input manifests"))
+		badUsage(fmt.Errorf("table: no input manifests"))
 	}
 	ms, err := report.Load(fs.Args())
 	if err != nil {
@@ -136,16 +145,16 @@ func table(args []string) {
 	fmt.Print(report.Table(ms))
 }
 
-// parseTolerance accepts "20%", "20", or "0.2".
+// parseTolerance accepts "20%", "20", or "0.2": a bare value of 1 or
+// more is a percentage.
 func parseTolerance(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	pct := strings.HasSuffix(s, "%")
-	s = strings.TrimSuffix(s, "%")
-	v, err := strconv.ParseFloat(s, 64)
+	num := strings.TrimSpace(s)
+	pct := strings.HasSuffix(num, "%")
+	v, err := strconv.ParseFloat(strings.TrimSuffix(num, "%"), 64)
 	if err != nil {
 		return 0, fmt.Errorf("tolerance %q: %w", s, err)
 	}
-	if pct || v > 1 {
+	if pct || v >= 1 {
 		v /= 100
 	}
 	if v < 0 || v >= 1 {

@@ -49,13 +49,13 @@ import (
 
 func main() {
 	var (
-		benchList = flag.String("bench", "Tri", "comma-separated benchmarks: Tri, Semi, Puzzle, Pascal, BUP, PuzzleVec")
+		benchList = flag.String("bench", "Tri", "comma-separated benchmarks ("+cliutil.BenchList()+")")
 		scale     = flag.Int("scale", 0, "benchmark scale (0 = default)")
 		pes       = flag.Int("pes", 8, "number of processing elements")
 		size      = flag.Int("cache", 4<<10, "cache size in data words")
 		block     = flag.Int("block", 4, "cache block size in words")
 		ways      = flag.Int("ways", 4, "set associativity")
-		optsName  = flag.String("opts", "all", "optimized commands: none, heap, goal, comm, all")
+		optsName  = flag.String("opts", "all", cliutil.OptsFlagHelp())
 		protocol  = flag.String("protocol", "pim", cliutil.ProtocolFlagHelp())
 		width     = flag.Int("buswidth", 1, "bus width in words")
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores)")
@@ -88,9 +88,9 @@ func main() {
 
 	var benches []programs.Benchmark
 	for _, name := range strings.Split(*benchList, ",") {
-		b, ok := programs.ByName(strings.TrimSpace(name))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "pimsim: unknown benchmark %q\n", name)
+		b, err := cliutil.ParseBench(strings.TrimSpace(name))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pimsim:", err)
 			os.Exit(2)
 		}
 		benches = append(benches, b)

@@ -1,8 +1,10 @@
 // Command pimtable derives and prints the complete state transition
 // tables of the PIM cache protocol (the tables the paper defers to
-// Matsumoto's ICOT TR-327), reconstructed empirically by driving the
-// implementation through every reachable state under every remote
-// context.
+// Matsumoto's ICOT TR-327), reconstructed empirically from the
+// implementation: a breadth-first search over two caches holding one
+// block (a read, a write or an eviction on either PE) finds every
+// (PE0, PE1) state pair the protocol can reach, and each row applies one
+// processor operation on PE0.
 //
 // Usage:
 //
@@ -10,7 +12,8 @@
 //	pimtable -protocol illinois
 //	pimtable -protocol all    # every registered protocol (the ablation)
 //
-// Each transition is derived by an independent two-cache experiment.
+// Each row is derived on a fresh two-cache system, rebuilt from the
+// search's path to its pair.
 package main
 
 import (
@@ -34,13 +37,13 @@ func renderAll(ph *obs.Phases) (string, int) {
 	var sb strings.Builder
 	total := 0
 	for i, p := range cache.Protocols() {
-		sp := ph.Start("derive/" + p.Name())
-		rows := cache.DeriveTransitions(p.ID())
+		sp := ph.Start("derive/" + p.String())
+		rows := cache.DeriveTransitions(p)
 		sp.End()
 		if i > 0 {
 			sb.WriteString("\n")
 		}
-		fmt.Fprintf(&sb, "%s protocol: %d derived transitions\n", p.Name(), len(rows))
+		fmt.Fprintf(&sb, "%s protocol: %d derived transitions\n", p, len(rows))
 		sb.WriteString(cache.FormatTransitions(rows))
 		total += len(rows)
 	}

@@ -70,9 +70,9 @@ func TestAblationCoversRegistry(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with PIMTABLE_GEN_GOLDEN=1): %v", err)
 	}
 	for _, p := range cache.Protocols() {
-		header := p.Name() + " protocol: "
+		header := p.String() + " protocol: "
 		if !strings.Contains(string(want), header) {
-			t.Errorf("golden ablation has no section for %q", p.Name())
+			t.Errorf("golden ablation has no section for %q", p)
 		}
 	}
 	if n := strings.Count(string(want), " protocol: "); n != len(cache.Protocols()) {

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"pimcache/internal/bench"
-	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 	"pimcache/internal/cliutil"
@@ -88,7 +87,7 @@ func usageErr(err error) {
 
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	benchName := fs.String("bench", "Tri", "benchmark to record")
+	benchName := fs.String("bench", "Tri", "benchmark to record ("+cliutil.BenchList()+")")
 	scale := fs.Int("scale", 0, "benchmark scale (0 = default)")
 	pes := fs.Int("pes", 8, "processing elements")
 	out := fs.String("o", "", "output file (required)")
@@ -99,9 +98,9 @@ func record(args []string) {
 	if err := cliutil.FirstError(cliutil.ValidatePEs(*pes), cliutil.ValidateCount("-scale", *scale)); err != nil {
 		usageErr(fmt.Errorf("record: %w", err))
 	}
-	b, ok := programs.ByName(*benchName)
-	if !ok {
-		usageErr(fmt.Errorf("record: unknown benchmark %q", *benchName))
+	b, err := cliutil.ParseBench(*benchName)
+	if err != nil {
+		usageErr(fmt.Errorf("record: %w", err))
 	}
 	if *scale == 0 {
 		*scale = b.DefaultScale
@@ -114,7 +113,7 @@ func record(args []string) {
 	mcfg.PEs, mcfg.Cache = *pes, bench.BaseCache(cache.OptionsAll())
 	var refs int
 	var runErr error
-	err := safeio.WriteFile(*out, func(w io.Writer) error {
+	err = safeio.WriteFile(*out, func(w io.Writer) error {
 		rec := trace.NewStreamRecorder(w.(*os.File), *pes, mcfg.Layout)
 		_, runErr = bench.RunLiveTiming(b, *scale, mcfg, rec, nil)
 		if runErr != nil {
@@ -304,7 +303,7 @@ func replay(args []string) {
 	size := fs.Int("cache", 4<<10, "cache size in data words")
 	block := fs.Int("block", 4, "block size in words")
 	ways := fs.Int("ways", 4, "associativity")
-	optsName := fs.String("opts", "all", "none, heap, goal, comm, all")
+	optsName := fs.String("opts", "all", cliutil.OptsFlagHelp())
 	protocolName := fs.String("protocol", "pim", cliutil.ProtocolFlagHelp())
 	width := fs.Int("buswidth", 1, "bus width in words")
 	tel := cliutil.TelemetryFlags(fs)

@@ -81,6 +81,7 @@ func TestMalformedFlagsExit2(t *testing.T) {
 		{"-pes", []string{"record", "-pes", "0", "-o", "bad.trc"}},
 		{"-pes", []string{"record", "-pes", "65", "-o", "bad.trc"}},
 		{"-scale", []string{"record", "-scale", "-1", "-o", "bad.trc"}},
+		{"-bench", []string{"record", "-bench", "Nope", "-o", "bad.trc"}},
 		{"-events", []string{"synth", "-events", "-5", "-o", "bad.trc"}},
 		{"-buswidth", []string{"replay", "-buswidth", "0", tr}},
 		{"-buswidth", []string{"replay", "-buswidth", "-1", tr}},

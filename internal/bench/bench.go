@@ -291,43 +291,14 @@ type BenchData struct {
 
 	// Width2 is the two-word-bus replay (Section 4.4), all opts.
 	Width2 bus.Stats
-	// Illinois is the Illinois-protocol replay (Section 3.1 comparison),
-	// no optimized commands.
-	Illinois bus.Stats
-	// WriteThrough is the write-through baseline replay (the premise of
-	// Section 3: copy-back reduces bus traffic, especially for
-	// write-heavy logic programs).
-	WriteThrough bus.Stats
-
-	// AltBus holds one unoptimized replay per extra registered protocol
-	// (everything beyond the paper's pim/illinois/writethrough trio,
-	// which keep the dedicated fields above), in registry order. A
-	// protocol registered with the cache package joins the ablation
-	// table without any change here.
-	AltBus []ProtocolStats
-}
-
-// ProtocolStats is one extra protocol's replay result for the
-// protocol-comparison table.
-type ProtocolStats struct {
-	Name string
-	Bus  bus.Stats
-}
-
-// altProtocols lists the registered protocols beyond the paper's three,
-// in registry order. These get one unoptimized replay each (matching
-// the illinois/write-through baseline configuration) so the protocol
-// ablation covers the whole registry.
-func altProtocols() []cache.Protocol {
-	var out []cache.Protocol
-	for _, p := range cache.Protocols() {
-		switch p.ID() {
-		case cache.ProtocolPIM, cache.ProtocolIllinois, cache.ProtocolWriteThrough:
-		default:
-			out = append(out, p.ID())
-		}
-	}
-	return out
+	// ProtoBus holds the unoptimized replay of every registered protocol
+	// but PIM, whose unoptimized replay is OptBus["None"]: Illinois for
+	// the Section 3.1 comparison, write-through for the Section 3
+	// premise (copy-back reduces bus traffic, especially for write-heavy
+	// logic programs), and the rest for the protocol ablation. A
+	// protocol registered with the cache package joins it without any
+	// change here.
+	ProtoBus map[cache.Protocol]bus.Stats
 }
 
 // Data is a full evaluation dataset.
@@ -389,6 +360,7 @@ func newBenchData(b programs.Benchmark, scale int) *BenchData {
 		LiveByPEs: map[int]*RunData{},
 		OptBus:    map[string]bus.Stats{},
 		OptCache:  map[string]cache.Stats{},
+		ProtoBus:  map[cache.Protocol]bus.Stats{},
 	}
 }
 

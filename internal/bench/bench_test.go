@@ -53,7 +53,7 @@ func TestCollectStructure(t *testing.T) {
 	if len(bd.BlockSweep) != 3 || len(bd.CapSweep) != 3 {
 		t.Errorf("sweep lengths %d/%d", len(bd.BlockSweep), len(bd.CapSweep))
 	}
-	if bd.Width2.TotalCycles == 0 || bd.Illinois.TotalCycles == 0 {
+	if bd.Width2.TotalCycles == 0 || bd.ProtoBus[cache.ProtocolIllinois].TotalCycles == 0 {
 		t.Error("extras missing")
 	}
 }
@@ -137,9 +137,10 @@ func TestWidth2WithinPaperBandDirection(t *testing.T) {
 func TestIllinoisMemBusyHigher(t *testing.T) {
 	d := dataset(t)
 	bd := d.Benches[0]
-	if bd.Illinois.MemBusyCycles <= bd.OptBus["None"].MemBusyCycles {
+	ill := bd.ProtoBus[cache.ProtocolIllinois]
+	if ill.MemBusyCycles <= bd.OptBus["None"].MemBusyCycles {
 		t.Errorf("Illinois mem busy %d not above PIM %d",
-			bd.Illinois.MemBusyCycles, bd.OptBus["None"].MemBusyCycles)
+			ill.MemBusyCycles, bd.OptBus["None"].MemBusyCycles)
 	}
 }
 

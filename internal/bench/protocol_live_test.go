@@ -24,13 +24,13 @@ func TestEveryProtocolLiveVerifyDW(t *testing.T) {
 	}
 	for _, p := range cache.Protocols() {
 		p := p
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := BaseCache(cache.OptionsAll())
-			cfg.Protocol = p.ID()
+			cfg.Protocol = p
 			cfg.VerifyDW = true
 			if _, _, err := RunLive(b, b.SmallScale, 8, cfg, false); err != nil {
-				t.Fatalf("%s live run: %v", p.Name(), err)
+				t.Fatalf("%s live run: %v", p, err)
 			}
 		})
 	}

@@ -62,8 +62,8 @@ func (o Options) replayTable() ([]replayJob, []*replayRun) {
 // replayJobs is the one enumeration of the replays Collect runs per
 // benchmark: the Table 4 variants, then (unless SkipSweeps) the Figure 1
 // and Figure 2 sweeps, the Section 4.3 associativity ablation, the
-// two-word bus, the Illinois and write-through baselines, and one
-// unoptimized replay per extra registered protocol.
+// two-word bus, and one unoptimized replay per registered protocol
+// but PIM.
 func (o Options) replayJobs() []replayJob {
 	var jobs []replayJob
 	add := func(label string, cfg cache.Config, timing bus.Timing, store func(*BenchData, bus.Stats, cache.Stats)) {
@@ -104,22 +104,15 @@ func (o Options) replayJobs() []replayJob {
 	}
 	add("two-word bus", o.baseCache(cache.OptionsAll()), bus.Timing{MemCycles: 8, WidthWords: 2},
 		func(bd *BenchData, bs bus.Stats, _ cache.Stats) { bd.Width2 = bs })
-	// The baselines replay unoptimized: Illinois (Section 3.1),
-	// write-through (the Section 3 premise), then every extra registered
-	// protocol (moesi, dragon, adaptive, ...).
-	unopt := func(p cache.Protocol) cache.Config {
+	// The protocol baselines replay unoptimized, in registry order. PIM's
+	// is the Table 4 "None" row.
+	for _, p := range cache.Protocols() {
+		if p == cache.ProtocolPIM {
+			continue
+		}
 		cfg := o.baseCache(cache.OptionsNone())
 		cfg.Protocol = p
-		return cfg
-	}
-	add("Illinois", unopt(cache.ProtocolIllinois), dt,
-		func(bd *BenchData, bs bus.Stats, _ cache.Stats) { bd.Illinois = bs })
-	add("write-through", unopt(cache.ProtocolWriteThrough), dt,
-		func(bd *BenchData, bs bus.Stats, _ cache.Stats) { bd.WriteThrough = bs })
-	for _, ap := range altProtocols() {
-		add(ap.String(), unopt(ap), dt, func(bd *BenchData, bs bus.Stats, _ cache.Stats) {
-			bd.AltBus = append(bd.AltBus, ProtocolStats{Name: ap.String(), Bus: bs})
-		})
+		add(p.String(), cfg, dt, func(bd *BenchData, bs bus.Stats, _ cache.Stats) { bd.ProtoBus[p] = bs })
 	}
 	return jobs
 }

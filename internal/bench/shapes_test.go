@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"pimcache/internal/cache"
 	"pimcache/internal/mem"
 	"pimcache/internal/stats"
 )
@@ -180,7 +181,7 @@ func TestShapeBusWidth(t *testing.T) {
 func TestShapeIllinoisMemoryPressure(t *testing.T) {
 	d := quadDataset(t)
 	for _, bd := range d.Benches {
-		pim, ill := bd.OptBus["None"], bd.Illinois
+		pim, ill := bd.OptBus["None"], bd.ProtoBus[cache.ProtocolIllinois]
 		if ill.MemBusyCycles <= pim.MemBusyCycles {
 			t.Errorf("%s: Illinois mem busy %d not above PIM %d",
 				bd.Name, ill.MemBusyCycles, pim.MemBusyCycles)
@@ -222,9 +223,10 @@ func TestShapeWriteThrough(t *testing.T) {
 		base := bd.OptBus["None"].TotalCycles
 		// Write-no-allocate also skips fetch-on-write misses, so the gap
 		// narrows on migration-heavy streams; it must still clearly lose.
-		if float64(bd.WriteThrough.TotalCycles) < 1.2*float64(base) {
+		wt := bd.ProtoBus[cache.ProtocolWriteThrough].TotalCycles
+		if float64(wt) < 1.2*float64(base) {
 			t.Errorf("%s: write-through only %.2fx of copy-back (paper premise: more traffic)",
-				bd.Name, float64(bd.WriteThrough.TotalCycles)/float64(base))
+				bd.Name, float64(wt)/float64(base))
 		}
 	}
 }

@@ -417,7 +417,9 @@ func ExtraAssociativity(d *Data) *stats.Table {
 // common bus traffic... AND-parallel Prolog benefits from copyback even
 // more than procedural languages") plus the paper's contribution on top.
 func ExtraProtocols(d *Data) *stats.Table {
-	extra := altProtocols()
+	// The registry lists the paper's pim, illinois and writethrough
+	// first; each protocol after them gets a column of its own.
+	extra := cache.Protocols()[cache.ProtocolWriteThrough+1:]
 	cols := []string{"benchmark", "write-through", "illinois", "pim", "pim+opts"}
 	for _, p := range extra {
 		cols = append(cols, p.String())
@@ -432,18 +434,14 @@ func ExtraProtocols(d *Data) *stats.Table {
 	}
 	for _, bd := range d.Benches {
 		base := bd.OptBus["None"].TotalCycles
-		alt := map[string]bus.Stats{}
-		for _, ps := range bd.AltBus {
-			alt[ps.Name] = ps.Bus
-		}
 		cells := []float64{
-			stats.Ratio(bd.WriteThrough.TotalCycles, base),
-			stats.Ratio(bd.Illinois.TotalCycles, base),
+			stats.Ratio(bd.ProtoBus[cache.ProtocolWriteThrough].TotalCycles, base),
+			stats.Ratio(bd.ProtoBus[cache.ProtocolIllinois].TotalCycles, base),
 			1.0,
 			stats.Ratio(bd.OptBus["All"].TotalCycles, base),
 		}
 		for _, p := range extra {
-			cells = append(cells, stats.Ratio(alt[p.String()].TotalCycles, base))
+			cells = append(cells, stats.Ratio(bd.ProtoBus[p].TotalCycles, base))
 		}
 		t.AddFloats(bd.Name, "%.2f", cells...)
 	}
@@ -491,7 +489,7 @@ func ExtraIllinois(d *Data) *stats.Table {
 	}
 	for _, bd := range d.Benches {
 		pim := bd.OptBus["None"]
-		ill := bd.Illinois
+		ill := bd.ProtoBus[cache.ProtocolIllinois]
 		t.AddRow(bd.Name,
 			fmt.Sprint(pim.MemBusyCycles), fmt.Sprint(ill.MemBusyCycles),
 			fmt.Sprintf("%.2f", stats.Ratio(ill.MemBusyCycles, pim.MemBusyCycles)),

@@ -154,9 +154,6 @@ func New(cfg Config, pe int, b *bus.Bus) *Cache {
 	return c
 }
 
-// Protocol returns the coherence FSM this cache runs.
-func (c *Cache) Protocol() CoherenceProtocol { return c.proto }
-
 // PE returns the processor index.
 func (c *Cache) PE() int { return c.pe }
 
@@ -593,7 +590,11 @@ func (c *Cache) directWrite(a word.Addr, w word.Word, area mem.Area) {
 		}
 		vd[a&c.offMask] = w
 	}
-	c.install(victim, c.blockBase(a), EM, probe.ReasonDirectWrite)
+	// A remote lock in the block denies exclusivity, as on every other
+	// write path: an EM block would let this PE's next LR of the locked
+	// word hit it and take the lock without asking the bus.
+	st := c.proto.WriteOwnState(c.bus.RemoteLockInBlock(c.pe, a))
+	c.install(victim, c.blockBase(a), st, probe.ReasonDirectWrite)
 	c.touch(victim)
 }
 

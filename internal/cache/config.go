@@ -25,15 +25,30 @@ const (
 	// blocks are never dirty, so evictions are free — and so is every
 	// optimized command, which all degrade to R/W.
 	ProtocolWriteThrough
-
-	// ProtocolMOESI, ProtocolDragon and ProtocolAdaptive continue the
-	// enumeration in protocol.go, next to their FSM implementations.
+	// ProtocolMOESI is the five-state invalidate protocol with a
+	// distinct Owned state: a dirty block downgraded by a remote read
+	// enters O (dirty, shared, owns the write-back) and only the owner
+	// supplies data — clean holders assert sharing but shared memory
+	// serves the block.
+	ProtocolMOESI
+	// ProtocolDragon is the write-update protocol: a write to a shared
+	// block broadcasts the written word (UP) to the other copies
+	// instead of invalidating them, so producer-consumer blocks stay
+	// resident in every consumer. Memory is not updated by UP; the
+	// writer owns the eventual write-back (Sm, reusing the SM state).
+	ProtocolDragon
+	// ProtocolAdaptive is Dragon with competitive self-invalidation:
+	// each holder counts consecutive received updates per block and
+	// drops its copy at the threshold, so migratory blocks degenerate
+	// to invalidate behaviour while producer-consumer blocks keep the
+	// update behaviour.
+	ProtocolAdaptive
 )
 
 // String names the protocol (the registry key).
 func (p Protocol) String() string {
 	if int(p) < len(protocolRegistry) {
-		return protocolRegistry[p].Name()
+		return protocolRegistry[p].name
 	}
 	return fmt.Sprintf("protocol(%d)", uint8(p))
 }
@@ -148,7 +163,7 @@ type Config struct {
 	// Options enables the optimized commands per area.
 	Options Options
 	// Protocol selects the coherence protocol: the paper's PIM protocol
-	// or one of the registered baselines (see ProtocolNames).
+	// or one of the registered baselines (see Protocols).
 	Protocol Protocol
 	// VerifyDW, when set, checks the direct-write software contract (no
 	// remote cache holds the target block) on every applied DW and

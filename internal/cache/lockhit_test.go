@@ -68,7 +68,7 @@ func TestLockHitRetries(t *testing.T) {
 			// word; the case exists to reach the DW's invalidation.
 			name: "dragon DW invalidating a remote copy", proto: ProtocolDragon, opts: OptionsHeap(),
 			op:  func(c *Cache, a word.Addr) { c.DirectWrite(a, word.Int(5)) },
-			cmd: bus.CmdI, retry: bus.PatInval, state0: INV, state1: EM,
+			cmd: bus.CmdI, retry: bus.PatInval, state0: INV, state1: SM,
 		},
 		{
 			name: "RP fetch from a remote holder", proto: ProtocolPIM, opts: heapRP,
@@ -148,6 +148,50 @@ func TestLockHitRetries(t *testing.T) {
 			}
 			if !cs[0].HeldLock(a) || cs[1].HeldLock(a) {
 				t.Error("the lock moved")
+			}
+		})
+	}
+}
+
+// TestDirectWriteKeepsRemoteLock: a DW into a block holding a word that
+// another PE has locked installs the writer's dirty-shared state, not
+// EM, as every other write path does. PE0 locks a, PE1 direct-writes a,
+// and PE1's LR of a must then draw LH and block: on an EM block it would
+// take the lock with no bus traffic while PE0 still holds it.
+func TestDirectWriteKeepsRemoteLock(t *testing.T) {
+	for _, tc := range []struct {
+		proto Protocol
+		// evict drops PE0's copy before the DW, as the DW contract asks
+		// of the invalidate protocols; dragon's DW invalidates it.
+		evict bool
+		owner State // PE1's state after the DW
+	}{
+		{ProtocolPIM, true, SM},
+		{ProtocolMOESI, true, O},
+		{ProtocolDragon, false, SM},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			m, _, cs := rig(t, 2, OptionsHeap(), tc.proto)
+			a := heapBase(m)
+			if _, ok := cs[0].LockRead(a); !ok {
+				t.Fatal("PE0's LR failed")
+			}
+			if tc.evict {
+				cs[0].Flush()
+			}
+			cs[1].DirectWrite(a, word.Int(5))
+			if st := cs[1].StateOf(a); st != tc.owner {
+				t.Errorf("PE1 after the DW: %v, want %v", st, tc.owner)
+			}
+			if _, ok := cs[1].LockRead(a); ok {
+				t.Error("PE1's LR took the lock PE0 holds")
+			}
+			if !cs[1].Blocked() {
+				t.Error("PE1 is not busy-waiting for the unlock")
+			}
+			if !cs[0].HeldLock(a) || cs[1].HeldLock(a) {
+				t.Errorf("lock held by PE0 %v, PE1 %v; want PE0 only",
+					cs[0].HeldLock(a), cs[1].HeldLock(a))
 			}
 		})
 	}

@@ -6,10 +6,10 @@ package cache
 // transactions, the presence-filter bookkeeping — and delegates every
 // protocol *decision* (which state a block enters, who supplies data,
 // whether a transfer updates memory) to these hooks. Implementations
-// are stateless singletons: per-block protocol state lives in the
-// cache's state plane (and, for the adaptive protocol, the per-frame
-// update counters), never in the protocol value, so one instance
-// serves every cache.
+// are immutable values: per-block protocol state lives in the cache's
+// state plane (and, for the adaptive protocol, the per-frame update
+// counters), never in the protocol value, so one registry entry serves
+// every cache.
 //
 // The hot read/write hit paths never call through the interface: the
 // Cache caches WriteThrough/WriteUpdate/UpdateSelfInvalidate as plain
@@ -17,15 +17,6 @@ package cache
 // misses, snoops and upgrades — paths that already pay for a bus
 // transaction.
 type CoherenceProtocol interface {
-	// Name is the registry key (the -protocol flag value).
-	Name() string
-	// ID is the protocol's Config.Protocol enum value.
-	ID() Protocol
-	// States lists the block states this protocol can enter, in State
-	// order and including INV. pimtable derives its scenario grid from
-	// it and the probe name-table tests check every entry renders.
-	States() []State
-
 	// WriteThrough selects the store-through, write-no-allocate write
 	// path (every store is one bus word-write; blocks are never dirty;
 	// the optimized commands degrade to R/W).
@@ -47,9 +38,10 @@ type CoherenceProtocol interface {
 	// shared grant, which is why an FI can still install non-exclusive).
 	FetchState(inval, fromCache, supplierDirty, shared bool) State
 	// WriteOwnState is the state a writer settles in after taking
-	// ownership of a block (shared-hit upgrade or write-miss fetch).
-	// remoteLocked reports that a remote lock in the block denies
-	// exclusivity: the writer must stay in its dirty-shared state.
+	// ownership of a block (shared-hit upgrade, write-miss fetch or
+	// direct write). remoteLocked reports that a remote lock in the
+	// block denies exclusivity: the writer must stay in its dirty-shared
+	// state.
 	WriteOwnState(remoteLocked bool) State
 	// LockUpgradeState is the state after an LR's shared-hit I upgrade.
 	// cur is the block's current state; dirtyKilled reports that the I
@@ -76,27 +68,6 @@ type CoherenceProtocol interface {
 	CleanSupplies() bool
 }
 
-const (
-	// ProtocolMOESI is the five-state invalidate protocol with a
-	// distinct Owned state: a dirty block downgraded by a remote read
-	// enters O (dirty, shared, owns the write-back) and only the owner
-	// supplies data — clean holders assert sharing but shared memory
-	// serves the block.
-	ProtocolMOESI Protocol = iota + 3 // continue after ProtocolWriteThrough
-	// ProtocolDragon is the write-update protocol: a write to a shared
-	// block broadcasts the written word (UP) to the other copies
-	// instead of invalidating them, so producer-consumer blocks stay
-	// resident in every consumer. Memory is not updated by UP; the
-	// writer owns the eventual write-back (Sm, reusing the SM state).
-	ProtocolDragon
-	// ProtocolAdaptive is Dragon with competitive self-invalidation:
-	// each holder counts consecutive received updates per block and
-	// drops its copy at the threshold, so migratory blocks degenerate
-	// to invalidate behaviour while producer-consumer blocks keep the
-	// update behaviour.
-	ProtocolAdaptive
-)
-
 // adaptiveUpdateLimit is ProtocolAdaptive's competitive threshold: a
 // holder that receives this many consecutive updates for a block with
 // no local access in between self-invalidates. Three keeps migratory
@@ -104,39 +75,41 @@ const (
 // stay in update mode (the consumer's read resets the count).
 const adaptiveUpdateLimit = 3
 
-// protocolRegistry indexes every registered protocol by its Protocol
-// enum value. cliutil, pimtable, internal/check and the bench ablation
-// enumerate it instead of hardcoding protocol lists, so a protocol
-// added here automatically joins the flag parsers, the differential
-// matrix, the transition-table derivation and the probe name tables.
-var protocolRegistry = []CoherenceProtocol{
-	ProtocolPIM:          pimProtocol{},
-	ProtocolIllinois:     illinoisProtocol{},
-	ProtocolWriteThrough: wtProtocol{},
-	ProtocolMOESI:        moesiProtocol{},
-	ProtocolDragon:       dragonProtocol{},
-	ProtocolAdaptive:     adaptiveProtocol{},
+// pim is the paper's state machine, with SM as the dirty-shared owner.
+var pim = pimProtocol{owner: SM}
+
+// protocolRegistry is the list of protocols: each Protocol value's name
+// (the -protocol flag value) and state machine. cliutil, pimtable,
+// internal/check and the bench ablation enumerate it instead of
+// hardcoding protocol lists, so a protocol added here automatically
+// joins the flag parsers, the differential matrix, the transition-table
+// derivation and the probe name tables.
+var protocolRegistry = [...]struct {
+	name string
+	fsm  CoherenceProtocol
+}{
+	ProtocolPIM:          {"pim", pim},
+	ProtocolIllinois:     {"illinois", illinoisProtocol{pim}},
+	ProtocolWriteThrough: {"writethrough", wtProtocol{pim}},
+	ProtocolMOESI:        {"moesi", moesiProtocol{pimProtocol{owner: O}}},
+	ProtocolDragon:       {"dragon", dragonProtocol{pim}},
+	ProtocolAdaptive:     {"adaptive", adaptiveProtocol{dragonProtocol{pim}}},
 }
 
 // Protocols returns every registered protocol in enum order.
-func Protocols() []CoherenceProtocol {
-	return append([]CoherenceProtocol(nil), protocolRegistry...)
-}
-
-// ProtocolNames returns the registered protocol names in enum order.
-func ProtocolNames() []string {
-	names := make([]string, len(protocolRegistry))
-	for i, p := range protocolRegistry {
-		names[i] = p.Name()
+func Protocols() []Protocol {
+	ps := make([]Protocol, len(protocolRegistry))
+	for i := range ps {
+		ps[i] = Protocol(i)
 	}
-	return names
+	return ps
 }
 
 // ProtocolByName resolves a registered protocol name.
 func ProtocolByName(name string) (Protocol, bool) {
-	for _, p := range protocolRegistry {
-		if p.Name() == name {
-			return p.ID(), true
+	for i, e := range protocolRegistry {
+		if e.name == name {
+			return Protocol(i), true
 		}
 	}
 	return 0, false
@@ -145,7 +118,7 @@ func ProtocolByName(name string) (Protocol, bool) {
 // Impl returns the protocol's registered FSM implementation.
 func (p Protocol) Impl() CoherenceProtocol {
 	if int(p) < len(protocolRegistry) {
-		return protocolRegistry[p]
+		return protocolRegistry[p].fsm
 	}
 	panic("cache: unregistered protocol")
 }
@@ -153,25 +126,23 @@ func (p Protocol) Impl() CoherenceProtocol {
 // --- PIM (Section 3 of the paper) ---
 
 // pimProtocol is the paper's five-state protocol: dirty blocks move
-// cache-to-cache without updating memory (the SM owner carries the
-// write-back), and any holder supplies data.
-type pimProtocol struct{}
+// cache-to-cache without updating memory (the owner state carries the
+// write-back), and any holder supplies data. owner is the dirty-shared
+// state the paper gives SM (Section 3.1); MOESI names it O.
+type pimProtocol struct{ owner State }
 
-func (pimProtocol) Name() string              { return "pim" }
-func (pimProtocol) ID() Protocol              { return ProtocolPIM }
-func (pimProtocol) States() []State           { return []State{INV, S, SM, EC, EM} }
 func (pimProtocol) WriteThrough() bool        { return false }
 func (pimProtocol) WriteUpdate() bool         { return false }
 func (pimProtocol) UpdateSelfInvalidate() int { return 0 }
 
-func (pimProtocol) FetchState(inval, fromCache, supplierDirty, shared bool) State {
+func (p pimProtocol) FetchState(inval, fromCache, supplierDirty, shared bool) State {
 	switch {
 	case inval && shared:
 		// A remote lock in the block denies exclusivity (see
 		// Bus.RemoteLockInBlock); a dirty supply still transfers
 		// write-back ownership.
 		if supplierDirty {
-			return SM
+			return p.owner
 		}
 		return S
 	case inval && supplierDirty:
@@ -185,33 +156,33 @@ func (pimProtocol) FetchState(inval, fromCache, supplierDirty, shared bool) Stat
 	}
 }
 
-func (pimProtocol) WriteOwnState(remoteLocked bool) State {
+func (p pimProtocol) WriteOwnState(remoteLocked bool) State {
 	if remoteLocked {
-		return SM
+		return p.owner
 	}
 	return EM
 }
 
-func (pimProtocol) LockUpgradeState(cur State, dirtyKilled, remoteLocked bool) State {
+func (p pimProtocol) LockUpgradeState(cur State, dirtyKilled, remoteLocked bool) State {
 	switch {
 	case remoteLocked:
 		if dirtyKilled && cur == S {
-			return SM
+			return p.owner
 		}
 		return cur
-	case cur == SM || dirtyKilled:
+	case cur == p.owner || dirtyKilled:
 		return EM
 	default:
 		return EC
 	}
 }
 
-func (pimProtocol) SnoopShareState(cur State) (State, bool, bool) {
+func (p pimProtocol) SnoopShareState(cur State) (State, bool, bool) {
 	// No copy-back on transfer: a modified supplier keeps write-back
-	// ownership in SM; clean exclusives downgrade to S.
+	// ownership in the owner state; clean exclusives downgrade to S.
 	switch cur {
-	case EM, SM:
-		return SM, false, true
+	case EM, p.owner:
+		return p.owner, false, true
 	default:
 		return S, false, false
 	}
@@ -227,13 +198,9 @@ func (pimProtocol) CleanSupplies() bool { return true }
 
 // illinoisProtocol copies a dirty block back to shared memory whenever
 // it is supplied, so every copy ends up clean — exactly the
-// memory-module pressure the PIM SM state avoids. (SM is still listed
-// in States: a remote lock can force a dirty writer to stay shared.)
+// memory-module pressure the PIM SM state avoids. (A remote lock can
+// still force a dirty writer to stay shared in SM.)
 type illinoisProtocol struct{ pimProtocol }
-
-func (illinoisProtocol) Name() string    { return "illinois" }
-func (illinoisProtocol) ID() Protocol    { return ProtocolIllinois }
-func (illinoisProtocol) States() []State { return []State{INV, S, SM, EC, EM} }
 
 func (illinoisProtocol) SnoopShareState(cur State) (State, bool, bool) {
 	if cur.Dirty() {
@@ -254,79 +221,16 @@ func (illinoisProtocol) SnoopInvalTransfer(wasDirty bool) (reportDirty, copyBack
 // never dirty and EM/SM are unreachable.
 type wtProtocol struct{ pimProtocol }
 
-func (wtProtocol) Name() string       { return "writethrough" }
-func (wtProtocol) ID() Protocol       { return ProtocolWriteThrough }
-func (wtProtocol) States() []State    { return []State{INV, S, EC} }
 func (wtProtocol) WriteThrough() bool { return true }
 
 // --- MOESI ---
 
-// moesiProtocol adds the distinct Owned state: a dirty supplier
-// downgrades EM→O (not SM) and keeps the write-back, and only a dirty
-// owner ever supplies data — clean holders answer H to assert sharing
-// but shared memory serves the block. The PIM protocol's SM plays the
-// same dirty-shared role; the observable differences are the
-// clean-supply policy and the memory-sourced pattern mix.
-type moesiProtocol struct{}
-
-func (moesiProtocol) Name() string              { return "moesi" }
-func (moesiProtocol) ID() Protocol              { return ProtocolMOESI }
-func (moesiProtocol) States() []State           { return []State{INV, S, EC, EM, O} }
-func (moesiProtocol) WriteThrough() bool        { return false }
-func (moesiProtocol) WriteUpdate() bool         { return false }
-func (moesiProtocol) UpdateSelfInvalidate() int { return 0 }
-
-func (moesiProtocol) FetchState(inval, fromCache, supplierDirty, shared bool) State {
-	switch {
-	case inval && shared:
-		if supplierDirty {
-			return O
-		}
-		return S
-	case inval && supplierDirty:
-		return EM
-	case inval:
-		return EC
-	case fromCache || shared:
-		return S
-	default:
-		return EC
-	}
-}
-
-func (moesiProtocol) WriteOwnState(remoteLocked bool) State {
-	if remoteLocked {
-		return O
-	}
-	return EM
-}
-
-func (moesiProtocol) LockUpgradeState(cur State, dirtyKilled, remoteLocked bool) State {
-	switch {
-	case remoteLocked:
-		if dirtyKilled && cur == S {
-			return O
-		}
-		return cur
-	case cur == O || dirtyKilled:
-		return EM
-	default:
-		return EC
-	}
-}
-
-func (moesiProtocol) SnoopShareState(cur State) (State, bool, bool) {
-	switch cur {
-	case EM, O:
-		return O, false, true
-	default:
-		return S, false, false
-	}
-}
-
-func (moesiProtocol) SnoopInvalTransfer(wasDirty bool) (reportDirty, copyBack bool) {
-	return wasDirty, false
-}
+// moesiProtocol is PIM's state machine with O as its owner state: a
+// dirty supplier downgrades EM→O and keeps the write-back. What sets it
+// apart is the clean-supply policy: only a dirty owner ever supplies
+// data — clean holders answer H to assert sharing but shared memory
+// serves the block — and with it the memory-sourced pattern mix.
+type moesiProtocol struct{ pimProtocol }
 
 func (moesiProtocol) CleanSupplies() bool { return false }
 
@@ -342,8 +246,6 @@ func (moesiProtocol) CleanSupplies() bool { return false }
 // invalidate-based: a lock needs exclusivity, not freshness.
 type dragonProtocol struct{ pimProtocol }
 
-func (dragonProtocol) Name() string      { return "dragon" }
-func (dragonProtocol) ID() Protocol      { return ProtocolDragon }
 func (dragonProtocol) WriteUpdate() bool { return true }
 
 // --- adaptive write-update/write-invalidate ---
@@ -358,6 +260,4 @@ func (dragonProtocol) WriteUpdate() bool { return true }
 // in M, exactly as under an invalidate protocol.
 type adaptiveProtocol struct{ dragonProtocol }
 
-func (adaptiveProtocol) Name() string              { return "adaptive" }
-func (adaptiveProtocol) ID() Protocol              { return ProtocolAdaptive }
 func (adaptiveProtocol) UpdateSelfInvalidate() int { return adaptiveUpdateLimit }

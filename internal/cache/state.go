@@ -15,6 +15,12 @@
 // word of the tag plane. Lock conflicts are the bus's: an LR that draws
 // LH blocks until the unlock, and any other operation's retry has run by
 // the time the bus returns.
+//
+// DeriveTransitions (transitions.go) rebuilds each protocol's transition
+// tables from its state machine alone: a breadth-first search over two
+// caches sharing one block finds every state pair the protocol can
+// reach, and each row applies one processor operation from a fresh
+// rebuild of its pair.
 package cache
 
 import (

@@ -26,11 +26,11 @@ type RunConfig struct {
 
 // configLabel shortens a protocol name for matrix labels (the historic
 // "wt" shorthand keeps existing repro corpora and log greps valid).
-func configLabel(p cache.CoherenceProtocol) string {
-	if p.ID() == cache.ProtocolWriteThrough {
+func configLabel(p cache.Protocol) string {
+	if p == cache.ProtocolWriteThrough {
 		return "wt"
 	}
-	return p.Name()
+	return p.String()
 }
 
 // Configs is the differential matrix: every registered protocol with the
@@ -44,8 +44,8 @@ func Configs() []RunConfig {
 	var out []RunConfig
 	for _, p := range cache.Protocols() {
 		out = append(out,
-			RunConfig{Label: configLabel(p) + "/none", Protocol: p.ID(), Options: cache.OptionsNone()},
-			RunConfig{Label: configLabel(p) + "/all", Protocol: p.ID(), Options: cache.OptionsAll()},
+			RunConfig{Label: configLabel(p) + "/none", Protocol: p, Options: cache.OptionsNone()},
+			RunConfig{Label: configLabel(p) + "/all", Protocol: p, Options: cache.OptionsAll()},
 		)
 	}
 	return out

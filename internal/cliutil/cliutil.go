@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 )
@@ -70,21 +71,43 @@ func ValidateBusWidth(width int) error {
 	return nil
 }
 
-// protocolList renders the registered protocol names as an English
+// alternation renders a registry's entry names as an English
 // alternation ("pim, illinois, ..., or adaptive") for help and error
-// text, so the flag surface tracks the cache package's registry.
-func protocolList() string {
-	names := cache.ProtocolNames()
+// text, so a flag's surface tracks its registry.
+func alternation[T any](entries []T, name func(T) string) string {
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = name(e)
+	}
 	if len(names) == 1 {
 		return names[0]
 	}
 	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
 }
 
+func protocolList() string { return alternation(cache.Protocols(), cache.Protocol.String) }
+
+// optsList names cache.OptionSets in lower case, the form -opts takes.
+func optsList() string {
+	return alternation(cache.OptionSets, func(s cache.OptionSet) string { return strings.ToLower(s.Name) })
+}
+
+// BenchList names the benchmark programs, extras included, for -bench
+// help text.
+func BenchList() string {
+	return alternation(programs.AllWithExtras(), func(b programs.Benchmark) string { return b.Name })
+}
+
 // ProtocolFlagHelp is the shared -protocol flag usage string, derived
 // from the protocol registry.
 func ProtocolFlagHelp() string {
 	return "coherence protocol (" + protocolList() + ")"
+}
+
+// OptsFlagHelp is the shared -opts flag usage string, derived from
+// cache.OptionSets.
+func OptsFlagHelp() string {
+	return "optimized commands (" + optsList() + ")"
 }
 
 // ParseProtocol maps a -protocol flag value to a coherence protocol.
@@ -97,6 +120,15 @@ func ParseProtocol(name string) (cache.Protocol, error) {
 	return 0, fmt.Errorf("unknown -protocol %q (want %s)", name, protocolList())
 }
 
+// ParseBench maps a -bench name (any case) to a benchmark program; the
+// error text enumerates the programs.
+func ParseBench(name string) (programs.Benchmark, error) {
+	if b, ok := programs.ByName(name); ok {
+		return b, nil
+	}
+	return programs.Benchmark{}, fmt.Errorf("unknown -bench %q (want %s)", name, BenchList())
+}
+
 // BuildCacheConfig assembles and validates a cache configuration from
 // the -cache/-block/-ways/-opts/-protocol flags every simulator command
 // shares, on top of cache.DefaultConfig. -opts takes a cache.OptionSets
@@ -106,7 +138,7 @@ func ParseProtocol(name string) (cache.Protocol, error) {
 func BuildCacheConfig(sizeWords, blockWords, ways int, optsName, protocolName string) (cache.Config, error) {
 	opts, ok := cache.OptionsByName(optsName)
 	if !ok {
-		return cache.Config{}, fmt.Errorf("unknown -opts %q (want none, heap, goal, comm, or all)", optsName)
+		return cache.Config{}, fmt.Errorf("unknown -opts %q (want %s)", optsName, optsList())
 	}
 	proto, err := ParseProtocol(protocolName)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
 )
@@ -101,19 +102,44 @@ func TestParseProtocol(t *testing.T) {
 // TestParseProtocolAgreesWithRegistry pins the registry round trip:
 // every registered protocol name parses back to its own enum value, and
 // the help/error text names each of them — so a protocol registered in
-// the cache package cannot be silently unreachable from the CLI.
+// the cache package cannot be silently unreachable from the CLI. The
+// same holds for the -opts names (cache.OptionSets) and the -bench names
+// (programs.AllWithExtras).
 func TestParseProtocolAgreesWithRegistry(t *testing.T) {
 	for _, p := range cache.Protocols() {
-		got, err := ParseProtocol(p.Name())
-		if err != nil || got != p.ID() {
-			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", p.Name(), got, err, p.ID())
+		got, err := ParseProtocol(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", p, got, err, p)
 		}
-		if !strings.Contains(ProtocolFlagHelp(), p.Name()) {
-			t.Errorf("ProtocolFlagHelp() %q does not mention %q", ProtocolFlagHelp(), p.Name())
+		if !strings.Contains(ProtocolFlagHelp(), p.String()) {
+			t.Errorf("ProtocolFlagHelp() %q does not mention %q", ProtocolFlagHelp(), p)
 		}
 		_, err = ParseProtocol("no-such-protocol")
-		if err == nil || !strings.Contains(err.Error(), p.Name()) {
-			t.Errorf("ParseProtocol error %v does not mention %q", err, p.Name())
+		if err == nil || !strings.Contains(err.Error(), p.String()) {
+			t.Errorf("ParseProtocol error %v does not mention %q", err, p)
+		}
+	}
+	_, optsErr := BuildCacheConfig(4<<10, 4, 4, "no-such-set", "pim")
+	for _, set := range cache.OptionSets {
+		name := strings.ToLower(set.Name)
+		if !strings.Contains(OptsFlagHelp(), name) {
+			t.Errorf("OptsFlagHelp() %q does not mention %q", OptsFlagHelp(), name)
+		}
+		if optsErr == nil || !strings.Contains(optsErr.Error(), name) {
+			t.Errorf("unknown -opts error %v does not mention %q", optsErr, name)
+		}
+	}
+	_, benchErr := ParseBench("no-such-bench")
+	for _, b := range programs.AllWithExtras() {
+		got, err := ParseBench(b.Name)
+		if err != nil || got.Name != b.Name {
+			t.Errorf("ParseBench(%q) = %q, %v", b.Name, got.Name, err)
+		}
+		if !strings.Contains(BenchList(), b.Name) {
+			t.Errorf("BenchList() %q does not mention %q", BenchList(), b.Name)
+		}
+		if benchErr == nil || !strings.Contains(benchErr.Error(), b.Name) {
+			t.Errorf("unknown -bench error %v does not mention %q", benchErr, b.Name)
 		}
 	}
 }

@@ -57,12 +57,12 @@ func TestCheckpointResume(t *testing.T) {
 		blocks = []int{4}
 	}
 	for _, p := range cache.Protocols() {
-		t.Run(p.ID().String(), func(t *testing.T) {
+		t.Run(p.String(), func(t *testing.T) {
 			for _, bw := range blocks {
 				t.Run(fmt.Sprintf("block%d", bw), func(t *testing.T) {
 					ccfg := cache.DefaultConfig()
 					ccfg.Options = cache.OptionsAll()
-					ccfg.Protocol = p.ID()
+					ccfg.Protocol = p
 					ccfg.BlockWords = bw
 					checkResume(t, tr, ccfg, k)
 				})

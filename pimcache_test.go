@@ -188,7 +188,8 @@ func TestIllinoisProtocolOption(t *testing.T) {
 // output under each — new protocols are reachable from the public API
 // the moment they register.
 func TestEveryRegisteredProtocolRuns(t *testing.T) {
-	for _, name := range cache.ProtocolNames() {
+	for _, p := range cache.Protocols() {
+		name := p.String()
 		cfg := smallConfig()
 		cfg.Protocol = name
 		res, err := Run("main :- true | println(ok).", cfg, 0)
