@@ -409,7 +409,8 @@ func collectEngineOptions(jobs int) bench.Options {
 	}
 }
 
-// BenchmarkCollectSerial measures the legacy single-worker evaluation.
+// BenchmarkCollectSerial measures the evaluation on a one-worker pool,
+// which runs one benchmark (and holds one trace) at a time.
 func BenchmarkCollectSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.Collect(collectEngineOptions(1)); err != nil {
@@ -418,10 +419,10 @@ func BenchmarkCollectSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectParallel measures the worker-pool evaluation and reports
-// its speedup over the serial path as a custom metric (expect ~1.0 on one
-// core; it grows with available CPUs since live runs and replays are
-// independent jobs).
+// BenchmarkCollectParallel measures the evaluation on the default pool,
+// one worker per GOMAXPROCS, and reports its speedup over one worker as a
+// custom metric (expect ~1.0 on one core; it grows with available CPUs
+// since live runs and replays are independent jobs).
 func BenchmarkCollectParallel(b *testing.B) {
 	start := time.Now()
 	if _, err := bench.Collect(collectEngineOptions(1)); err != nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pimbench                     # everything, paper scales, all cores
+//	pimbench                     # everything, paper scales, one job per GOMAXPROCS
 //	pimbench -quick              # everything, reduced scales
 //	pimbench -table 4            # one table
 //	pimbench -figure 2           # one figure
@@ -14,9 +14,11 @@
 //
 // Each benchmark is recorded once and replayed once per distinct cache
 // configuration and bus timing: the Table 4 "All" column and the
-// sweeps' base points share one replay. Live runs and trace replays fan
-// out over -jobs worker goroutines; the produced tables are
-// byte-identical for every job count.
+// sweeps' base points share one replay. Live runs and trace replays run
+// as one job graph on -jobs worker goroutines; a trace's replays run
+// before any live run queued after its recording, so -jobs 1 holds one
+// trace at a time. The produced tables are byte-identical for every job
+// count.
 package main
 
 import (
@@ -42,7 +44,7 @@ func main() {
 		extra    = flag.String("extra", "", "in-text experiment: "+strings.Join(extras, ", "))
 		benches  = flag.String("bench", "", "comma-separated benchmark subset ("+cliutil.BenchList()+")")
 		verbose  = flag.Bool("v", false, "print progress")
-		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores, 1 = serial)")
+		jobs     = flag.Int("jobs", 0, "concurrent simulations (0 = one per GOMAXPROCS, 1 = serial)")
 		manifest = flag.String("manifest", "", "write a structured run manifest (JSON) to this file")
 		scenario = flag.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	)
@@ -183,7 +185,6 @@ func validateBenches(names []string) error {
 func writeManifest(man *obs.Manifest, path string, d *bench.Data, o bench.Options, ph *obs.Phases, reg *obs.Registry, profiles map[string]string) {
 	ccfg := bench.BaseCache(cache.OptionsAll())
 	ccfg.StatsOnly = true // the variant statistics come from stats-only replays
-	ccfg.DisableBusFilters = o.DisableBusFilters
 	man.Config = obs.NewRunConfig(o.PEs, ccfg, bus.DefaultTiming(), "all", "bench")
 	var totalRefs uint64
 	for _, bd := range d.Benches {

@@ -58,7 +58,7 @@ func main() {
 		optsName  = flag.String("opts", "all", cliutil.OptsFlagHelp())
 		protocol  = flag.String("protocol", "pim", cliutil.ProtocolFlagHelp())
 		width     = flag.Int("buswidth", 1, "bus width in words")
-		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = all CPU cores)")
+		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = one per GOMAXPROCS)")
 		manifest  = flag.String("manifest", "", "write a structured run manifest (JSON) to this file (single -bench entry)")
 		scenario  = flag.String("scenario", "", "scenario label recorded in the manifest (pimreport baseline key)")
 	)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"pimcache/internal/bus"
@@ -55,16 +56,11 @@ type Options struct {
 	// serialized and line-atomic even when jobs run concurrently.
 	Progress io.Writer
 	// Jobs bounds how many simulations (live runs and trace replays)
-	// execute concurrently: 0 means runtime.NumCPU(), 1 runs one
-	// benchmark at a time. Every value produces identical results — jobs
-	// share only read-only traces, and results are assembled from the
-	// replay table, never by completion order.
+	// execute concurrently: 0 means one per GOMAXPROCS, 1 runs one
+	// benchmark (and holds one trace) at a time. Every value produces
+	// identical results — jobs share only read-only traces, and results
+	// are assembled from the replay table, never by completion order.
 	Jobs int
-	// DisableBusFilters runs every simulation with the bus presence
-	// filters off (full broadcast polling). Results are identical either
-	// way — the flag exists for the filter-equivalence oracle and as the
-	// benchmark baseline.
-	DisableBusFilters bool
 	// Phases, when non-nil, collects per-phase wall times (live runs,
 	// replays) for the run manifest. Nil disables timing at zero cost —
 	// every obs handle is nil-safe.
@@ -139,13 +135,6 @@ func (o Options) ScaleFor(b programs.Benchmark) int {
 func BaseCache(opts cache.Options) cache.Config {
 	cfg := cache.DefaultConfig()
 	cfg.Options = opts
-	return cfg
-}
-
-// baseCache is BaseCache with the options' simulator knobs applied.
-func (o Options) baseCache(opts cache.Options) cache.Config {
-	cfg := BaseCache(opts)
-	cfg.DisableBusFilters = o.DisableBusFilters
 	return cfg
 }
 
@@ -307,15 +296,21 @@ type Data struct {
 	Benches []*BenchData
 }
 
-// Collect runs the whole evaluation. Each benchmark's trace is recorded
-// once (at Options.PEs) and replayed under every row of its replay table
-// (see replayTable); rows with equal configurations share one replay. A
-// trace is released as soon as its last replay finishes, to bound
-// memory.
+// Collect runs the whole evaluation as a job graph on a worker pool of
+// par.Jobs(Options.Jobs) workers. It queues one live run per
+// (benchmark, PE-sweep point), in benchmark order and then sweep order.
+// The live run at Options.PEs is the record job: it also records the
+// benchmark's trace, then puts one job per distinct replay of the
+// benchmark's replay table (see replayTable) at the head of the queue.
+// Rows with equal configurations share one replay. Only those replay
+// jobs hold the trace, so it is released when the last of them
+// finishes. With one worker the evaluation therefore runs benchmark by
+// benchmark and never holds two traces; with more, a trace's replays
+// still start before any live run queued after its record job.
 //
-// With Jobs != 1 the run is executed by the parallel evaluation engine
-// (see parallel.go): live runs and replays fan out over a bounded worker
-// pool, and the assembled Data is identical to the serial result.
+// Each live run and each replay keeps its result in its own slot, and
+// Data is filled from the slots and the replay table after the pool
+// drains, so it is identical at every job count.
 //
 // A name in Options.Benchmarks that names no benchmark is an error, so a
 // mistyped selection never yields empty tables.
@@ -326,12 +321,68 @@ func Collect(o Options) (*Data, error) {
 		}
 	}
 	if o.PEs == 0 {
-		o = mergeDefaults(o)
+		d := DefaultOptions()
+		o.PEs = d.PEs
+		fill := func(sweep *[]int, def []int) {
+			if *sweep == nil {
+				*sweep = def
+			}
+		}
+		fill(&o.PESweep, d.PESweep)
+		fill(&o.BlockSizes, d.BlockSizes)
+		fill(&o.Capacities, d.Capacities)
+		fill(&o.Associativities, d.Associativities)
 	}
-	if par.Jobs(o.Jobs) > 1 {
-		return collectParallel(o)
+	selected := selectedBenchmarks(o)
+	// The record job is the root of each benchmark's graph; without it no
+	// replay can run, so reject the configuration before running anything.
+	record := slices.Index(o.PESweep, o.PEs)
+	if record < 0 && len(selected) > 0 {
+		return nil, fmt.Errorf("%s: PESweep %v does not include PEs=%d",
+			selected[0].Name, o.PESweep, o.PEs)
 	}
-	return collectSerial(o)
+
+	pw := newProgressLog(o.Progress)
+	pool := par.NewCtx(o.ctx(), o.Jobs)
+	data := &Data{Options: o}
+	live := make([][]*RunData, len(selected)) // by benchmark, then PE-sweep position
+	tables := make([][]replayJob, len(selected))
+	for i, b := range selected {
+		bd := newBenchData(b, o.ScaleFor(b))
+		data.Benches = append(data.Benches, bd)
+		live[i] = make([]*RunData, len(o.PESweep))
+		for k, pes := range o.PESweep {
+			pool.Go(func() error {
+				rd, tr, err := o.liveRun(pw, b, bd.Scale, pes, k == record)
+				if err != nil {
+					return err
+				}
+				live[i][k] = rd
+				if tr == nil {
+					return nil
+				}
+				bd.Refs = rd.Cache
+				var runs []*replayRun
+				tables[i], runs = o.replayTable()
+				replays := make([]func() error, len(runs))
+				for j, r := range runs {
+					replays[j] = func() error { return o.replay(pw, b.Name, tr, r) }
+				}
+				pool.GoNext(replays...)
+				return nil
+			})
+		}
+	}
+	if err := pool.Wait(); err != nil {
+		return nil, err
+	}
+	for i, bd := range data.Benches {
+		for k, pes := range o.PESweep {
+			bd.LiveByPEs[pes] = live[i][k]
+		}
+		storeReplays(bd, tables[i])
+	}
+	return data, nil
 }
 
 // selectedBenchmarks resolves the benchmark set an options value runs.
@@ -364,84 +415,18 @@ func newBenchData(b programs.Benchmark, scale int) *BenchData {
 	}
 }
 
-// collectSerial is the Jobs=1 engine: one benchmark at a time — its live
-// sweep, then its distinct replays in table order. A one-worker pool
-// would pipeline benchmarks and record the next trace while the current
-// one still replays; this loop never holds more than one trace.
-func collectSerial(o Options) (*Data, error) {
-	pw := newProgressLog(o.Progress)
-	ctx := o.ctx()
-	data := &Data{Options: o}
-	for _, b := range selectedBenchmarks(o) {
-		bd := newBenchData(b, o.ScaleFor(b))
-		var tr *trace.Trace
-		for _, pes := range o.PESweep {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			rd, t, err := o.liveRun(pw, b, bd.Scale, pes, pes == o.PEs)
-			if err != nil {
-				return nil, err
-			}
-			bd.LiveByPEs[pes] = rd
-			if t != nil {
-				tr = t
-				bd.Refs = rd.Cache
-			}
-		}
-		if tr == nil {
-			return nil, fmt.Errorf("%s: PESweep %v does not include PEs=%d", b.Name, o.PESweep, o.PEs)
-		}
-		jobs, runs := o.replayTable()
-		for _, r := range runs {
-			if err := o.replay(pw, b.Name, tr, r); err != nil {
-				return nil, err
-			}
-		}
-		storeReplays(bd, jobs)
-		data.Benches = append(data.Benches, bd)
-	}
-	return data, nil
-}
-
 // liveRun is one point of the live PE sweep (all optimizations, Figure 3
 // and Table 1); with record set it also returns the reference stream.
 func (o Options) liveRun(pw *progressLog, b programs.Benchmark, scale, pes int, record bool) (*RunData, *trace.Trace, error) {
 	pw.Printf(b.Name, "live run on %d PEs (scale %d)", pes, scale)
 	sp := o.Phases.Start("live/" + b.Name)
-	rd, tr, err := RunLive(b, scale, pes, o.baseCache(cache.OptionsAll()), record)
+	rd, tr, err := RunLive(b, scale, pes, BaseCache(cache.OptionsAll()), record)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
 	o.Metrics.Counter("bench.live.runs").Inc()
 	return rd, tr, nil
-}
-
-func mergeDefaults(o Options) Options {
-	d := DefaultOptions()
-	d.Quick = o.Quick
-	d.SkipSweeps = o.SkipSweeps
-	d.Benchmarks = o.Benchmarks
-	d.Progress = o.Progress
-	d.Jobs = o.Jobs
-	d.DisableBusFilters = o.DisableBusFilters
-	d.Phases = o.Phases
-	d.Metrics = o.Metrics
-	d.Context = o.Context
-	if o.PESweep != nil {
-		d.PESweep = o.PESweep
-	}
-	if o.BlockSizes != nil {
-		d.BlockSizes = o.BlockSizes
-	}
-	if o.Capacities != nil {
-		d.Capacities = o.Capacities
-	}
-	if o.Associativities != nil {
-		d.Associativities = o.Associativities
-	}
-	return d
 }
 
 func benchSelected(o Options, name string) bool {

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"context"
+	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"pimcache/internal/bench/programs"
 	"pimcache/internal/bus"
@@ -178,11 +183,20 @@ func TestReplayConfigMatchesLive(t *testing.T) {
 	}
 }
 
+// TestCollectRejectsMissingPEs pins that a PE sweep without the record
+// job's PE count is refused before any job runs, at either job count.
 func TestCollectRejectsMissingPEs(t *testing.T) {
-	o := Options{PEs: 8, PESweep: []int{1, 2}, SkipSweeps: true,
-		Quick: true, Benchmarks: []string{"Pascal"}}
-	if _, err := Collect(o); err == nil {
-		t.Error("PESweep without PEs accepted")
+	for _, jobs := range []int{1, 4} {
+		var progress strings.Builder
+		o := Options{PEs: 8, PESweep: []int{1, 2}, SkipSweeps: true, Quick: true,
+			Benchmarks: []string{"Pascal"}, Jobs: jobs, Progress: &progress}
+		_, err := Collect(o)
+		if err == nil || !strings.Contains(err.Error(), "does not include PEs=8") {
+			t.Errorf("jobs=%d: Collect = %v, want a missing-PEs error", jobs, err)
+		}
+		if progress.Len() > 0 {
+			t.Errorf("jobs=%d: jobs ran before the refusal:\n%s", jobs, progress.String())
+		}
 	}
 }
 
@@ -206,9 +220,9 @@ func TestCollectRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestCollectParallelDeterminism is the parallel evaluation engine's
-// regression oracle: a Collect with Jobs=8 must render every table and
-// figure byte-identically to the serial Jobs=1 run. The workload is small
+// TestCollectParallelDeterminism is the evaluation engine's regression
+// oracle: a Collect with Jobs=8 must render every table and figure
+// byte-identically to the one-worker Jobs=1 run. The workload is small
 // (Puzzle at its smallest scale) but exercises the full job graph — live
 // PE sweep, all five optimization replays, block/capacity/way sweeps, and
 // the two-word-bus, Illinois and write-through extras.
@@ -247,14 +261,87 @@ func TestCollectParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCollectParallelPropagatesError: a failing job must surface its error
-// from Collect rather than hang or panic the pool.
-func TestCollectParallelPropagatesError(t *testing.T) {
-	o := Options{
-		Quick: true, PEs: 8, PESweep: []int{1, 2}, SkipSweeps: true,
-		Benchmarks: []string{"Pascal"}, Jobs: 4,
+// TestCollectOneWorkerOrder pins the schedule that holds one trace at a
+// time: with one worker, a benchmark's live runs come first, then its
+// replays, and only then the next benchmark's work.
+func TestCollectOneWorkerOrder(t *testing.T) {
+	oldPuzzle, oldPascal := quickScales["Puzzle"], quickScales["Pascal"]
+	quickScales["Puzzle"], quickScales["Pascal"] = 2, 3
+	defer func() { quickScales["Puzzle"], quickScales["Pascal"] = oldPuzzle, oldPascal }()
+	var progress strings.Builder
+	o := Options{Quick: true, PEs: 2, PESweep: []int{1, 2}, SkipSweeps: true,
+		Benchmarks: []string{"Puzzle", "Pascal"}, Jobs: 1, Progress: &progress}
+	d, err := Collect(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Collect(o); err == nil {
-		t.Error("PESweep without PEs accepted by parallel path")
+	// Fold the progress lines into runs of equal (benchmark, kind).
+	var got []string
+	for _, line := range strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n") {
+		name, msg, _ := strings.Cut(line, ": ")
+		step := name + " live"
+		if strings.HasPrefix(msg, "replay ") {
+			step = name + " replay"
+		}
+		if len(got) == 0 || got[len(got)-1] != step {
+			got = append(got, step)
+		}
+	}
+	first, second := d.Benches[0].Name, d.Benches[1].Name
+	want := []string{first + " live", first + " replay", second + " live", second + " replay"}
+	if !slices.Equal(got, want) {
+		t.Errorf("progress order %v, want %v\n%s", got, want, progress.String())
+	}
+}
+
+// cancelAtReplay is a progress writer that cancels the run at its first
+// replay line. progressLog serializes the calls.
+type cancelAtReplay struct {
+	cancel context.CancelFunc
+	lines  []string
+	at     int // index of the first replay line, -1 before it
+}
+
+func (w *cancelAtReplay) Write(p []byte) (int, error) {
+	if w.at < 0 && strings.Contains(string(p), ": replay ") {
+		w.at = len(w.lines)
+		w.cancel()
+	}
+	w.lines = append(w.lines, string(p))
+	return len(p), nil
+}
+
+// TestCollectCancelMidGraph stops a Collect in the middle of its job
+// graph, with replays still queued: it must return the context's error,
+// run no job after the cancellation at one worker, and leave no
+// goroutine behind.
+func TestCollectCancelMidGraph(t *testing.T) {
+	old := quickScales["Puzzle"]
+	quickScales["Puzzle"] = 2
+	defer func() { quickScales["Puzzle"] = old }()
+	for _, jobs := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		w := &cancelAtReplay{cancel: cancel, at: -1}
+		o := Options{Quick: true, PEs: 2, PESweep: []int{1, 2}, SkipSweeps: true,
+			Benchmarks: []string{"Puzzle"}, Jobs: jobs, Progress: w, Context: ctx}
+		_, err := Collect(o)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("jobs=%d: Collect = %v, want context.Canceled", jobs, err)
+		}
+		if w.at < 0 {
+			t.Fatalf("jobs=%d: no replay started", jobs)
+		}
+		if jobs == 1 && len(w.lines) > w.at+1 {
+			t.Errorf("jobs=1: progress after the cancellation:\n%s", strings.Join(w.lines[w.at+1:], ""))
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("jobs=%d: %d goroutines after Collect returned, %d before", jobs, got, before)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -108,8 +109,10 @@ func TestFilterEquivalence(t *testing.T) {
 
 // TestFilterEquivalenceRenderAll runs a reduced but structurally complete
 // evaluation — live PE sweep, optimization variants, block/capacity/way
-// sweeps, two-word bus, Illinois and write-through — with the filters on
-// and off, and requires byte-identical rendered output.
+// sweeps, two-word bus and the protocol baselines — with the filters on,
+// then rebuilds its dataset with the filters off: every PE-sweep point
+// runs live, recording at Options.PEs, and every row of the replay table
+// gets its own replay of that trace. The two datasets must be equal.
 func TestFilterEquivalenceRenderAll(t *testing.T) {
 	old := quickScales["Puzzle"]
 	quickScales["Puzzle"] = 2
@@ -125,22 +128,39 @@ func TestFilterEquivalenceRenderAll(t *testing.T) {
 		Benchmarks:      []string{"Puzzle"},
 		Jobs:            1,
 	}
-	filtered, err := Collect(o)
+	data, err := Collect(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.DisableBusFilters = true
-	unfiltered, err := Collect(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := RenderAll(filtered), RenderAll(unfiltered)
-	if len(want) == 0 {
+	if len(RenderAll(data)) == 0 {
 		t.Fatal("rendered evaluation is empty")
 	}
-	// The Options line is not part of the rendered tables, so the two
-	// runs must agree byte-for-byte.
-	if got != want {
-		t.Errorf("filtered evaluation differs from unfiltered\n--- filtered ---\n%s\n--- unfiltered ---\n%s", got, want)
+	bd := data.Benches[0]
+	b, _ := programs.ByName("Puzzle")
+
+	want := newBenchData(b, bd.Scale)
+	var tr *trace.Trace
+	for _, pes := range o.PESweep {
+		rd, recorded, err := RunLive(b, bd.Scale, pes, filterCfg(cache.OptionsAll(), true), pes == o.PEs)
+		if err != nil {
+			t.Fatalf("unfiltered live run at %d PEs: %v", pes, err)
+		}
+		want.LiveByPEs[pes] = rd
+		if recorded != nil {
+			tr, want.Refs = recorded, rd.Cache
+		}
+	}
+	jobs, _ := o.replayTable()
+	for _, j := range jobs {
+		cfg := j.cfg
+		cfg.DisableBusFilters = true
+		bs, cs, err := ReplayConfig(tr, cfg, j.timing, nil)
+		if err != nil {
+			t.Fatalf("%s unfiltered replay: %v", j.label, err)
+		}
+		j.store(want, bs, cs)
+	}
+	if !reflect.DeepEqual(bd, want) {
+		t.Errorf("filtered evaluation differs from unfiltered\nfiltered:   %+v\nunfiltered: %+v", bd, want)
 	}
 }

@@ -71,7 +71,7 @@ func (o Options) replayJobs() []replayJob {
 	}
 	dt := bus.DefaultTiming()
 	for _, v := range cache.OptionSets {
-		add(v.Name, o.baseCache(v.Opts), dt, func(bd *BenchData, bs bus.Stats, cs cache.Stats) {
+		add(v.Name, BaseCache(v.Opts), dt, func(bd *BenchData, bs bus.Stats, cs cache.Stats) {
 			bd.OptBus[v.Name], bd.OptCache[v.Name] = bs, cs
 		})
 	}
@@ -82,27 +82,27 @@ func (o Options) replayJobs() []replayJob {
 		return SweepPoint{Param: param, MissRatio: cs.MissRatio(), BusCycles: bs.TotalCycles, DirectoryBits: dirBits}
 	}
 	for _, bw := range o.BlockSizes {
-		cfg := o.baseCache(cache.OptionsAll())
+		cfg := BaseCache(cache.OptionsAll())
 		cfg.BlockWords = bw
 		add(fmt.Sprintf("block=%d", bw), cfg, dt, func(bd *BenchData, bs bus.Stats, cs cache.Stats) {
 			bd.BlockSweep = append(bd.BlockSweep, point(bw, cfg.DirectoryBits(), bs, cs))
 		})
 	}
 	for _, size := range o.Capacities {
-		cfg := o.baseCache(cache.OptionsAll())
+		cfg := BaseCache(cache.OptionsAll())
 		cfg.SizeWords = size
 		add(fmt.Sprintf("capacity=%d", size), cfg, dt, func(bd *BenchData, bs bus.Stats, cs cache.Stats) {
 			bd.CapSweep = append(bd.CapSweep, point(size, cfg.DirectoryBits(), bs, cs))
 		})
 	}
 	for _, ways := range o.Associativities {
-		cfg := o.baseCache(cache.OptionsAll())
+		cfg := BaseCache(cache.OptionsAll())
 		cfg.Ways = ways
 		add(fmt.Sprintf("ways=%d", ways), cfg, dt, func(bd *BenchData, bs bus.Stats, cs cache.Stats) {
 			bd.WaySweep = append(bd.WaySweep, point(ways, 0, bs, cs))
 		})
 	}
-	add("two-word bus", o.baseCache(cache.OptionsAll()), bus.Timing{MemCycles: 8, WidthWords: 2},
+	add("two-word bus", BaseCache(cache.OptionsAll()), bus.Timing{MemCycles: 8, WidthWords: 2},
 		func(bd *BenchData, bs bus.Stats, _ cache.Stats) { bd.Width2 = bs })
 	// The protocol baselines replay unoptimized, in registry order. PIM's
 	// is the Table 4 "None" row.
@@ -110,23 +110,21 @@ func (o Options) replayJobs() []replayJob {
 		if p == cache.ProtocolPIM {
 			continue
 		}
-		cfg := o.baseCache(cache.OptionsNone())
+		cfg := BaseCache(cache.OptionsNone())
 		cfg.Protocol = p
 		add(p.String(), cfg, dt, func(bd *BenchData, bs bus.Stats, _ cache.Stats) { bd.ProtoBus[p] = bs })
 	}
 	return jobs
 }
 
-// replay runs r against tr and keeps its result in r. Both engines run
-// every distinct replay through here, so it owns the shared bookkeeping:
-// the progress line, the replay/<bench> phase span, the <bench>/<label>
+// replay runs r against tr and keeps its result in r. Every distinct
+// replay's job runs through here, so it owns the replay bookkeeping: the
+// progress line, the replay/<bench> phase span, the <bench>/<label>
 // error label, and the counters. bench.replay.jobs and bench.replay.refs
 // count every row r serves, as if each had replayed the trace;
 // bench.replay.reused counts the rows served by another row's replay.
+// The pool checks Options.Context before it starts the job.
 func (o Options) replay(pw *progressLog, bench string, tr *trace.Trace, r *replayRun) error {
-	if err := o.ctx().Err(); err != nil {
-		return err
-	}
 	pw.Printf(bench, "replay %s (%d refs)", strings.Join(r.labels, ", "), tr.Len())
 	rows := uint64(len(r.labels))
 	o.Metrics.Counter("bench.replay.jobs").Add(rows)
@@ -142,7 +140,8 @@ func (o Options) replay(pw *progressLog, bench string, tr *trace.Trace, r *repla
 }
 
 // storeReplays fills bd from the finished replays, row by row in table
-// order — the one assembly pass both engines share.
+// order, once the pool has drained: completion order never reorders a
+// row.
 func storeReplays(bd *BenchData, jobs []replayJob) {
 	for _, j := range jobs {
 		j.store(bd, j.run.bus, j.run.cache)

@@ -45,9 +45,9 @@ func TestReplayTableSharesBaseConfig(t *testing.T) {
 }
 
 // TestCollectCountsReusedReplays runs a sweep that repeats the base
-// configuration on both engines and checks the replay counters: jobs and
-// refs count every table row as if it had replayed the trace, and
-// reused counts the rows another row's replay served.
+// configuration at one and eight jobs and checks the replay counters:
+// jobs and refs count every table row as if it had replayed the trace,
+// and reused counts the rows another row's replay served.
 func TestCollectCountsReusedReplays(t *testing.T) {
 	old := quickScales["Puzzle"]
 	quickScales["Puzzle"] = 2
@@ -63,7 +63,7 @@ func TestCollectCountsReusedReplays(t *testing.T) {
 		Benchmarks:      []string{"Puzzle"},
 	}
 	b, _ := programs.ByName("Puzzle")
-	_, tr, err := RunLive(b, o.ScaleFor(b), o.PEs, o.baseCache(cache.OptionsAll()), true)
+	_, tr, err := RunLive(b, o.ScaleFor(b), o.PEs, BaseCache(cache.OptionsAll()), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func TestStatsOnlyCollectRenderAll(t *testing.T) {
 	}
 	bd := data.Benches[0]
 	b, _ := programs.ByName("Puzzle")
-	_, tr, err := RunLive(b, bd.Scale, o.PEs, o.baseCache(cache.OptionsAll()), true)
+	_, tr, err := RunLive(b, bd.Scale, o.PEs, BaseCache(cache.OptionsAll()), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func (e *Engine) pollSlot(slot word.Addr) (word.Word, bool) {
 // boundaries (the paper's on-demand scheduler).
 func (e *Engine) pollRequests() {
 	e.sincePoll++
-	if e.sincePoll < e.sh.Cfg.PollInterval {
+	if e.sincePoll < pollInterval {
 		return
 	}
 	e.sincePoll = 0

@@ -56,11 +56,12 @@ const (
 	statusFloating = 1 // suspended, reachable only via suspension records
 )
 
+// pollInterval is how many reductions pass between polls of one
+// incoming work-request slot.
+const pollInterval = 2
+
 // Config tunes the runtime.
 type Config struct {
-	// PollInterval is how many reductions pass between polls of one
-	// incoming work-request slot (default 2).
-	PollInterval int
 	// MaxInstr aborts a runaway program after this many abstract
 	// instructions per PE (0 = unlimited).
 	MaxInstr uint64
@@ -72,7 +73,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard runtime tuning.
-func DefaultConfig() Config { return Config{PollInterval: 2} }
+func DefaultConfig() Config { return Config{} }
 
 // Shared is the cluster-wide runtime state. The Go-level fields mirror
 // what the paper treats as processor registers and system metadata
@@ -135,9 +136,6 @@ func newShared(im *compile.Image, m *machine.Machine, cfg Config) (*Shared, erro
 	if len(im.Code) > instCap {
 		return nil, fmt.Errorf("emulator: code (%d words) exceeds instruction area (%d words)",
 			len(im.Code), instCap)
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2
 	}
 	for i, w := range im.Code {
 		memory.Write(b.InstBase+word.Addr(i), w)

@@ -9,7 +9,7 @@ import (
 // Bump is the heap allocator: per-PE bump allocation over a private
 // segment of the shared heap area. KL1 allocates new structures at the
 // top of the heap ("an ever-growing stack"); reclamation is only by the
-// copying garbage collector, which resets Next.
+// copying garbage collector, whose Flip empties the other half.
 //
 // The allocation pointer itself is processor state (a register in the
 // paper's accounting), so Alloc generates no simulated memory references;
@@ -44,9 +44,6 @@ func NewSemispace(base, limit word.Addr) *Bump {
 	}
 }
 
-// Semispace reports whether the allocator has a flip target.
-func (b *Bump) Semispace() bool { return b.semispace }
-
 // OtherBase returns the inactive half's base (semispace allocators only).
 func (b *Bump) OtherBase() word.Addr { return b.otherBase }
 
@@ -77,27 +74,11 @@ func (b *Bump) Alloc(n int) (a word.Addr, ok bool) {
 	return a, true
 }
 
-// AllocAligned reserves n words starting at the next multiple of align.
-// The direct-write command only applies to writes that open a fresh cache
-// block, so the runtime block-aligns records it intends to DW.
-func (b *Bump) AllocAligned(n, align int) (a word.Addr, ok bool) {
-	next := (b.Next + word.Addr(align-1)) &^ word.Addr(align-1)
-	if next+word.Addr(n) > b.Limit {
-		return 0, false
-	}
-	b.Next = next + word.Addr(n)
-	return next, true
-}
-
 // Used reports the number of allocated words.
 func (b *Bump) Used() int { return int(b.Next - b.Base) }
 
 // Free reports the remaining capacity in words.
 func (b *Bump) Free() int { return int(b.Limit - b.Next) }
-
-// Reset rewinds the allocator to base (used after a copying collection
-// has evacuated the segment).
-func (b *Bump) Reset() { b.Next = b.Base }
 
 // FreeList manages fixed-size records within one PE's segment of a
 // record area (goal, suspension or communication). The paper states these

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"testing"
-	"testing/quick"
 
 	"pimcache/internal/kl1/word"
 )
@@ -123,35 +122,6 @@ func TestBumpAlloc(t *testing.T) {
 	if a3, ok := b.Alloc(2); !ok || a3 != 108 {
 		t.Errorf("exact-fit alloc = %d,%v", a3, ok)
 	}
-	b.Reset()
-	if b.Used() != 0 {
-		t.Error("Reset did not rewind")
-	}
-}
-
-func TestBumpAllocAligned(t *testing.T) {
-	b := NewBump(101, 200)
-	a, ok := b.AllocAligned(4, 4)
-	if !ok || a != 104 {
-		t.Fatalf("aligned alloc = %d,%v; want 104", a, ok)
-	}
-	// Already aligned: no padding.
-	a, ok = b.AllocAligned(4, 4)
-	if !ok || a != 108 {
-		t.Fatalf("second aligned alloc = %d, want 108", a)
-	}
-}
-
-func TestBumpAllocAlignedProperty(t *testing.T) {
-	f := func(start uint16, n, align uint8) bool {
-		al := 1 << (align % 5) // 1,2,4,8,16
-		b := NewBump(word.Addr(start), word.Addr(start)+1<<20)
-		a, ok := b.AllocAligned(int(n)+1, al)
-		return ok && int(a)%al == 0 && a >= word.Addr(start)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestFreeListAllocFree(t *testing.T) {
@@ -267,9 +237,6 @@ func TestDirectAccessor(t *testing.T) {
 
 func TestSemispaceFlip(t *testing.T) {
 	b := NewSemispace(100, 300)
-	if !b.Semispace() {
-		t.Fatal("not marked semispace")
-	}
 	if b.Base != 100 || b.Limit != 200 || b.OtherBase() != 200 || b.OtherLimit() != 300 {
 		t.Fatalf("halves wrong: %+v", b)
 	}

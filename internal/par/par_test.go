@@ -3,6 +3,8 @@ package par
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,12 @@ func TestJobs(t *testing.T) {
 	}
 	if Jobs(0) < 1 || Jobs(-1) < 1 {
 		t.Error("default job count must be at least one")
+	}
+	// The default follows GOMAXPROCS, not the CPU count: a run limited
+	// to one processor gains nothing from a second worker.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Jobs(0); got != 1 {
+		t.Errorf("Jobs(0) = %d under GOMAXPROCS(1), want 1", got)
 	}
 }
 
@@ -94,34 +102,13 @@ func TestPoolTasksMaySubmitTasks(t *testing.T) {
 	}
 }
 
-func TestPoolCancelDropsPending(t *testing.T) {
-	p := New(1)
-	held, release := make(chan struct{}), make(chan struct{})
-	var ran atomic.Int64
-	p.Go(func() error { close(held); <-release; return nil })
-	// Go starts one goroutine per task, so any task could win the single
-	// slot: submit the others only once the blocker holds it.
-	<-held
-	for i := 0; i < 10; i++ {
-		p.Go(func() error { ran.Add(1); return nil })
-	}
-	p.Cancel()
-	close(release)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 0 {
-		t.Errorf("%d pending tasks ran after Cancel", ran.Load())
-	}
-}
-
 func TestPoolCtxCancelDropsPendingAndReportsErr(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewCtx(ctx, 1)
 	held, release := make(chan struct{}), make(chan struct{})
 	var ran atomic.Int64
 	p.Go(func() error { close(held); <-release; return nil })
-	<-held // the blocker holds the slot (see TestPoolCancelDropsPending)
+	<-held // the blocker holds the only worker
 	for i := 0; i < 10; i++ {
 		p.Go(func() error { ran.Add(1); return nil })
 	}
@@ -145,5 +132,38 @@ func TestPoolCtxTaskErrorWins(t *testing.T) {
 	p.Go(func() error { return boom })
 	if err := p.Wait(); !errors.Is(err, boom) {
 		t.Fatalf("Wait = %v, want boom", err)
+	}
+}
+
+// TestPoolOrder pins the order contract: one worker starts tasks in
+// submission order, and tasks a running task submits with GoNext start,
+// in the order given, before tasks queued earlier with Go.
+func TestPoolOrder(t *testing.T) {
+	p := New(1)
+	var order []string
+	task := func(name string) func() error {
+		return func() error { order = append(order, name); return nil }
+	}
+	release := make(chan struct{})
+	p.Go(func() error {
+		<-release // b, c and d are queued before a submits its follow-ups
+		order = append(order, "a")
+		p.GoNext(task("a1"), task("a2"))
+		return nil
+	})
+	p.Go(task("b"))
+	p.Go(func() error {
+		order = append(order, "c")
+		p.GoNext(task("c2"))
+		p.GoNext(task("c1"))
+		return nil
+	})
+	p.Go(task("d"))
+	close(release)
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "a1", "a2", "b", "c", "c1", "c2", "d"}; !slices.Equal(order, want) {
+		t.Errorf("start order %v, want %v", order, want)
 	}
 }
