@@ -372,7 +372,6 @@ func replay(args []string) {
 	if tel.On() {
 		mode = "probed"
 	}
-	phase := "replay/" + mode
 
 	// The trace streams through the validating decoder during the replay
 	// itself — the reference slice is never materialized, so multi-
@@ -438,27 +437,27 @@ func replay(args []string) {
 		wd.Pet()
 	})
 	ckptWrites := reg.Counter("replay.checkpoints")
-	ck := bench.CheckpointOptions{Every: *ckptEvery, Path: *ckptPath}
-	if *ckptEvery > 0 {
-		ck.OnCheckpoint = func(at uint64) error {
-			ckptWrites.Inc()
-			wd.Pet()
-			if *chaosExitAfter > 0 && ckptWrites.Value() >= uint64(*chaosExitAfter) {
-				hb.Stop()
-				fmt.Fprintf(os.Stderr, "pimtrace: chaos exit after %d checkpoints (at ref %d)\n",
-					*chaosExitAfter, at)
-				os.Exit(3)
-			}
-			return nil
+	ck := bench.CheckpointOptions{Every: *ckptEvery, Write: func(s *machine.Snapshot) error {
+		if err := s.WriteFile(*ckptPath); err != nil {
+			return err
 		}
-	}
+		ckptWrites.Inc()
+		wd.Pet()
+		if *chaosExitAfter > 0 && ckptWrites.Value() >= uint64(*chaosExitAfter) {
+			hb.Stop()
+			fmt.Fprintf(os.Stderr, "pimtrace: chaos exit after %d checkpoints (at ref %d)\n",
+				*chaosExitAfter, s.RefsReplayed)
+			os.Exit(3)
+		}
+		return nil
+	}}
 	t0 := time.Now()
 	var out *bench.ReplayOutcome
-	err = ph.Time(phase, func() error {
+	err = ph.Time("replay/"+mode, func() error {
 		out, err = bench.ReplayReaderResumable(ctx, d, ccfg, timing, probes.Sink, ck, snap)
 		return err
 	})
-	workSeconds := time.Since(t0).Seconds()
+	elapsed := time.Since(t0)
 	hb.Stop()
 	if errors.Is(err, bench.ErrForeignCheckpoint) {
 		err = fmt.Errorf("%s: %w", *ckptPath, err)
@@ -467,6 +466,7 @@ func replay(args []string) {
 		fail(err)
 	}
 	bs, cs, refs := out.Bus, out.Cache, out.Refs
+	reg.Counter("replay.seek_ns").Add(uint64(out.SeekTime))
 	reg.Counter("trace.decode_ns").Add(uint64(out.DecodeTime))
 	reg.Counter("replay.stall_ns").Add(uint64(out.StallTime))
 	if err := stopProfiles(); err != nil {
@@ -493,9 +493,11 @@ func replay(args []string) {
 		man.Stats = obs.NewRunStats(refs, cs, bs)
 		man.Timing.TraceFile = fs.Arg(0)
 		man.Timing.Profiles = prof.Paths()
-		// The throughput counts only the references this run replayed; a
-		// resumed run's statistics still cover the whole trace.
-		man.FinishTiming(ph, reg, refs-resumedAt, workSeconds)
+		// The throughput counts only the references this run replayed,
+		// over its replay time: a resume's restore and seek are
+		// replay.seek_ns, not work. Its statistics still cover the whole
+		// trace.
+		man.FinishTiming(ph, reg, refs-resumedAt, (elapsed - out.SeekTime).Seconds())
 		if err := man.WriteFile(*manifestPath); err != nil {
 			fail(err)
 		}

@@ -277,11 +277,11 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResumeManifestThroughput pins a resumed replay's throughput to the
-// references that run replayed: its manifest's mrefs_per_sec times its
-// work time is the trace's length less the checkpoint's position, while
-// the statistics (and their reference count) still cover the whole trace.
-func TestResumeManifestThroughput(t *testing.T) {
+// resumedManifest replays a small trace until the chaos exit after its
+// second checkpoint, resumes it with a manifest, and returns the
+// manifest and the checkpoint the run resumed from.
+func resumedManifest(t *testing.T) (*obs.Manifest, *machine.Snapshot) {
+	t.Helper()
 	dir := t.TempDir()
 	tr := synthTrace(t, dir)
 	ck := []string{"replay", "-checkpoint-every", "5000", "-checkpoint", "x.ckpt"}
@@ -299,6 +299,15 @@ func TestResumeManifestThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, snap
+}
+
+// TestResumeManifestThroughput pins a resumed replay's throughput to the
+// references that run replayed: its manifest's mrefs_per_sec times its
+// work time is the trace's length less the checkpoint's position, while
+// the statistics (and their reference count) still cover the whole trace.
+func TestResumeManifestThroughput(t *testing.T) {
+	m, snap := resumedManifest(t)
 	total := m.Trace.Refs
 	if snap.RefsReplayed <= 0 || uint64(snap.RefsReplayed) >= total {
 		t.Fatalf("checkpoint at ref %d of %d: want one inside the trace", snap.RefsReplayed, total)
@@ -307,6 +316,29 @@ func TestResumeManifestThroughput(t *testing.T) {
 	if got := m.Timing.MrefsPerSec * 1e6 * m.Timing.WorkSeconds; math.Abs(got-want) > 1e-6*want {
 		t.Errorf("mrefs_per_sec × work_seconds = %.0f refs, want the %.0f this run replayed (trace %d, resumed at %d)",
 			got, want, total, snap.RefsReplayed)
+	}
+}
+
+// TestResumeTimesSeekApart: a resumed replay's restore and seek are
+// reported as the metric replay.seek_ns, not as replay work, and the
+// timed phase is named for the run's mode, replay/resume.
+func TestResumeTimesSeekApart(t *testing.T) {
+	m, _ := resumedManifest(t)
+	var seek int64 = -1
+	for _, mt := range m.Timing.Metrics {
+		if mt.Name == "replay.seek_ns" {
+			seek = mt.Value
+		}
+	}
+	if seek <= 0 {
+		t.Errorf("replay.seek_ns = %d, want the resume's seek time (metrics %+v)", seek, m.Timing.Metrics)
+	}
+	var phases []string
+	for _, p := range m.Timing.Phases {
+		phases = append(phases, p.Path)
+	}
+	if m.Config.Mode != "resume" || !reflect.DeepEqual(phases, []string{"replay/resume"}) {
+		t.Errorf("mode %q, phases %v; want mode resume timed as replay/resume", m.Config.Mode, phases)
 	}
 }
 

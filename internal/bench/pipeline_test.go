@@ -101,7 +101,8 @@ func blockedLRTrace(t *testing.T, w *trace.Trace, at int) *trace.Trace {
 
 // TestResumePipelineEarlyExits drives every way the pipelined replay can
 // return — success, a decode error, a blocked LR, a canceled context, a
-// failed checkpoint write and an aborting OnCheckpoint hook — and pins,
+// failed first checkpoint write and a writer that stops the run at its
+// second checkpoint, as the chaos harness's kill does — and pins,
 // for each: the error text and replayed count a serial chunk-by-chunk
 // replay returns (a decode error only once every earlier chunk has
 // replayed), no Read on the stream after the return, and the decoder
@@ -151,14 +152,13 @@ func TestResumePipelineEarlyExits(t *testing.T) {
 			ck:      CheckpointOptions{Every: 5000, Write: func(*machine.Snapshot) error { return injected }},
 			wantErr: "bench: writing checkpoint at ref 8192: disk full", wantRefs: 8192},
 		{name: "on-checkpoint", raw: raw,
-			ck: CheckpointOptions{Every: 5000, Write: func(*machine.Snapshot) error { return nil },
-				OnCheckpoint: func(at uint64) error {
-					if at >= 16384 {
-						return chaos.ErrKilled
-					}
-					return nil
-				}},
-			wantErr: chaos.ErrKilled.Error(), wantRefs: 16384},
+			ck: CheckpointOptions{Every: 5000, Write: func(s *machine.Snapshot) error {
+				if s.RefsReplayed >= 16384 {
+					return chaos.ErrKilled
+				}
+				return nil
+			}},
+			wantErr: "bench: writing checkpoint at ref 16384: " + chaos.ErrKilled.Error(), wantRefs: 16384},
 	}
 	for _, c := range cases {
 		withProcs(t, c.name, func(t *testing.T) {
@@ -166,7 +166,7 @@ func TestResumePipelineEarlyExits(t *testing.T) {
 			defer cancel()
 			ck := c.ck
 			if c.cancel {
-				ck.OnCheckpoint = func(uint64) error { cancel(); return nil }
+				ck.Write = func(*machine.Snapshot) error { cancel(); return nil }
 			}
 			g := &lateReadGuard{r: bytes.NewReader(c.raw)}
 			d, err := trace.NewReader(g)
@@ -208,17 +208,14 @@ func TestResumePipelineEarlyExits(t *testing.T) {
 func TestResumeCheckpointPositions(t *testing.T) {
 	_, raw := resumeWorkload(t, 20_000)
 	var snaps []*machine.Snapshot
-	var hooked []uint64
 	_, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw), cache.DefaultConfig(), bus.DefaultTiming(), nil,
-		CheckpointOptions{Every: 5000,
-			Write:        func(s *machine.Snapshot) error { snaps = append(snaps, s); return nil },
-			OnCheckpoint: func(at uint64) error { hooked = append(hooked, at); return nil }}, nil)
+		CheckpointOptions{Every: 5000, Write: func(s *machine.Snapshot) error { snaps = append(snaps, s); return nil }}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{8192, 16384}
-	if fmt.Sprint(hooked) != fmt.Sprint(want) || len(snaps) != len(want) {
-		t.Fatalf("checkpoints at %v (%d written), want %v", hooked, len(snaps), want)
+	if len(snaps) != len(want) {
+		t.Fatalf("%d checkpoints written, want %d, at %v", len(snaps), len(want), want)
 	}
 	for i, s := range snaps {
 		d := newStreamReader(t, raw)
@@ -236,8 +233,8 @@ func TestResumeCheckpointPositions(t *testing.T) {
 // checkpoint resumes only into the trace it was taken from. A trace with
 // another seed, or with the same header but one different reference
 // before the checkpoint, fails with ErrForeignCheckpoint naming the
-// checkpoint's position; a snapshot without an identity, as older builds
-// wrote, still resumes.
+// checkpoint's position, and a checkpoint without an identity is
+// refused, since nothing shows it was taken from this trace.
 func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 	tr, raw := resumeWorkload(t, 20_000)
 	ccfg := cache.DefaultConfig()
@@ -248,8 +245,7 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 	}
 	var snap *machine.Snapshot
 	_, err = ReplayReaderResumable(context.Background(), newStreamReader(t, raw), ccfg, timing, nil,
-		CheckpointOptions{Every: 5000, Write: func(s *machine.Snapshot) error { snap = s; return nil },
-			OnCheckpoint: func(uint64) error { return chaos.ErrKilled }}, nil)
+		CheckpointOptions{Every: 5000, Write: func(s *machine.Snapshot) error { snap = s; return chaos.ErrKilled }}, nil)
 	if !errors.Is(err, chaos.ErrKilled) {
 		t.Fatal(err)
 	}
@@ -279,15 +275,18 @@ func TestResumeRefusesForeignCheckpoint(t *testing.T) {
 		}
 	}
 
-	older := *snap
-	older.Trace = nil
-	for _, s := range []*machine.Snapshot{snap, &older} {
-		out, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw), ccfg, timing, nil, CheckpointOptions{}, s)
-		if err != nil {
-			t.Fatalf("resume (identity recorded: %v): %v", s.Trace != nil, err)
-		}
-		if out.Refs != ref.Refs || out.Bus != ref.Bus || out.Cache != ref.Cache {
-			t.Errorf("resume (identity recorded: %v) diverged from the uninterrupted run", s.Trace != nil)
-		}
+	anonymous := *snap
+	anonymous.Trace = nil
+	_, err = ReplayReaderResumable(context.Background(), newStreamReader(t, raw), ccfg, timing, nil, CheckpointOptions{}, &anonymous)
+	if want := "bench: resume: checkpoint at ref 8192 names no trace to match this one against"; err == nil || err.Error() != want {
+		t.Errorf("resume from a checkpoint without a trace identity: %v, want %q", err, want)
+	}
+
+	out, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw), ccfg, timing, nil, CheckpointOptions{}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Refs != ref.Refs || out.Bus != ref.Bus || out.Cache != ref.Cache {
+		t.Error("resume on its own trace diverged from the uninterrupted run")
 	}
 }

@@ -20,18 +20,13 @@ type CheckpointOptions struct {
 	// Every is the checkpoint cadence in replayed references; 0 disables
 	// checkpointing.
 	Every uint64
-	// Path is where checkpoints land. Each write is atomic (temp +
-	// fsync + rename), so a crash at any instant leaves either the
-	// previous or the new checkpoint intact — never a torn one.
-	Path string
-	// Write overrides the checkpoint write (tests inject fault writers
-	// here); nil means Snapshot.WriteFile(Path).
+	// Write persists each checkpoint (pimtrace's does Snapshot.WriteFile,
+	// which is atomic: a crash at any instant leaves either the previous
+	// or the new checkpoint intact, never a torn one). It runs on every
+	// checkpoint with the snapshot's RefsReplayed set; a non-nil error
+	// aborts the replay, so a writer can also stop a run at a
+	// reproducible point (the chaos harness returns chaos.ErrKilled).
 	Write func(*machine.Snapshot) error
-	// OnCheckpoint runs after each checkpoint is durable, with the
-	// absolute replayed-reference count it captured. A non-nil error
-	// aborts the replay — the chaos harness returns chaos.ErrKilled
-	// here to die at a reproducible point.
-	OnCheckpoint func(refs uint64) error
 }
 
 // ReplayOutcome is the result of a (possibly resumed) streaming replay.
@@ -41,14 +36,15 @@ type ReplayOutcome struct {
 	// Refs is the absolute reference count the statistics reflect,
 	// including references replayed before the resume point.
 	Refs uint64
-	// Checkpoints counts durable checkpoint writes this run performed.
-	Checkpoints int
+	// SeekTime is the host time a resume spent restoring the checkpoint
+	// and seeking the reader to its position, before the replay starts.
+	SeekTime time.Duration
 	// DecodeTime is the host time the decoder goroutine spent in
 	// Reader.Next (reading, checksums, any tee on the source, decoding);
 	// StallTime is the time the replay waited on an empty ring. A run
 	// whose StallTime is a large share of its wall time was
-	// decode-bound. Host timing only: no simulated result depends on
-	// either.
+	// decode-bound. Host timing only, as SeekTime is: no simulated
+	// result depends on any of them.
 	DecodeTime, StallTime time.Duration
 }
 
@@ -75,31 +71,27 @@ var ErrForeignCheckpoint = errors.New("taken from a different trace")
 // owns d and its source again when this returns.
 //
 // With resume nil it replays d from the top. With resume set (a
-// snapshot a previous, interrupted run checkpointed — by this stats-only
-// replay or by an older data-carrying one) it restores the machine,
-// seeks the reader to the recorded position — re-validating every
-// skipped chunk's checksum on the way — checks that the snapshot was
-// taken from this trace (ErrForeignCheckpoint otherwise; snapshots from
-// builds that did not record the trace are trusted), and replays the
-// rest. Either way the returned statistics are bit-identical to an
-// uninterrupted replay of the whole stream: the resume protocol's
-// core guarantee, pinned by TestResumeBitIdentical and the soak
-// kill/resume oracle.
+// checkpoint a previous, interrupted replay wrote) it refuses a
+// checkpoint that names no trace, restores the machine, seeks the
+// reader to the recorded chunk boundary — re-validating every skipped
+// chunk's checksum on the way — checks that the checkpoint was taken
+// from this trace (ErrForeignCheckpoint otherwise), and replays the
+// rest; the restore and seek are timed apart from the replay, as
+// SeekTime. Either way the returned statistics are bit-identical to an
+// uninterrupted replay of the whole stream: the resume protocol's core
+// guarantee, pinned by TestResumeBitIdentical and the soak kill/resume
+// oracle.
 //
 // The context is checked between chunks (a few thousand references),
 // so cancellation latency is microseconds; a canceled replay returns
 // ctx's error with the replayed count, and any checkpoint already
 // written remains valid to resume from.
 func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Config, timing bus.Timing, sink probe.Sink, ck CheckpointOptions, resume *machine.Snapshot) (*ReplayOutcome, error) {
-	if ck.Every > 0 && ck.Path == "" && ck.Write == nil {
-		return nil, fmt.Errorf("bench: checkpointing enabled (every %d refs) without a path", ck.Every)
+	if ck.Every > 0 && ck.Write == nil {
+		return nil, fmt.Errorf("bench: checkpointing enabled (every %d refs) without a writer", ck.Every)
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	write := ck.Write
-	if write == nil && ck.Every > 0 {
-		write = func(s *machine.Snapshot) error { return s.WriteFile(ck.Path) }
 	}
 
 	m, ports := newReplayMachine(d.PEs(), d.Layout(), ccfg, timing, sink)
@@ -111,8 +103,12 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 	header := machine.TraceIdentity{PEs: d.PEs(), Layout: d.Layout(), Refs: d.Len()}
 	out := &ReplayOutcome{}
 	if resume != nil {
-		if resume.RefsReplayed < 0 {
+		t0 := time.Now()
+		switch {
+		case resume.RefsReplayed < 0:
 			return nil, fmt.Errorf("bench: resume snapshot has negative replay position %d", resume.RefsReplayed)
+		case resume.Trace == nil:
+			return nil, fmt.Errorf("bench: resume: checkpoint at ref %d names no trace to match this one against", resume.RefsReplayed)
 		}
 		if err := m.Restore(resume); err != nil {
 			return nil, fmt.Errorf("bench: resume: %w", err)
@@ -120,11 +116,12 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 		if err := d.SkipTo(uint64(resume.RefsReplayed)); err != nil {
 			return nil, fmt.Errorf("bench: resume seek: %w", err)
 		}
-		if want, got := resume.Trace, header.At(d.Chain()); want != nil && *want != *got {
+		if want, got := resume.Trace, header.At(d.Chain()); *want != *got {
 			return nil, fmt.Errorf("bench: resume: checkpoint at ref %d: %w (checkpoint: %v; this trace: %v)",
 				resume.RefsReplayed, ErrForeignCheckpoint, want, got)
 		}
 		out.Refs = uint64(resume.RefsReplayed)
+		out.SeekTime = time.Since(t0)
 	}
 
 	dec := startDecoder(d)
@@ -149,19 +146,13 @@ func ReplayReaderResumable(ctx context.Context, d *trace.Reader, ccfg cache.Conf
 			snap := m.Checkpoint()
 			snap.RefsReplayed = int(out.Refs)
 			snap.Trace = header.At(c.chain)
-			if err := write(snap); err != nil {
+			if err := ck.Write(snap); err != nil {
 				// The previous checkpoint (if any) is intact on disk; the
 				// run aborts cleanly rather than continue without the
 				// durability it was asked for.
 				return out, fmt.Errorf("bench: writing checkpoint at ref %d: %w", out.Refs, err)
 			}
-			out.Checkpoints++
 			sinceCkpt = 0
-			if ck.OnCheckpoint != nil {
-				if err := ck.OnCheckpoint(out.Refs); err != nil {
-					return out, err
-				}
-			}
 		}
 		if done {
 			break

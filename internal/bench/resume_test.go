@@ -43,22 +43,18 @@ func newStreamReader(t testing.TB, raw []byte) *trace.Reader {
 	return d
 }
 
-// resumeConfigs are the protocol × checkpoint-plane points the resume
-// oracle covers. StatsOnly selects the machine the checkpoint comes
-// from: true is the replay's own stats-only machine, false a
-// data-carrying one, as older builds wrote.
+// resumeConfigs are the protocols the resume oracle covers, each on the
+// stats-only machine every replay (and so every checkpoint) runs on.
 func resumeConfigs() []cache.Config {
 	var cfgs []cache.Config
 	for _, proto := range []cache.Protocol{
 		cache.ProtocolPIM, cache.ProtocolIllinois, cache.ProtocolWriteThrough,
 	} {
-		for _, statsOnly := range []bool{false, true} {
-			ccfg := cache.DefaultConfig()
-			ccfg.Options = cache.OptionsAll()
-			ccfg.Protocol = proto
-			ccfg.StatsOnly = statsOnly
-			cfgs = append(cfgs, ccfg)
-		}
+		ccfg := cache.DefaultConfig()
+		ccfg.Options = cache.OptionsAll()
+		ccfg.Protocol = proto
+		ccfg.StatsOnly = true
+		cfgs = append(cfgs, ccfg)
 	}
 	return cfgs
 }
@@ -70,11 +66,9 @@ func configLabel(ccfg cache.Config) string {
 // TestResumeBitIdentical is the tentpole oracle: a replay killed at a
 // checkpoint and resumed from the durable snapshot finishes with
 // bus and cache statistics bit-identical to the uninterrupted run —
-// across all three protocols, resuming from the replay's own stats-only
-// checkpoint or from a data-carrying machine's checkpoint taken at the
-// same position.
+// across all three protocols.
 func TestResumeBitIdentical(t *testing.T) {
-	tr, raw := resumeWorkload(t, 30_000)
+	_, raw := resumeWorkload(t, 30_000)
 	timing := bus.DefaultTiming()
 	for _, ccfg := range resumeConfigs() {
 		ccfg := ccfg
@@ -91,8 +85,12 @@ func TestResumeBitIdentical(t *testing.T) {
 			kill := chaos.KillAfter(2)
 			out, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw),
 				ccfg, timing, nil,
-				CheckpointOptions{Every: 7000, Path: ckpt, OnCheckpoint: func(uint64) error { return kill() }},
-				nil)
+				CheckpointOptions{Every: 7000, Write: func(s *machine.Snapshot) error {
+					if err := s.WriteFile(ckpt); err != nil {
+						return err
+					}
+					return kill()
+				}}, nil)
 			if !errors.Is(err, chaos.ErrKilled) {
 				t.Fatalf("interrupted run: err=%v, want ErrKilled (outcome %+v)", err, out)
 			}
@@ -105,9 +103,6 @@ func TestResumeBitIdentical(t *testing.T) {
 			// two checkpoints of Every=7000 over 4096-ref chunks → 16384.
 			if snap.RefsReplayed <= 7000 || uint64(snap.RefsReplayed) >= ref.Refs {
 				t.Fatalf("checkpoint at ref %d, want inside (7000, %d)", snap.RefsReplayed, ref.Refs)
-			}
-			if !ccfg.StatsOnly {
-				snap = dataCheckpoint(t, tr, ccfg, timing, snap.RefsReplayed, filepath.Join(t.TempDir(), "data.ckpt"))
 			}
 			resumed, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw),
 				ccfg, timing, nil, CheckpointOptions{}, snap)
@@ -126,29 +121,6 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 		})
 	}
-}
-
-// dataCheckpoint replays tr's first k refs on a data-carrying machine and
-// round-trips its checkpoint through a file at path.
-func dataCheckpoint(t *testing.T, tr *trace.Trace, ccfg cache.Config, timing bus.Timing, k int, path string) *machine.Snapshot {
-	t.Helper()
-	m, ports := dataMachine(tr.PEs, tr.Layout, ccfg, timing)
-	if err := trace.ReplayRange(tr, ports, 0, k); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Checkpoint()
-	snap.RefsReplayed = k
-	if len(snap.Memory) == 0 {
-		t.Fatal("data-carrying checkpoint has no memory image")
-	}
-	if err := snap.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := machine.ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }
 
 // TestResumeCancellation pins prompt, labeled cancellation: a context
@@ -170,11 +142,11 @@ func TestResumeCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ckpt := filepath.Join(t.TempDir(), "resume.ckpt")
 	out, err := ReplayReaderResumable(ctx, newStreamReader(t, raw), ccfg, timing, nil,
-		CheckpointOptions{Every: 5000, Path: ckpt, OnCheckpoint: func(refs uint64) error {
-			if refs >= 10_000 {
+		CheckpointOptions{Every: 5000, Write: func(s *machine.Snapshot) error {
+			if s.RefsReplayed >= 10_000 {
 				cancel() // next inter-chunk check sees it
 			}
-			return nil
+			return s.WriteFile(ckpt)
 		}}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled (outcome %+v)", err, out)
@@ -205,8 +177,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	timing := bus.DefaultTiming()
 	var captured *machine.Snapshot
 	_, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw), ccfg, timing, nil,
-		CheckpointOptions{Every: 4000, Write: func(s *machine.Snapshot) error { captured = s; return nil },
-			OnCheckpoint: func(uint64) error { return chaos.ErrKilled }}, nil)
+		CheckpointOptions{Every: 4000, Write: func(s *machine.Snapshot) error { captured = s; return chaos.ErrKilled }}, nil)
 	if !errors.Is(err, chaos.ErrKilled) {
 		t.Fatal(err)
 	}
@@ -293,7 +264,7 @@ func TestChaosMatrixResume(t *testing.T) {
 			writes := 0
 			out, err := ReplayReaderResumable(context.Background(), newStreamReader(t, raw),
 				ccfg, timing, nil,
-				CheckpointOptions{Every: 5000, Path: ckpt, Write: func(s *machine.Snapshot) error {
+				CheckpointOptions{Every: 5000, Write: func(s *machine.Snapshot) error {
 					writes++
 					if writes == faultAt || armed && writes == 1 {
 						return writeSnapshotFaulted(ckpt, s, f)

@@ -287,7 +287,7 @@ func TestRefAreaClassified(t *testing.T) {
 	}
 	check("Read", read.Layout, slices.Concat(read.Chunks...))
 
-	for _, skip := range []uint64{0, 5000} {
+	for _, skip := range []uint64{0, trace.ChunkRefs} {
 		d, err := trace.NewReader(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +296,7 @@ func TestRefAreaClassified(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []trace.Ref
-		chunk := make([]trace.Ref, 1000)
+		chunk := make([]trace.Ref, trace.ChunkRefs)
 		for {
 			n, err := d.Next(chunk)
 			got = append(got, chunk[:n]...)

@@ -15,14 +15,15 @@ type LockEntrySnapshot struct {
 	State LockState
 }
 
-// Snapshot is a complete, self-contained copy of a cache's mutable state:
-// the directory (each frame's state and block base, unpacked from the tag
-// plane; an invalid frame's base is 0), the LRU and data planes, the LRU
-// clock, the lock directory, the busy-wait latch and the statistics. It
-// contains everything needed to make Restore followed by replaying refs
-// [k, n) bit-identical to an uninterrupted replay of refs [0, n) —
-// including probe event streams, because the probe clock lives on the bus
-// and is captured by bus.Snapshot.
+// Snapshot is a self-contained copy of a stats-only cache's mutable
+// state: the directory (each frame's state and block base, unpacked from
+// the tag plane; an invalid frame's base is 0), the LRU plane and clock,
+// the lock directory, the busy-wait latch and the statistics. It holds no
+// data plane — no statistic depends on a value — yet contains everything
+// needed to make Restore followed by replaying refs [k, n) bit-identical
+// to an uninterrupted replay of refs [0, n), including probe event
+// streams, because the probe clock lives on the bus and is captured by
+// bus.Snapshot.
 //
 // All fields are exported and of serializable types so the machine-level
 // checkpoint can gob-encode snapshots directly.
@@ -30,7 +31,6 @@ type Snapshot struct {
 	States   []State
 	Bases    []word.Addr
 	LRU      []uint64
-	Data     []word.Word
 	LRUClock uint64
 	// UpdCounts is the adaptive protocol's per-frame received-update
 	// counter plane; nil for every other protocol, so their encoded
@@ -52,7 +52,6 @@ func (c *Cache) Snapshot() *Snapshot {
 		States:    make([]State, len(c.tags)),
 		Bases:     make([]word.Addr, len(c.tags)),
 		LRU:       append([]uint64(nil), c.lru...),
-		Data:      append([]word.Word(nil), c.data...),
 		LRUClock:  c.lruClock,
 		UpdCounts: append([]uint8(nil), c.updCounts...),
 		Locks:     make([]LockEntrySnapshot, len(c.dir.entries)),
@@ -70,8 +69,9 @@ func (c *Cache) Snapshot() *Snapshot {
 }
 
 // Restore overwrites the cache's mutable state from a snapshot taken on a
-// cache with the same configuration. A stats-only cache drops the
-// snapshot's data plane, if it has one. A snapshot that fails
+// cache with the same configuration. A snapshot holds no data plane, so
+// a data-carrying cache keeps its own (machine.Restore therefore
+// restores only stats-only machines). A snapshot that fails
 // checkSnapshot is refused before anything is copied. The bus presence
 // and lock filters are derived state, not part of any snapshot: Restore
 // takes the frames and locks the cache held out of them and puts the
@@ -90,7 +90,6 @@ func (c *Cache) Restore(s *Snapshot) error {
 		}
 	}
 	copy(c.lru, s.LRU)
-	copy(c.data, s.Data)
 	c.lruClock = s.LRUClock
 	copy(c.updCounts, s.UpdCounts)
 	for i, e := range s.Locks {
@@ -137,10 +136,9 @@ func (c *Cache) announce(join bool) {
 // released).
 func (c *Cache) checkSnapshot(s *Snapshot) error {
 	frames := len(c.tags)
-	if len(s.States) != frames || len(s.Bases) != frames || len(s.LRU) != frames ||
-		!c.noData && len(s.Data) != len(c.data) {
-		return fmt.Errorf("cache: snapshot geometry %d states/%d bases/%d LRU clocks/%d words does not match cache %d frames/%d words",
-			len(s.States), len(s.Bases), len(s.LRU), len(s.Data), frames, len(c.data))
+	if len(s.States) != frames || len(s.Bases) != frames || len(s.LRU) != frames {
+		return fmt.Errorf("cache: snapshot geometry %d states/%d bases/%d LRU clocks does not match cache %d frames",
+			len(s.States), len(s.Bases), len(s.LRU), frames)
 	}
 	if len(s.Locks) != len(c.dir.entries) {
 		return fmt.Errorf("cache: snapshot has %d lock entries, cache has %d",

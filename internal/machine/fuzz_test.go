@@ -24,7 +24,6 @@ func fuzzWorkload(tb testing.TB) (*trace.Trace, machine.Config, []byte) {
 	tr := synth.ORParallel(c)
 	ccfg := cache.DefaultConfig()
 	ccfg.Options = cache.OptionsAll()
-	ccfg.StatsOnly = true
 	m, ports := replayMachine(tr, ccfg)
 	k := tr.Len() / 3
 	if err := trace.ReplayRange(tr, ports, 0, k); err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,45 +13,41 @@ import (
 
 	"pimcache/internal/bus"
 	"pimcache/internal/cache"
-	"pimcache/internal/kl1/word"
 	"pimcache/internal/mem"
 	"pimcache/internal/safeio"
 )
 
-// Snapshot is a complete machine checkpoint: configuration, shared
-// memory, bus state (statistics and probe clock) and every cache's
-// planes, lock directory and statistics. The bus presence and lock
-// filters are derived from the caches and rebuilt on restore, so no
-// checkpoint stores them. Restoring a snapshot into a machine of the
-// same configuration and then continuing a trace replay produces
-// bit-identical statistics and probe event streams to the
-// uninterrupted run — the property TestCheckpointResume pins and
-// resumable replay (bench.ReplayReaderResumable) relies on.
+// Snapshot is a checkpoint of a stats-only trace replay: the machine's
+// configuration, the replay position, the bus state (statistics and
+// probe clock), every cache's planes, lock directory and statistics, and
+// the identity of the trace being replayed. It holds no data value: a
+// replay never reads one (DESIGN §11), so only a stats-only machine
+// takes or restores a checkpoint. The bus presence and lock filters are
+// derived from the caches and rebuilt on restore, so no checkpoint
+// stores them. Restoring a snapshot into a machine of the same
+// configuration and then continuing the replay produces bit-identical
+// statistics and probe event streams to the uninterrupted run — the
+// property TestCheckpointResume pins and resumable replay
+// (bench.ReplayReaderResumable) relies on.
 //
-// Processor state (the KL1 reduction engines attached via Attach) is NOT
-// captured: checkpoints exist for trace replay, where the reference
-// stream itself is the program and the machine's processors are unused.
+// gob matches fields by name and skips the ones it does not know, so a
+// checkpoint that older builds wrote with memory and cache-data images,
+// step and round counts still decodes (those are dropped), and one
+// written here decodes in those builds.
 type Snapshot struct {
 	// Config identifies the machine shape the snapshot was taken from;
 	// Restore refuses a mismatch rather than silently misinterpreting
 	// plane geometry.
 	Config Config
 	// RefsReplayed records how many references of the source trace had
-	// been replayed at the checkpoint, so a resumer knows where to
-	// continue. Purely advisory for non-replay uses (zero when the caller
-	// never sets it).
+	// been replayed at the checkpoint: the chunk boundary a resume
+	// continues from.
 	RefsReplayed int
-	Steps        uint64
-	Rounds       uint64
-	// Memory is a data-carrying machine's whole memory image, flat
-	// (nil from a stats-only machine). Restore allocates only the
-	// memory pages that hold a nonzero word.
-	Memory []word.Word
-	Bus    *bus.Snapshot
-	Caches []*cache.Snapshot
-	// Trace identifies the trace a replay checkpoint was taken from, at
-	// RefsReplayed, so a resume can refuse a different trace. Nil in
-	// snapshots from older builds and from non-replay uses.
+	Bus          *bus.Snapshot
+	Caches       []*cache.Snapshot
+	// Trace identifies the trace the checkpoint was taken from, at
+	// RefsReplayed, so a resume can refuse a different trace (and a
+	// checkpoint that names none).
 	Trace *TraceIdentity
 }
 
@@ -77,13 +74,10 @@ func (id TraceIdentity) String() string {
 		id.PEs, id.Layout.TotalWords(), id.Refs, id.Chain)
 }
 
-// Checkpoint captures the machine's complete simulated state.
+// Checkpoint captures the simulated state of a stats-only machine.
 func (m *Machine) Checkpoint() *Snapshot {
 	s := &Snapshot{
 		Config: m.cfg,
-		Steps:  m.steps,
-		Rounds: m.rounds,
-		Memory: m.memory.Snapshot(),
 		Bus:    m.bus.Snapshot(),
 		Caches: make([]*cache.Snapshot, len(m.caches)),
 	}
@@ -93,34 +87,25 @@ func (m *Machine) Checkpoint() *Snapshot {
 	return s
 }
 
-// Restore overwrites the machine's simulated state from a snapshot taken
-// on a machine with an identical configuration. Probe sinks and attached
-// processors are wiring, not simulated state, and are left as they are.
-//
-// The one tolerated difference is the data plane: a data-carrying
-// snapshot restores into a stats-only machine by dropping its data
-// image (no statistic depends on a value), so checkpoints written by a
-// data-carrying replay stay resumable. The reverse is refused — a
-// stats-only snapshot has no values to give a data-carrying machine.
+// Restore overwrites a stats-only machine's simulated state from a
+// snapshot taken on a machine of the same configuration; a data-carrying
+// machine is refused, since a snapshot holds no data image. Probe sinks
+// and attached processors are wiring, not simulated state, and are left
+// as they are.
 //
 // Restore checks the snapshot's structure (its sections, and each
 // cache's planes and lock entries), not the protocol invariants:
 // honest replays can break those (see CheckInvariants), and their
 // checkpoints must stay resumable.
 func (m *Machine) Restore(s *Snapshot) error {
-	cfg := s.Config
-	if cfg.Cache.StatsOnly && !m.cfg.Cache.StatsOnly {
-		return fmt.Errorf("machine: snapshot is stats-only (no data image) and cannot restore into a data-carrying machine")
+	if !m.cfg.Cache.StatsOnly {
+		return errDataCarrying
 	}
-	cfg.Cache.StatsOnly = m.cfg.Cache.StatsOnly
-	if cfg != m.cfg {
+	if s.Config != m.cfg {
 		return fmt.Errorf("machine: snapshot config %+v does not match machine %+v", s.Config, m.cfg)
 	}
 	if err := s.checkSections(len(m.caches)); err != nil {
 		return err
-	}
-	if err := m.memory.Restore(s.Memory); err != nil {
-		return fmt.Errorf("machine: %w", err)
 	}
 	m.bus.Restore(s.Bus)
 	for i, c := range m.caches {
@@ -128,10 +113,11 @@ func (m *Machine) Restore(s *Snapshot) error {
 			return fmt.Errorf("machine: PE %d: %w", i, err)
 		}
 	}
-	m.steps = s.Steps
-	m.rounds = s.Rounds
 	return nil
 }
+
+// errDataCarrying refuses a checkpoint for a data-carrying machine.
+var errDataCarrying = errors.New("machine: a checkpoint holds no data image and restores only into a stats-only machine")
 
 // checkSections refuses a snapshot that lacks a section a machine of
 // pes PEs restores from. (gob cannot encode a nil cache section, so a
@@ -147,13 +133,16 @@ func (s *Snapshot) checkSections(pes int) error {
 }
 
 // Verify checks s the way a resume does: it restores s into a stats-only
-// machine built from the configuration s records. The configuration is
-// validated first, and every cache section must have the plane lengths
-// it implies, so a forged geometry cannot make Verify build a cache
-// larger than the snapshot's own planes.
+// machine built from the configuration s records. A data-carrying
+// configuration is refused first, then the configuration is validated,
+// and every cache section must have the plane lengths it implies, so a
+// forged geometry cannot make Verify build a cache larger than the
+// snapshot's own planes.
 func (s *Snapshot) Verify() error {
 	cfg := s.Config
-	cfg.Cache.StatsOnly = true
+	if !cfg.Cache.StatsOnly {
+		return errDataCarrying
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -188,9 +177,9 @@ const SnapshotMagic = snapshotMagicV2
 const snapshotFrameBytes = 12
 
 // maxSnapshotBytes bounds the declared payload length DecodeSnapshot
-// trusts. The largest legitimate snapshots (full memory images of the
-// biggest sweep machines) are tens of megabytes; a corrupt length
-// field must not demand an absurd allocation.
+// trusts. A stats-only checkpoint of the default layout is tens of
+// kilobytes, and older builds' memory images tens of megabytes; a
+// corrupt length field must not demand an absurd allocation.
 const maxSnapshotBytes = 16 << 30
 
 var snapshotCRCTable = crc32.MakeTable(crc32.Castagnoli)

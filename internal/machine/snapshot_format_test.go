@@ -44,9 +44,8 @@ func restoreOK(t *testing.T, snap *machine.Snapshot, raw []byte) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.RefsReplayed != snap.RefsReplayed || got.Steps != snap.Steps || got.Config != snap.Config {
-		t.Fatalf("decoded snapshot differs: %d/%d refs, %d/%d steps",
-			got.RefsReplayed, snap.RefsReplayed, got.Steps, snap.Steps)
+	if got.RefsReplayed != snap.RefsReplayed || got.Config != snap.Config {
+		t.Fatalf("decoded snapshot differs: %d/%d refs", got.RefsReplayed, snap.RefsReplayed)
 	}
 	m := machine.New(machine.Config{
 		PEs: snap.Config.PEs, Layout: snap.Config.Layout,
@@ -167,15 +166,30 @@ func writeSnapshotTorn(path string, snap *machine.Snapshot) error {
 	})
 }
 
-// legacyBusSnapshot and legacySnapshot have the field names of the
-// checkpoint format that stored the bus presence and lock filters; gob
-// matches fields by name, so encoding them writes that format.
+// legacyBusSnapshot, legacyCacheSnapshot and legacySnapshot have the
+// field names of the checkpoint formats older builds wrote: sections for
+// the step and round counts, the memory image and each cache's data
+// plane, and a bus section that stored the presence and lock filters.
+// gob matches fields by name, so encoding them writes those formats.
 type legacyBusSnapshot struct {
 	Stats      bus.Stats
 	Presence   []uint64
 	LockCounts []uint32
 	TotalLocks int
 	Ticks      uint64
+}
+
+type legacyCacheSnapshot struct {
+	States    []cache.State
+	Bases     []word.Addr
+	LRU       []uint64
+	Data      []word.Word
+	LRUClock  uint64
+	UpdCounts []uint8
+	Locks     []cache.LockEntrySnapshot
+	Blocked   bool
+	BlockedOn word.Addr
+	Stats     cache.Stats
 }
 
 type legacySnapshot struct {
@@ -185,8 +199,24 @@ type legacySnapshot struct {
 	Rounds       uint64
 	Memory       []word.Word
 	Bus          *legacyBusSnapshot
-	Caches       []*cache.Snapshot
+	Caches       []*legacyCacheSnapshot
 	Trace        *machine.TraceIdentity
+}
+
+// legacyOf copies s, taken at ref k, into the older field layout, with
+// empty filter, memory and data sections.
+func legacyOf(s *machine.Snapshot, k int) *legacySnapshot {
+	old := &legacySnapshot{
+		Config: s.Config, RefsReplayed: k, Trace: s.Trace,
+		Bus: &legacyBusSnapshot{Stats: s.Bus.Stats, Ticks: s.Bus.Ticks},
+	}
+	for _, c := range s.Caches {
+		old.Caches = append(old.Caches, &legacyCacheSnapshot{
+			States: c.States, Bases: c.Bases, LRU: c.LRU, LRUClock: c.LRUClock, UpdCounts: c.UpdCounts,
+			Locks: c.Locks, Blocked: c.Blocked, BlockedOn: c.BlockedOn, Stats: c.Stats,
+		})
+	}
+	return old
 }
 
 // encodeFramed writes v in the PIMCKPT2 frame: magic, u64 payload
@@ -203,11 +233,12 @@ func encodeFramed(t *testing.T, v any) []byte {
 	return append(out, payload.Bytes()...)
 }
 
-// TestRestoreIgnoresStoredFilters: a checkpoint in the older format,
-// whose stored presence table and lock counts disagree with its caches,
-// resumes bit-identically, because Restore rebuilds the filters from
-// the caches instead of trusting the stored copy.
-func TestRestoreIgnoresStoredFilters(t *testing.T) {
+// resumeLegacy checkpoints a replay a third of the way through, writes
+// the checkpoint in the older layout with edit applied, and requires the
+// decoded checkpoint to verify and to resume to the uninterrupted
+// replay's statistics.
+func resumeLegacy(t *testing.T, edit func(old *legacySnapshot)) {
+	t.Helper()
 	tr := checkpointWorkload()
 	ccfg := cache.DefaultConfig()
 	ccfg.Options = cache.OptionsAll()
@@ -221,35 +252,60 @@ func TestRestoreIgnoresStoredFilters(t *testing.T) {
 	if err := trace.ReplayRange(tr, aPorts, 0, k); err != nil {
 		t.Fatal(err)
 	}
-	s := a.Checkpoint()
-	old := legacySnapshot{
-		Config: s.Config, RefsReplayed: k, Steps: s.Steps, Rounds: s.Rounds,
-		Memory: s.Memory, Caches: s.Caches,
-		Bus: &legacyBusSnapshot{
-			Stats:      s.Bus.Stats,
-			Presence:   make([]uint64, (tr.Layout.TotalWords()+ccfg.BlockWords-1)/ccfg.BlockWords),
-			LockCounts: make([]uint32, tr.PEs),
-			Ticks:      s.Bus.Ticks,
-		},
-	}
+	old := legacyOf(a.Checkpoint(), k)
+	edit(old)
 	decoded, err := machine.DecodeSnapshot(bytes.NewReader(encodeFramed(t, old)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := decoded.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	b, bPorts := replayMachine(tr, ccfg)
 	if err := b.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.ReplayRange(tr, bPorts, k, tr.Len()); err != nil {
+	if err := trace.ReplayRange(tr, bPorts, decoded.RefsReplayed, tr.Len()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := b.BusStats(), ref.BusStats(); got != want {
-		t.Errorf("resumed from an older checkpoint with a cleared presence table: %d bus cycles, uninterrupted %d",
-			got.TotalCycles, want.TotalCycles)
+		t.Errorf("resumed from an older checkpoint: %d bus cycles, uninterrupted %d", got.TotalCycles, want.TotalCycles)
 	}
 	if got, want := b.CacheStats(), ref.CacheStats(); got != want {
 		t.Error("cache stats diverged")
 	}
+}
+
+// TestRestoreIgnoresStoredFilters: a checkpoint in the older format,
+// whose stored presence table and lock counts disagree with its caches,
+// resumes bit-identically, because Restore rebuilds the filters from
+// the caches instead of trusting the stored copy.
+func TestRestoreIgnoresStoredFilters(t *testing.T) {
+	resumeLegacy(t, func(old *legacySnapshot) {
+		old.Bus.Presence = make([]uint64, (old.Config.Layout.TotalWords()+old.Config.Cache.BlockWords-1)/old.Config.Cache.BlockWords)
+		old.Bus.LockCounts = make([]uint32, old.Config.PEs)
+	})
+}
+
+// TestSnapshotParentFormatResumes: a checkpoint with the sections this
+// format dropped (step and round counts, a memory image and every
+// cache's data plane, all holding values) still decodes, verifies and
+// resumes bit-identically: gob skips the fields the snapshot no longer
+// has.
+func TestSnapshotParentFormatResumes(t *testing.T) {
+	resumeLegacy(t, func(old *legacySnapshot) {
+		old.Steps, old.Rounds = 12345, 678
+		old.Memory = make([]word.Word, old.Config.Layout.TotalWords())
+		for i := 0; i < len(old.Memory); i += 997 {
+			old.Memory[i] = word.Int(int64(i))
+		}
+		for i, c := range old.Caches {
+			c.Data = make([]word.Word, old.Config.Cache.SizeWords)
+			for j := range c.Data {
+				c.Data[j] = word.Int(int64(i + j))
+			}
+		}
+	})
 }
 
 // TestRestoreRefusesMalformedSnapshots: a well-framed checkpoint that
@@ -313,9 +369,7 @@ func TestCheckpointHoldsNoFilters(t *testing.T) {
 	c.Events = 20_000
 	c.Layout = mem.DefaultLayout()
 	tr := synth.ORParallel(c)
-	ccfg := cache.DefaultConfig()
-	ccfg.StatsOnly = true
-	m, ports := replayMachine(tr, ccfg)
+	m, ports := replayMachine(tr, cache.DefaultConfig())
 	if err := trace.Replay(tr, ports); err != nil {
 		t.Fatal(err)
 	}

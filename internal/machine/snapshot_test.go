@@ -3,10 +3,7 @@ package machine_test
 import (
 	"bytes"
 	"fmt"
-	"math/rand/v2"
-	"path/filepath"
 	"runtime"
-	"slices"
 	"testing"
 
 	"pimcache/internal/bus"
@@ -29,7 +26,10 @@ func checkpointWorkload() *trace.Trace {
 	return synth.ORParallel(c)
 }
 
+// replayMachine builds the stats-only machine every replay runs on, and
+// its ports.
 func replayMachine(tr *trace.Trace, ccfg cache.Config) (*machine.Machine, []mem.Accessor) {
+	ccfg.StatsOnly = true
 	m := machine.New(machine.Config{
 		PEs: tr.PEs, Layout: tr.Layout, Cache: ccfg, Timing: bus.DefaultTiming(),
 	})
@@ -187,86 +187,5 @@ func TestNewDataMachineIsSmall(t *testing.T) {
 	}
 	if res, total := m.Memory().Pages(); res != 0 || total != 2401 {
 		t.Errorf("new machine has %d of %d pages resident, want 0 of 2401", res, total)
-	}
-}
-
-// TestDataCheckpointFileResume: a data-carrying machine's checkpoint
-// survives WriteFile, ReadSnapshotFile and Restore, and the restored
-// machine continues bit-identically to the original — every value it
-// reads, its statistics and its memory image — while allocating only
-// the pages that hold data.
-func TestDataCheckpointFileResume(t *testing.T) {
-	cfg := machine.Config{PEs: 4, Layout: mem.DefaultLayout(), Cache: cache.DefaultConfig(), Timing: bus.DefaultTiming()}
-	cfg.Cache.SizeWords = 256 // small caches: evictions write back to memory
-	// Word-granular reads and writes by every PE over addresses spread
-	// across several pages, so blocks are shared, invalidated, evicted
-	// and written back.
-	type op struct {
-		pe    int
-		write bool
-		a     word.Addr
-		v     word.Word
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	heap := cfg.Layout.Bounds().HeapBase
-	ops := make([]op, 40_000)
-	for i := range ops {
-		ops[i] = op{
-			pe:    rng.IntN(cfg.PEs),
-			write: rng.IntN(3) == 0,
-			a:     heap + word.Addr(rng.IntN(8)*20_000+rng.IntN(512)),
-			v:     word.Int(int64(rng.IntN(1000) + 1)),
-		}
-	}
-	run := func(m *machine.Machine, ops []op) []word.Word {
-		var reads []word.Word
-		for _, o := range ops {
-			if o.write {
-				m.Port(o.pe).Write(o.a, o.v)
-			} else {
-				reads = append(reads, m.Port(o.pe).Read(o.a))
-			}
-		}
-		return reads
-	}
-	half := len(ops) / 2
-	a := machine.New(cfg)
-	run(a, ops[:half])
-	path := filepath.Join(t.TempDir(), "data.ckpt")
-	if err := a.Checkpoint().WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := machine.ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := machine.New(cfg)
-	if err := b.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	resident, _ := b.Memory().Pages()
-	nonzero := 0
-	for p := 0; p < len(snap.Memory); p += 4096 {
-		if slices.ContainsFunc(snap.Memory[p:min(p+4096, len(snap.Memory))], func(w word.Word) bool { return w != 0 }) {
-			nonzero++
-		}
-	}
-	if nonzero == 0 || resident != nonzero {
-		t.Errorf("restored machine has %d pages resident, want the %d that hold data", resident, nonzero)
-	}
-
-	if got, want := run(b, ops[half:]), run(a, ops[half:]); !slices.Equal(got, want) {
-		t.Error("restored machine read different values than the original")
-	}
-	if got, want := b.BusStats(), a.BusStats(); got != want {
-		t.Errorf("bus stats diverged:\nrestored %+v\noriginal %+v", got, want)
-	}
-	if got, want := b.CacheStats(), a.CacheStats(); got != want {
-		t.Errorf("cache stats diverged")
-	}
-	a.FlushAll()
-	b.FlushAll()
-	if !slices.Equal(b.Memory().Snapshot(), a.Memory().Snapshot()) {
-		t.Error("memory images diverged")
 	}
 }

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,7 +66,7 @@ func TestStatsOnlyMismatchRefused(t *testing.T) {
 // machine, checkpoints it through the full gob encoding, restores into a
 // fresh stats-only machine, finishes the trace, and requires the exact
 // statistics of (a) an uninterrupted stats-only replay and (b) the
-// data-carrying replay. Nil data planes must survive Encode/Decode.
+// data-carrying replay.
 func TestStatsOnlyCheckpointRoundTrip(t *testing.T) {
 	sc := synth.DefaultConfig()
 	sc.PEs = 4
@@ -115,9 +117,6 @@ func TestStatsOnlyCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding stats-only checkpoint: %v", err)
 	}
-	if len(decoded.Memory) != 0 {
-		t.Errorf("stats-only checkpoint carries %d memory words", len(decoded.Memory))
-	}
 
 	m2 := New(soCfg)
 	if err := m2.Restore(decoded); err != nil {
@@ -137,44 +136,43 @@ func TestStatsOnlyCheckpointRoundTrip(t *testing.T) {
 	if got := cs2.TotalRefs(); got != wantRefs {
 		t.Errorf("resumed replay: %d refs, uninterrupted: %d", got, wantRefs)
 	}
+}
 
-	// A stats-only checkpoint must not restore into a data-carrying
-	// machine: the memory image is absent.
-	m3 := New(dataCfg)
-	if err := m3.Restore(decoded); err == nil || !strings.Contains(err.Error(), "stats-only") {
-		t.Errorf("stats-only checkpoint into a data-carrying machine: %v, want a labeled refusal", err)
+// TestSnapshotRestoreRefusesDataMachine: a checkpoint holds no data
+// image, so Restore refuses a data-carrying machine, whether the
+// checkpoint came from a stats-only machine or from a data-carrying
+// machine of the very same configuration.
+func TestSnapshotRestoreRefusesDataMachine(t *testing.T) {
+	dataCfg := DefaultConfig()
+	dataCfg.PEs = 2
+	soCfg := dataCfg
+	soCfg.Cache.StatsOnly = true
+	for name, from := range map[string]Config{"stats-only": soCfg, "data-carrying": dataCfg} {
+		snap := New(from).Checkpoint()
+		if err := New(dataCfg).Restore(snap); !errors.Is(err, errDataCarrying) {
+			t.Errorf("%s checkpoint into a data-carrying machine: %v, want %v", name, err, errDataCarrying)
+		}
 	}
+}
 
-	// The other direction is the mode change replay went through: a
-	// data-carrying checkpoint restores into a stats-only machine by
-	// dropping its data image, and finishes on the same statistics.
-	m4 := New(dataCfg)
-	ports4 := make([]mem.Accessor, dataCfg.PEs)
-	for i := range ports4 {
-		ports4[i] = m4.Port(i)
+// TestSnapshotVerifyRefusesDataConfig: Verify refuses a checkpoint whose
+// configuration is data-carrying before it builds a machine: with a
+// forged multi-GiB cache geometry it allocates under 1 MiB.
+func TestSnapshotVerifyRefusesDataConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PEs = 2
+	cfg.Cache.StatsOnly = true
+	snap := New(cfg).Checkpoint()
+	snap.Config.Cache.StatsOnly = false
+	snap.Config.Cache.SizeWords <<= 30 // 2^42 words
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := snap.Verify()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errDataCarrying) {
+		t.Errorf("Verify of a data-carrying checkpoint: %v, want %v", err, errDataCarrying)
 	}
-	if err := trace.ReplayRange(tr, ports4, 0, half); err != nil {
-		t.Fatal(err)
-	}
-	dataSnap := m4.Checkpoint()
-	m5 := New(soCfg)
-	if err := m5.Restore(dataSnap); err != nil {
-		t.Fatalf("data-carrying checkpoint into a stats-only machine: %v", err)
-	}
-	ports5 := make([]mem.Accessor, soCfg.PEs)
-	for i := range ports5 {
-		ports5[i] = m5.Port(i)
-	}
-	if err := trace.ReplayRange(tr, ports5, half, tr.Len()); err != nil {
-		t.Fatal(err)
-	}
-	if got := m5.BusStats().TotalCycles; got != wantCycles {
-		t.Errorf("resumed from data checkpoint: %d bus cycles, uninterrupted: %d", got, wantCycles)
-	}
-	// Any other config difference is still refused.
-	other := soCfg
-	other.Cache.SizeWords *= 2
-	if err := New(other).Restore(dataSnap); err == nil {
-		t.Error("data-carrying checkpoint restored into a differently sized machine")
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Verify allocated %d bytes refusing the checkpoint, want under 1 MiB", got)
 	}
 }

@@ -260,34 +260,6 @@ func (m *Memory) WriteBlock(base word.Addr, src []word.Word) {
 	}
 }
 
-// Snapshot returns a flat copy of the whole word store, for
-// machine-level checkpoints (nil on a stats-only memory).
-func (m *Memory) Snapshot() []word.Word {
-	if m.StatsOnly() {
-		return nil
-	}
-	words := make([]word.Word, m.size)
-	for i, p := range m.pages {
-		copy(words[i<<pageShift:], p)
-	}
-	return words
-}
-
-// Restore overwrites the word store from a snapshot of a memory with the
-// same layout, allocating only the pages that hold a nonzero word. A
-// stats-only memory has no word store and drops the image.
-func (m *Memory) Restore(words []word.Word) error {
-	if m.StatsOnly() {
-		return nil
-	}
-	if len(words) != m.size {
-		return fmt.Errorf("mem: snapshot has %d words, memory has %d", len(words), m.size)
-	}
-	clear(m.pages)
-	m.WriteBlock(0, words)
-	return nil
-}
-
 // Accessor is the simulated-memory access interface used by the KL1
 // runtime. It is implemented by each PE's cache port; every call may
 // generate cache and bus activity. The optimized operations degrade to

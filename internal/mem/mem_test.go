@@ -369,39 +369,3 @@ func TestBlockSpanningPages(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotRestoreSparse: a snapshot is the flat image, and
-// restoring it reproduces every word while allocating only the pages
-// that hold a nonzero word.
-func TestSnapshotRestoreSparse(t *testing.T) {
-	m := New(DefaultLayout())
-	b := m.Bounds()
-	m.Write(b.InstBase, word.Int(1))
-	m.Write(b.HeapBase+5*pageWords+9, word.Int(2))
-	m.Write(b.End-1, word.Int(3))
-	m.Write(b.GoalBase, word.Int(4))
-	m.Write(b.GoalBase, 0) // resident, but all zero again
-	snap := m.Snapshot()
-	if len(snap) != m.Size() {
-		t.Fatalf("snapshot has %d words, want %d", len(snap), m.Size())
-	}
-	r := New(DefaultLayout())
-	r.Write(b.SuspBase, word.Int(8)) // dropped by the restore
-	if err := r.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if res, _ := r.Pages(); res != 3 {
-		t.Errorf("restored memory has %d pages resident, want 3", res)
-	}
-	for _, a := range []word.Addr{b.InstBase, b.HeapBase + 5*pageWords + 9, b.End - 1, b.GoalBase, b.SuspBase} {
-		if got, want := r.Read(a), m.Read(a); got != want {
-			t.Errorf("word %#x restored as %v, want %v", a, got, want)
-		}
-	}
-	if err := r.Restore(snap[1:]); err == nil {
-		t.Error("Restore accepted a short image")
-	}
-	if got := NewStatsOnly(DefaultLayout()).Snapshot(); got != nil {
-		t.Errorf("stats-only snapshot has %d words", len(got))
-	}
-}

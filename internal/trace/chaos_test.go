@@ -37,7 +37,7 @@ func TestChaosMatrixDecode(t *testing.T) {
 			t.Fatalf("seed %d (%s): unlabeled NewReader error %v", seed, f, err)
 		}
 		var got []Ref
-		dst := make([]Ref, 1000)
+		dst := make([]Ref, ChunkRefs)
 		decodeErr := error(nil)
 		for {
 			n, err := d.Next(dst)

@@ -22,7 +22,9 @@ import (
 // the fuzzer reaches the per-reference validation behind them (a Ref
 // keeps the op byte's low nibble, so ops 9-15 stand for every unknown
 // op there). skip is
-// a SkipTo target, and dst sizes the buffer Next decodes into.
+// the number of whole chunks SkipTo passes (a seek lands only on a chunk
+// boundary, at most the stream's end), and dst adds to the chunk of room
+// Next decodes into.
 //
 // Properties: no panic; every error is labeled "trace:"; every
 // delivered reference has an in-range PE and op, an address inside the
@@ -63,12 +65,12 @@ func FuzzReader(f *testing.F) {
 			return
 		}
 		bounds := d.Layout().Bounds()
-		got := uint64(skip)
+		got := min(uint64(skip)*trace.ChunkRefs, d.Len())
 		if err := d.SkipTo(got); err != nil {
 			checkLabeled(t, "SkipTo", err)
 			return
 		}
-		refs := make([]trace.Ref, 1+int(dst)*17)
+		refs := make([]trace.Ref, trace.ChunkRefs+int(dst))
 		for {
 			n, err := d.Next(refs)
 			for _, r := range refs[:n] {

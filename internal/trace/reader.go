@@ -23,25 +23,27 @@ import (
 // the damage — never an out-of-range index inside the replay loop, and
 // never a silently short or long stream: io.EOF from Next means every
 // declared reference was delivered intact and the stream ended there.
+//
+// The chunk is the reader's unit: Next decodes one whole chunk into a
+// destination with room for ChunkRefs references, and SkipTo seeks only
+// to a chunk boundary — a multiple of ChunkRefs, where every writer ends
+// a chunk, or the end of the stream.
 type Reader struct {
-	r       io.Reader
-	pes     int
-	layout  mem.Layout
-	bounds  mem.Bounds // layout's area map: classifies and range-checks refs
-	n       uint64     // declared ref count
-	read    uint64     // refs delivered so far
-	off     int64      // bytes consumed from r
-	chunks  uint64     // CRC-verified chunk frames decoded
-	chain   uint32     // CRC32C chained over the chunk checksums read so far
-	buf     []byte     // raw chunk bytes: frame + payload
-	pend    []Ref      // decoded refs not yet delivered
-	pendBuf []Ref      // backing array for pend, ChunkRefs capacity
-	skipBuf []Ref      // lazily allocated by SkipTo
+	r      io.Reader
+	pes    int
+	layout mem.Layout
+	bounds mem.Bounds // layout's area map: classifies and range-checks refs
+	n      uint64     // declared ref count
+	read   uint64     // refs delivered so far
+	off    int64      // bytes consumed from r
+	chunks uint64     // CRC-verified chunk frames decoded
+	chain  uint32     // CRC32C chained over the chunk checksums read so far
+	buf    []byte     // raw chunk bytes: frame + payload
 
 	progress func(n int) // optional decode-progress hook (see SetProgress)
 }
 
-// SetProgress installs a hook called after every decoded batch with the
+// SetProgress installs a hook called after every decoded chunk with the
 // number of references just decoded. Streaming replays use it to feed a
 // heartbeat (obs.Heartbeat.Add, and SetBytes from Offset); a nil fn
 // disables the hook. The hook runs on the goroutine that calls Next, so
@@ -141,9 +143,6 @@ func (d *Reader) Layout() mem.Layout { return d.layout }
 // the position error labels refer to.
 func (d *Reader) Offset() int64 { return d.off }
 
-// Chunks reports how many CRC-verified chunk frames have been decoded.
-func (d *Reader) Chunks() uint64 { return d.chunks }
-
 // Chain reports the CRC32C chained over the stored checksums of every
 // chunk read so far, in order: with the header, it identifies the trace
 // up to the current position at O(1) cost per chunk. A checkpoint
@@ -158,26 +157,27 @@ func (d *Reader) Replayed() uint64 { return d.read }
 // truncation error, so Len is trustworthy only once Next returned io.EOF.
 func (d *Reader) Len() uint64 { return d.n }
 
-// Next decodes up to len(dst) references into dst and returns how many
-// were decoded. It returns io.EOF — possibly alongside the final
-// references — once all declared references have been delivered and the
-// stream ends there; any earlier end of stream is an error, and so are
-// bytes after the last declared chunk (returned alongside the final
-// references). Errors are permanent: a Reader that returned one
-// delivers no further references.
+// Next decodes the next chunk into dst, which must have room for
+// ChunkRefs references, and returns how many it decoded. It returns
+// io.EOF — possibly alongside the final chunk — once all declared
+// references have been delivered and the stream ends there; any earlier
+// end of stream is an error, and so are bytes after the last declared
+// chunk (returned alongside the final chunk). A dst shorter than a chunk
+// is refused before anything is read; after any other error the stream
+// position is past the damage, so the caller must stop reading.
 func (d *Reader) Next(dst []Ref) (int, error) {
+	if len(dst) < ChunkRefs {
+		return 0, fmt.Errorf("trace: Next needs room for a whole chunk (%d refs), got %d", ChunkRefs, len(dst))
+	}
 	if d.read == d.n {
 		return 0, io.EOF
 	}
-	if len(dst) == 0 {
-		return 0, nil
-	}
 	n, err := d.nextChunk(dst)
 	if err != nil {
-		return n, err
+		return 0, err
 	}
 	d.read += uint64(n)
-	if d.progress != nil && n > 0 {
+	if d.progress != nil {
 		d.progress(n)
 	}
 	if d.read == d.n {
@@ -189,16 +189,9 @@ func (d *Reader) Next(dst []Ref) (int, error) {
 	return n, nil
 }
 
-// nextChunk delivers pending decoded references, reading and verifying
-// the next chunk frame when none are pending. When dst can hold the
-// whole chunk it is decoded straight into dst (the streaming-replay
-// fast path copies nothing twice).
+// nextChunk reads and verifies the next chunk frame and decodes its
+// references straight into dst.
 func (d *Reader) nextChunk(dst []Ref) (int, error) {
-	if len(d.pend) > 0 {
-		n := copy(dst, d.pend)
-		d.pend = d.pend[n:]
-		return n, nil
-	}
 	frameOff := d.off
 	frame := d.buf[:frameBytes]
 	if err := d.fill(frame); err != nil {
@@ -236,23 +229,11 @@ func (d *Reader) nextChunk(dst []Ref) (int, error) {
 	}
 	d.chain = crc32.Update(d.chain, castagnoli, frame[4:8])
 	k := int(plen) / refBytes
-	if len(dst) >= k {
-		if err := d.decodeRefs(payload, dst[:k], payloadOff); err != nil {
-			return 0, err
-		}
-		d.chunks++
-		return k, nil
-	}
-	if d.pendBuf == nil {
-		d.pendBuf = make([]Ref, ChunkRefs)
-	}
-	if err := d.decodeRefs(payload, d.pendBuf[:k], payloadOff); err != nil {
+	if err := d.decodeRefs(payload, dst[:k], payloadOff); err != nil {
 		return 0, err
 	}
 	d.chunks++
-	n := copy(dst, d.pendBuf[:k])
-	d.pend = d.pendBuf[n:k]
-	return n, nil
+	return k, nil
 }
 
 // decodeRefs decodes raw (a whole number of 6-byte refs) into dst,
@@ -288,32 +269,30 @@ func (d *Reader) refError(b []byte, ref uint64, off int64) error {
 }
 
 // SkipTo advances the reader so the next delivered reference is the
-// one at absolute index target — the checkpoint-resume seek. Skipped
-// references are fully decoded and validated (chunk CRCs included), so
-// a resume never glides over damage the uninterrupted run would have
-// caught. The reader cannot rewind.
+// one at absolute index target — the checkpoint-resume seek. The target
+// must be a chunk boundary (a multiple of ChunkRefs, or the end of the
+// stream), as every checkpoint's position is; any other is refused
+// before anything is read. Skipped chunks are fully decoded and
+// validated (their CRCs included), so a resume never glides over damage
+// the uninterrupted run would have caught. The reader cannot rewind.
 func (d *Reader) SkipTo(target uint64) error {
-	if target < d.read {
+	switch {
+	case target < d.read:
 		return fmt.Errorf("trace: cannot rewind from ref %d to %d", d.read, target)
-	}
-	if target > d.n {
+	case target > d.n:
 		return fmt.Errorf("trace: skip target %d beyond declared count %d", target, d.n)
+	case target%ChunkRefs != 0 && target != d.n:
+		return fmt.Errorf("trace: skip target %d is not a chunk boundary (a multiple of %d, or the stream's end at %d)",
+			target, ChunkRefs, d.n)
 	}
-	if d.skipBuf == nil {
-		d.skipBuf = make([]Ref, ChunkRefs)
-	}
+	buf := make([]Ref, ChunkRefs)
 	for d.read < target {
-		want := target - d.read
-		if want > ChunkRefs {
-			want = ChunkRefs
-		}
-		_, err := d.Next(d.skipBuf[:want])
-		if err == io.EOF {
-			break // d.read == d.n == target
-		}
-		if err != nil {
+		if _, err := d.Next(buf); err != nil && err != io.EOF {
 			return err
 		}
+	}
+	if d.read != target {
+		return fmt.Errorf("trace: skip target %d falls inside a chunk ending at ref %d", target, d.read)
 	}
 	return nil
 }

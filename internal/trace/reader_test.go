@@ -153,7 +153,7 @@ func TestReaderRejectsOutOfLayoutAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SkipTo(50); err == nil || !strings.Contains(err.Error(), want) {
+	if err := d.SkipTo(d.Len()); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("SkipTo over the bad address: %v", err)
 	}
 }
@@ -274,36 +274,13 @@ func TestBothVersionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReaderSmallDst checks Next with a destination smaller than a
-// chunk: the pending buffer must deliver every ref exactly once.
-func TestReaderSmallDst(t *testing.T) {
-	tr := largeSyntheticTrace(ChunkRefs + 77)
-	d, err := NewReader(bytes.NewReader(encodeTrace(t, tr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Ref
-	dst := make([]Ref, 100) // not a divisor of ChunkRefs
-	for {
-		n, err := d.Next(dst)
-		got = append(got, dst[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-	}
-	sameRefs(t, New(tr.PEs, tr.Layout, got), tr)
-}
-
-// TestSkipTo pins the resume seek: skipping to an arbitrary position
-// delivers exactly the suffix, skipped chunks are still CRC-verified,
-// and rewinds or beyond-count targets are rejected.
+// TestSkipTo pins the resume seek: skipping to any chunk boundary, the
+// stream's end included, delivers exactly the suffix, and rewinds or
+// beyond-count targets are rejected.
 func TestSkipTo(t *testing.T) {
 	tr := largeSyntheticTrace(ChunkRefs*2 + 50)
 	raw := encodeTrace(t, tr)
-	for _, target := range []uint64{0, 1, 100, ChunkRefs, ChunkRefs + 1, uint64(tr.Len()) - 1, uint64(tr.Len())} {
+	for _, target := range []uint64{0, ChunkRefs, 2 * ChunkRefs, uint64(tr.Len())} {
 		d, err := NewReader(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
@@ -315,7 +292,7 @@ func TestSkipTo(t *testing.T) {
 			t.Fatalf("SkipTo(%d): Replayed() = %d", target, d.Replayed())
 		}
 		var got []Ref
-		dst := make([]Ref, 333)
+		dst := make([]Ref, ChunkRefs)
 		for {
 			n, err := d.Next(dst)
 			got = append(got, dst[:n]...)
@@ -338,10 +315,10 @@ func TestSkipTo(t *testing.T) {
 	}
 
 	d, _ := NewReader(bytes.NewReader(raw))
-	if err := d.SkipTo(10); err != nil {
+	if err := d.SkipTo(ChunkRefs); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SkipTo(5); err == nil || !strings.Contains(err.Error(), "rewind") {
+	if err := d.SkipTo(0); err == nil || !strings.Contains(err.Error(), "rewind") {
 		t.Errorf("rewind accepted: %v", err)
 	}
 	if err := d.SkipTo(uint64(tr.Len()) + 1); err == nil || !strings.Contains(err.Error(), "beyond") {
@@ -359,9 +336,66 @@ func TestSkipToDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = d.SkipTo(ChunkRefs + 5) // target inside chunk 1
+	err = d.SkipTo(ChunkRefs) // the end of chunk 0
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Errorf("SkipTo over corrupt chunk: %v, want checksum mismatch", err)
+	}
+}
+
+// TestResumeSeekRefusesMidChunk pins the reader's unit, the chunk:
+// SkipTo to a target inside a chunk and Next into a destination with
+// room for less than a chunk are refused with labeled errors before
+// anything is read, so the reader still delivers the whole stream
+// afterwards. A stream whose chunks are not ChunkRefs long, which no
+// writer produces, has no boundary at a multiple of ChunkRefs, and a
+// seek there fails once it passes the target.
+func TestResumeSeekRefusesMidChunk(t *testing.T) {
+	tr := largeSyntheticTrace(ChunkRefs*2 + 50)
+	raw := encodeTrace(t, tr)
+	d, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := d.Offset()
+	for _, target := range []uint64{1, ChunkRefs + 1, uint64(tr.Len()) - 1} {
+		want := fmt.Sprintf("trace: skip target %d is not a chunk boundary", target)
+		if err := d.SkipTo(target); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("SkipTo(%d): %v, want %q", target, err, want)
+		}
+	}
+	want := fmt.Sprintf("trace: Next needs room for a whole chunk (%d refs), got %d", ChunkRefs, ChunkRefs-1)
+	if n, err := d.Next(make([]Ref, ChunkRefs-1)); n != 0 || err == nil || err.Error() != want {
+		t.Errorf("Next into %d refs: %d refs, %v; want none and %q", ChunkRefs-1, n, err, want)
+	}
+	if d.Replayed() != 0 || d.Offset() != off {
+		t.Fatalf("refused calls moved the reader to ref %d, byte offset %d (from %d)", d.Replayed(), d.Offset(), off)
+	}
+	if err := d.SkipTo(ChunkRefs); err != nil {
+		t.Fatal(err)
+	}
+	var got []Ref
+	dst := make([]Ref, ChunkRefs)
+	for {
+		n, err := d.Next(dst)
+		got = append(got, dst[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameRefs(t, New(tr.PEs, tr.Layout, got), New(tr.PEs, tr.Layout, refsOf(tr)[ChunkRefs:]))
+
+	refs := refsOf(tr)
+	odd := &Trace{PEs: tr.PEs, Layout: tr.Layout, Chunks: [][]Ref{refs[:100], refs[100 : ChunkRefs+100]}}
+	d, err = NewReader(bytes.NewReader(encodeTrace(t, odd)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = fmt.Sprintf("trace: skip target %d falls inside a chunk ending at ref %d", ChunkRefs, ChunkRefs+100)
+	if err := d.SkipTo(ChunkRefs); err == nil || err.Error() != want {
+		t.Errorf("SkipTo(%d) across odd chunks: %v, want %q", ChunkRefs, err, want)
 	}
 }
 
@@ -439,7 +473,7 @@ func TestStreamedReplayMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]Ref, 1000) // chunks split across Next calls
+	buf := make([]Ref, ChunkRefs)
 	n := 0
 	for {
 		k, err := d.Next(buf)

@@ -127,10 +127,14 @@ func TestSoakKillResumeBitIdentical(t *testing.T) {
 		}
 		ck := bench.CheckpointOptions{
 			Every: every,
-			Path:  ckpt,
-			// The write already happened when the hook runs; failing
-			// here models a crash between checkpoint and next chunk.
-			OnCheckpoint: func(uint64) error { return crash },
+			// Failing after the durable write models a crash between
+			// checkpoint and next chunk.
+			Write: func(s *machine.Snapshot) error {
+				if err := s.WriteFile(ckpt); err != nil {
+					return err
+				}
+				return crash
+			},
 		}
 		out, err = replayAll(raw, ccfg, timing, ck, snap)
 		if err == nil {
